@@ -1,18 +1,9 @@
-"""Hot numeric kernels, each with a numba-compiled and a pure-numpy path.
+"""Hot numeric kernels in vectorized numpy.
 
 The inner loops here dominate the runtime of every grid scan in the
 package: powers of the Cauchy kernel summed over quadrature nodes, the
 window double integrals, the sinc-kernel sums over a sampling sequence,
-and the cyclic Jacobi eigensolver for small Hermitian matrices.
-
-Backend selection (at import time):
-    RKTLAB_BACKEND=numba   require numba, fail if it cannot be imported
-    RKTLAB_BACKEND=numpy   force the vectorized numpy fallback
-    RKTLAB_BACKEND=auto    numba when importable, numpy otherwise (default)
-
-Both implementations stay importable regardless of the active backend so
-that tests can compare them and benchmarks/bench_kernels.py can time one
-against the other.
+and the dense Hermitian eigensolve behind the Gram diagnostics.
 
 All kernels work in real arithmetic.  For lam = R*exp(i*phi) and
 z = rho*exp(i*theta) the stable form
@@ -26,7 +17,6 @@ near the boundary.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -39,10 +29,10 @@ __all__ = [
     "pw_rkt_grid",
     "jacobi_eigh",
     "pw_norm_factor",
-    "NUMPY_IMPLS",
-    "NUMBA_IMPLS",
-    "set_num_threads",
 ]
+
+#: The one kernel implementation; reported as ``backend`` in summary.json.
+ACTIVE_BACKEND = "numpy"
 
 _SINC_SERIES_CUT = 1e-8  # |pi*w|^2 below this: quadratic series for |sinc|^2
 
@@ -59,25 +49,20 @@ def pw_norm_factor(im: float) -> float:
     return x / math.sinh(x)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _kernel_pow_circle_sum_np(thetas, weights, r, phi, p):
+def kernel_pow_circle_sum(thetas, weights, r, phi, p):
     s = np.sin(0.5 * (thetas - phi))
     d2 = (1.0 - r) ** 2 + 4.0 * r * s * s
     return float(np.dot(weights, d2 ** (-0.5 * p)))
 
 
-def _kernel_pow_disk_sum_np(rhos, thetas, weights, r, phi, p):
+def kernel_pow_disk_sum(rhos, thetas, weights, r, phi, p):
     s = np.sin(0.5 * (thetas - phi))
     rr = r * rhos
     d2 = (1.0 - rr) ** 2 + 4.0 * rr * s * s
     return float(np.dot(weights, d2 ** (-0.5 * p)))
 
 
-def _phi_h_window_sum_np(ts, wts, angs, wangs, rho, psi, p):
+def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):
     r = 1.0 - ts
     radial = wts * (ts * (2.0 - ts)) ** (p - 1.0) * r
     s = np.sin(0.5 * (angs - psi))
@@ -86,7 +71,7 @@ def _phi_h_window_sum_np(ts, wts, angs, wangs, rho, psi, p):
     return float(radial @ d2 ** (-0.5 * p) @ wangs)
 
 
-def _pw_rkt_partial_np(points, a, b):
+def pw_rkt_partial(points, a, b):
     c2 = pw_norm_factor(b)
     u = math.pi * (points - a)
     v = math.pi * b
@@ -100,323 +85,32 @@ def _pw_rkt_partial_np(points, a, b):
     return c2 * float(np.sum(out))
 
 
-def _pw_rkt_grid_np(points, res, ims):
+def pw_rkt_grid(points, res, ims):
+    # u and everything built from it alone do not depend on Im lambda
+    u = math.pi * (points[None, :] - res[:, None])
+    uu = u * u
+    s2 = np.sin(u) ** 2
+    del u
     out = np.empty((ims.size, res.size))
     for i in range(ims.size):
         b = float(ims[i])
         c2 = pw_norm_factor(b)
         v = math.pi * b
         sh2 = math.sinh(v) ** 2
-        u = math.pi * (points[None, :] - res[:, None])
-        w2 = u * u + v * v
-        num = np.sin(u) ** 2 + sh2
-        vals = np.where(w2 < _SINC_SERIES_CUT, 1.0 - (u * u - v * v) / 3.0, num / np.maximum(w2, 1e-300))
+        w2 = uu + v * v
+        vals = (s2 + sh2) / np.maximum(w2, 1e-300)
+        small = w2 < _SINC_SERIES_CUT
+        if small.any():
+            vals[small] = 1.0 - (uu[small] - v * v) / 3.0
         out[i, :] = c2 * vals.sum(axis=1)
     return out
 
 
-def _offdiag_norm(a):
-    m2 = np.abs(a) ** 2
-    np.fill_diagonal(m2, 0.0)
-    return math.sqrt(float(np.sum(m2)))
+def jacobi_eigh(h):
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
 
-
-def _jacobi_eigh_np(h, tol=1e-13, max_sweeps=60):
-    a = np.array(h, dtype=np.complex128, copy=True)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-    thresh = tol * scale
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= thresh:
-            converged = True
-            break
-        for k in range(n - 1):
-            for l in range(k + 1, n):
-                akl = a[k, l]
-                aa = abs(akl)
-                if aa <= thresh / (4.0 * n):
-                    continue
-                sigma = akl / aa
-                tau = (a[l, l].real - a[k, k].real) / (2.0 * aa)
-                if tau >= 0.0:
-                    t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # columns:  A <- A*J  with J = [[c, -s*sigma], [s*conj(sigma), c]]
-                colk = a[:, k].copy()
-                coll = a[:, l].copy()
-                a[:, k] = c * colk + s * np.conj(sigma) * coll
-                a[:, l] = -s * sigma * colk + c * coll
-                # rows:  A <- J^H * A
-                rowk = a[k, :].copy()
-                rowl = a[l, :].copy()
-                a[k, :] = c * rowk + s * sigma * rowl
-                a[l, :] = -s * np.conj(sigma) * rowk + c * rowl
-                a[k, l] = 0.0
-                a[l, k] = 0.0
-                a[k, k] = a[k, k].real
-                a[l, l] = a[l, l].real
-                colk = v[:, k].copy()
-                coll = v[:, l].copy()
-                v[:, k] = c * colk + s * np.conj(sigma) * coll
-                v[:, l] = -s * sigma * colk + c * coll
-    if not converged and _offdiag_norm(a) > 1e-10 * scale:
-        raise ArithmeticError("jacobi eigensolver failed to converge")
-    w = np.real(np.diag(a)).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-NUMPY_IMPLS = {
-    "kernel_pow_circle_sum": _kernel_pow_circle_sum_np,
-    "kernel_pow_disk_sum": _kernel_pow_disk_sum_np,
-    "phi_h_window_sum": _phi_h_window_sum_np,
-    "pw_rkt_partial": _pw_rkt_partial_np,
-    "pw_rkt_grid": _pw_rkt_grid_np,
-    "jacobi_eigh": _jacobi_eigh_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-
-def _select_backend():
-    want = os.environ.get("RKTLAB_BACKEND", "auto").strip().lower()
-    if want not in ("auto", "numba", "numpy"):
-        raise ValueError(f"RKTLAB_BACKEND must be auto|numba|numpy, got {want!r}")
-    if want == "numpy":
-        return "numpy", None
-    try:
-        import numba
-    except ImportError:
-        if want == "numba":
-            raise
-        return "numpy", None
-    return "numba", numba
-
-
-ACTIVE_BACKEND, _numba = _select_backend()
-NUMBA_IMPLS = None
-
-if _numba is not None:
-    njit = _numba.njit
-    prange = _numba.prange
-
-    @njit(cache=True)
-    def _kernel_pow_circle_sum_nb(thetas, weights, r, phi, p):
-        acc = 0.0
-        one_m_r2 = (1.0 - r) ** 2
-        for i in range(thetas.shape[0]):
-            s = math.sin(0.5 * (thetas[i] - phi))
-            d2 = one_m_r2 + 4.0 * r * s * s
-            acc += weights[i] * d2 ** (-0.5 * p)
-        return acc
-
-    @njit(cache=True)
-    def _kernel_pow_disk_sum_nb(rhos, thetas, weights, r, phi, p):
-        acc = 0.0
-        for i in range(thetas.shape[0]):
-            s = math.sin(0.5 * (thetas[i] - phi))
-            rr = r * rhos[i]
-            d2 = (1.0 - rr) ** 2 + 4.0 * rr * s * s
-            acc += weights[i] * d2 ** (-0.5 * p)
-        return acc
-
-    @njit(cache=True)
-    def _phi_h_window_sum_nb(ts, wts, angs, wangs, rho, psi, p):
-        nt = ts.shape[0]
-        na = angs.shape[0]
-        s2 = np.empty(na)
-        for j in range(na):
-            s = math.sin(0.5 * (angs[j] - psi))
-            s2[j] = s * s
-        acc = 0.0
-        for i in range(nt):
-            t = ts[i]
-            r = 1.0 - t
-            radial = wts[i] * (t * (2.0 - t)) ** (p - 1.0) * r
-            rr = r * rho
-            base = (1.0 - rr) ** 2
-            inner = 0.0
-            for j in range(na):
-                d2 = base + 4.0 * rr * s2[j]
-                inner += wangs[j] * d2 ** (-0.5 * p)
-            acc += radial * inner
-        return acc
-
-    @njit(cache=True)
-    def _pw_rkt_partial_nb(points, a, b):
-        x = 2.0 * math.pi * abs(b)
-        if x < 1e-3:
-            x2 = x * x
-            c2 = 1.0 / (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-        else:
-            c2 = x / math.sinh(x)
-        v = math.pi * b
-        sh2 = math.sinh(v) ** 2
-        v2 = v * v
-        acc = 0.0
-        for i in range(points.shape[0]):
-            u = math.pi * (points[i] - a)
-            w2 = u * u + v2
-            if w2 < _SINC_SERIES_CUT:
-                acc += 1.0 - (u * u - v2) / 3.0
-            else:
-                su = math.sin(u)
-                acc += (su * su + sh2) / w2
-        return c2 * acc
-
-    @njit(cache=True, parallel=True)
-    def _pw_rkt_grid_nb(points, res, ims):
-        out = np.empty((ims.shape[0], res.shape[0]))
-        for i in prange(ims.shape[0]):
-            b = ims[i]
-            x = 2.0 * math.pi * abs(b)
-            if x < 1e-3:
-                x2 = x * x
-                c2 = 1.0 / (1.0 + x2 / 6.0 + x2 * x2 / 120.0)
-            else:
-                c2 = x / math.sinh(x)
-            v = math.pi * b
-            sh2 = math.sinh(v) ** 2
-            v2 = v * v
-            for j in range(res.shape[0]):
-                a = res[j]
-                acc = 0.0
-                for m in range(points.shape[0]):
-                    u = math.pi * (points[m] - a)
-                    w2 = u * u + v2
-                    if w2 < _SINC_SERIES_CUT:
-                        acc += 1.0 - (u * u - v2) / 3.0
-                    else:
-                        su = math.sin(u)
-                        acc += (su * su + sh2) / w2
-                out[i, j] = c2 * acc
-        return out
-
-    @njit(cache=True)
-    def _jacobi_eigh_nb(h, tol=1e-13, max_sweeps=60):
-        n = h.shape[0]
-        a = h.copy()
-        v = np.eye(n, dtype=np.complex128)
-        if n == 1:
-            return np.array([a[0, 0].real]), v
-        scale = 0.0
-        for i in range(n):
-            for j in range(n):
-                scale += abs(a[i, j]) ** 2
-        scale = math.sqrt(scale)
-        if scale == 0.0:
-            return np.zeros(n), v
-        thresh = tol * scale
-        converged = False
-        for _ in range(max_sweeps):
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += abs(a[i, j]) ** 2
-            if math.sqrt(off) <= thresh:
-                converged = True
-                break
-            for k in range(n - 1):
-                for l in range(k + 1, n):
-                    akl = a[k, l]
-                    aa = abs(akl)
-                    if aa <= thresh / (4.0 * n):
-                        continue
-                    sigma = akl / aa
-                    tau = (a[l, l].real - a[k, k].real) / (2.0 * aa)
-                    if tau >= 0.0:
-                        t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    sig_c = np.conj(sigma)
-                    for i in range(n):
-                        aik = a[i, k]
-                        ail = a[i, l]
-                        a[i, k] = c * aik + s * sig_c * ail
-                        a[i, l] = -s * sigma * aik + c * ail
-                    for i in range(n):
-                        aki = a[k, i]
-                        ali = a[l, i]
-                        a[k, i] = c * aki + s * sigma * ali
-                        a[l, i] = -s * sig_c * aki + c * ali
-                    a[k, l] = 0.0
-                    a[l, k] = 0.0
-                    a[k, k] = complex(a[k, k].real, 0.0)
-                    a[l, l] = complex(a[l, l].real, 0.0)
-                    for i in range(n):
-                        vik = v[i, k]
-                        vil = v[i, l]
-                        v[i, k] = c * vik + s * sig_c * vil
-                        v[i, l] = -s * sigma * vik + c * vil
-        if not converged:
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += abs(a[i, j]) ** 2
-            if math.sqrt(off) > 1e-10 * scale:
-                raise ArithmeticError("jacobi eigensolver failed to converge")
-        w = np.empty(n)
-        for i in range(n):
-            w[i] = a[i, i].real
-        order = np.argsort(w)
-        return w[order], v[:, order]
-
-    def _jacobi_eigh_nb_wrapped(h, tol=1e-13, max_sweeps=60):
-        return _jacobi_eigh_nb(np.ascontiguousarray(h, dtype=np.complex128), tol, max_sweeps)
-
-    NUMBA_IMPLS = {
-        "kernel_pow_circle_sum": _kernel_pow_circle_sum_nb,
-        "kernel_pow_disk_sum": _kernel_pow_disk_sum_nb,
-        "phi_h_window_sum": _phi_h_window_sum_nb,
-        "pw_rkt_partial": _pw_rkt_partial_nb,
-        "pw_rkt_grid": _pw_rkt_grid_nb,
-        "jacobi_eigh": _jacobi_eigh_nb_wrapped,
-    }
-
-
-_ACTIVE = NUMBA_IMPLS if ACTIVE_BACKEND == "numba" else NUMPY_IMPLS
-
-kernel_pow_circle_sum = _ACTIVE["kernel_pow_circle_sum"]
-kernel_pow_disk_sum = _ACTIVE["kernel_pow_disk_sum"]
-phi_h_window_sum = _ACTIVE["phi_h_window_sum"]
-pw_rkt_partial = _ACTIVE["pw_rkt_partial"]
-pw_rkt_grid = _ACTIVE["pw_rkt_grid"]
-jacobi_eigh = _ACTIVE["jacobi_eigh"]
-
-
-def set_num_threads(n: int) -> None:
-    """Set the numba threading width for parallel kernels (no-op on numpy)."""
-    if _numba is None or n < 1:
-        return
-    limit = _numba.config.NUMBA_NUM_THREADS
-    _numba.set_num_threads(min(int(n), limit))
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of every kernel with tiny inputs."""
-    th = np.array([0.1, 0.2])
-    w = np.array([0.5, 0.5])
-    rho = np.array([0.5, 0.6])
-    kernel_pow_circle_sum(th, w, 0.5, 0.0, 2.0)
-    kernel_pow_disk_sum(rho, th, w, 0.5, 0.0, 2.0)
-    phi_h_window_sum(np.array([0.1]), np.array([0.1]), th, w, 0.5, 0.0, 2.0)
-    pts = np.array([0.875, 2.125])
-    pw_rkt_partial(pts, 0.5, 0.5)
-    pw_rkt_grid(pts, np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
-    jacobi_eigh(np.eye(2, dtype=np.complex128))
+    A thin wrapper over LAPACK's ``np.linalg.eigh``.  The name is kept
+    because the benchmark's per-layer metrics are keyed on it
+    (``kernels.jacobi_eigh.*``).
+    """
+    return np.linalg.eigh(h)

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  rktlab run --config cfg.json --out outdir [--seed N] [--threads N] [--quick]
+  rktlab run --config cfg.json --out outdir [--seed N] [--quick]
   rktlab report --summary outdir/summary.json [--out report.md]
 
 Exit codes: 0 success, 1 an asserted invariant failed (named in the
@@ -698,7 +698,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", required=True, help="path to the experiment config")
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the polynomial family")
-    runp.add_argument("--threads", type=int, default=0, help="numba thread count (0 = default)")
     runp.add_argument("--quick", action="store_true", help="reduced grids for CI")
     repp = sub.add_parser("report", help="render a Markdown report from a summary")
     repp.add_argument("--summary", required=True, help="path to summary.json")
@@ -727,8 +726,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         logger.error("config rejected: %s", exc)
         return EXIT_CONFIG
-    if args.threads > 0:
-        _kernels.set_num_threads(args.threads)
     seed = doc.get("seed", args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -211,12 +211,6 @@ class AreaDensity:
             total += val * 0.5 * (hi * hi - lo * lo) * ang
         return total
 
-    def total(self) -> float:
-        rb, ab = self.radial_breaks, self.angular_breaks
-        radial = 0.5 * (rb[1:] ** 2 - rb[:-1] ** 2)
-        angular = np.diff(ab)
-        return float(radial @ self.values @ angular)
-
 
 @dataclass(frozen=True)
 class Measure:
@@ -237,12 +231,6 @@ class Measure:
                 raise DomainError(f"atom at {z} lies outside the closed disk")
             checked.append((z, mass))
         object.__setattr__(self, "atoms", tuple(checked))
-
-    def total_mass(self) -> float:
-        m = sum(mass for _, mass in self.atoms) + self.boundary.total()
-        if self.area is not None:
-            m += self.area.total()
-        return float(m)
 
     def has_boundary_atoms(self) -> bool:
         return any(abs(z) >= 1.0 - _BOUNDARY_ATOM_TOL for z, _ in self.atoms)

@@ -38,12 +38,6 @@ def wrap_angle(theta: float) -> float:
     return t + TWO_PI if t < 0.0 else t
 
 
-def circ_dist(a: float, b: float) -> float:
-    """Distance between two angles on the circle, in [0, pi]."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
-
-
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -82,10 +76,6 @@ class CircleQuadrature:
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
             raise DomainError("quadrature weights must be positive")
-
-    @property
-    def node_count(self) -> int:
-        return int(self.nodes.size)
 
     def with_nodes_per_panel(self, n: int) -> "CircleQuadrature":
         """Same panels, different per-panel node count (refinement checks)."""
@@ -261,9 +251,11 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def eigen_hermitian(m: np.ndarray):
-    """Eigen-decomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a Hermitian matrix (LAPACK ``eigh``).
 
-    Returns (eigenvalues ascending, eigenvector columns).
+    The input is checked for shape, finite entries and Hermitian symmetry
+    to 1e-12 relative, then symmetrized.  Returns (eigenvalues ascending,
+    eigenvector columns).
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:

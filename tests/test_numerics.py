@@ -148,10 +148,19 @@ class TestEigenHermitian:
         assert np.all(np.diff(w) >= -1e-14)
 
     def test_matches_lapack(self):
+        # Independent oracle: a Hermitian circulant matrix C[j, k] = c[(j - k) % n]
+        # has the DFT of its first column c as its spectrum.
         rng = np.random.default_rng(9)
-        m = hermitian_part(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        n = 16
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = 0.5 * (c + np.conj(np.roll(c[::-1], 1)))  # c[-k] = conj(c[k])
+        idx = np.arange(n)
+        m = c[(idx[:, None] - idx[None, :]) % n]
+        exact = np.fft.fft(c)
+        assert np.max(np.abs(exact.imag)) <= 1e-12
         w, _ = eigen_hermitian(m)
-        assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-11)
+        exact = np.sort(exact.real)
+        assert np.max(np.abs(w - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
