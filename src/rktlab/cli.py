@@ -313,6 +313,16 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         raise ConfigError("config.p", "p must lie in (1, inf)")
     grid_spec = got.get("grid", {"levels": 16, "angles": 64})
     levels, angles = grid_spec["levels"], grid_spec["angles"]
+    if not 1 <= levels <= 20:
+        raise ConfigError("config.grid.levels", "must lie in 1..20")
+    if angles < 1:
+        raise ConfigError("config.grid.angles", "must be positive")
+    poly_spec = got.get("polynomials")
+    if poly_spec is not None:
+        if poly_spec["count"] < 1:
+            raise ConfigError("config.polynomials.count", "must be positive")
+        if poly_spec["max_degree"] < 0:
+            raise ConfigError("config.polynomials.max_degree", "must be non-negative")
     if quick:
         levels, angles = min(levels, 10), min(angles, 32)
     cfg = hardy_config(p)
@@ -325,7 +335,6 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         "c2_witness_re": scan.witness.real,
         "c2_witness_im": scan.witness.imag,
     }
-    poly_spec = got.get("polynomials")
     if poly_spec is not None:
         count = min(poly_spec["count"], 50) if quick else poly_spec["count"]
         fam = random_polynomials(count, poly_spec["max_degree"], seed)
@@ -366,6 +375,12 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     exps = sorted(got["h_exponents"])
     if any(not 1 <= e <= 16 for e in exps):
         raise ConfigError("config.h_exponents", "exponents must lie in 1..16")
+    if len(exps) < 2 or len(set(exps)) < len(exps):
+        raise ConfigError("config.h_exponents", "expected at least 2 exponents, all distinct")
+    sup_spec = got.get("sup_grid", {"rings": 6, "angles": 24})
+    for name in ("rings", "angles"):
+        if sup_spec[name] < 1:
+            raise ConfigError(f"config.sup_grid.{name}", "must be positive")
     if quick:
         exps = exps[: max(3, len(exps) // 2)]
     hs = np.array([2.0**-e for e in exps])
@@ -376,7 +391,6 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     z_mid = complex(np.exp(1j * arc.center))
     z_end = complex(np.exp(1j * (arc.center + 0.5 * arc.length)))
     records = phi_h_limit_profile(arc, hs, [z_off, z_mid, z_end], cfg)
-    sup_spec = got.get("sup_grid", {"rings": 6, "angles": 24})
     rings, angs = (4, 12) if quick else (sup_spec["rings"], sup_spec["angles"])
     sup_grid = DiskGrid.geometric(rings, angs, min_gap=2.0**-12)
     sup_zs = list(sup_grid.points()) + [complex(np.exp(1j * t)) for t in np.linspace(0, TWO_PI, 17)[:-1]]

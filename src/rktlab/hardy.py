@@ -192,8 +192,8 @@ def _polar_cell_nodes(r0, r1, a0, a1, peak_angle, scale, nodes=8, max_ang_width=
     else:
         attract = a1 if (off - width) < (TWO_PI - off) else a0
     a_edges = _graded_edges(a0, a1, attract, max(scale, min(width, max_ang_width)))
-    rs, wr = _edges_to_nodes(r_edges, nodes)
-    ts, wt = _edges_to_nodes(a_edges, nodes)
+    rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], nodes)
+    ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], nodes)
     rho = np.repeat(rs, ts.size)
     ang = np.tile(ts, rs.size)
     wts = np.repeat(wr * rs, ts.size) * np.tile(wt, rs.size)  # dA = r dr dtheta
@@ -217,16 +217,6 @@ def _graded_edges(lo: float, hi: float, attract: float, scale: float) -> np.ndar
         if lo < e < hi:
             edges.add(e)
     return np.array(sorted(edges))
-
-
-def _edges_to_nodes(edges: np.ndarray, n: int):
-    xs = []
-    ws = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre_panel(float(lo), float(hi), n)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
@@ -339,8 +329,8 @@ def phi_h(z: complex, arc: Arc, h: float, cfg: HardyConfig, nodes: int = 8) -> f
         attract = start + width if (off - width) < (TWO_PI - off) else start
     ang_scale = max(0.25 * (1.0 - rho), 2.0**-26)
     a_edges = _graded_edges(start, start + width, attract, ang_scale)
-    ts, wts = _edges_to_nodes(t_edges, nodes)
-    angs, wangs = _edges_to_nodes(a_edges, nodes)
+    ts, wts = gauss_legendre_panel(t_edges[:-1], t_edges[1:], nodes)
+    angs, wangs = gauss_legendre_panel(a_edges[:-1], a_edges[1:], nodes)
     return _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p) / h
 
 

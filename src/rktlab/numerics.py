@@ -46,11 +46,17 @@ def _leggauss(n: int):
     return x, w
 
 
-def gauss_legendre_panel(lo: float, hi: float, n: int):
-    """Gauss-Legendre nodes and weights on [lo, hi]."""
+def gauss_legendre_panel(lo, hi, n: int):
+    """Gauss-Legendre nodes and weights on the panels [lo, hi].
+
+    ``lo`` and ``hi`` are scalars or equal-length arrays of panel ends; the
+    n-point rule is mapped onto every panel at once and the result is
+    flattened panel by panel.
+    """
     x, w = _leggauss(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -83,28 +89,15 @@ class CircleQuadrature:
 
 
 def _from_edges(edges: np.ndarray, nodes_per_panel: int, target_tol: float) -> CircleQuadrature:
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre_panel(float(lo), float(hi), nodes_per_panel)
-        nodes.append(x)
-        weights.append(w)
+    edges = np.asarray(edges, dtype=float)
+    nodes, weights = gauss_legendre_panel(edges[:-1], edges[1:], nodes_per_panel)
     return CircleQuadrature(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        panel_edges=np.asarray(edges, dtype=float),
+        nodes=nodes,
+        weights=weights,
+        panel_edges=edges,
         nodes_per_panel=nodes_per_panel,
         target_tol=target_tol,
     )
-
-
-def _interval_peak_dist(lo: float, hi: float, angle: float) -> float:
-    """Circular distance from the panel [lo, hi] to an angle (0 if inside)."""
-    width = hi - lo
-    off = wrap_angle(angle - lo)
-    if off <= width:
-        return 0.0
-    return min(off - width, TWO_PI - off)
 
 
 def circle_quadrature(
@@ -124,7 +117,7 @@ def circle_quadrature(
     """
     if base_panels < 1 or nodes_per_panel < 2:
         raise DomainError("base_panels >= 1 and nodes_per_panel >= 2 required")
-    edges = {wrap_angle(k * TWO_PI / base_panels) for k in range(base_panels)}
+    edges = set((np.arange(base_panels) * TWO_PI / base_panels).tolist())
     edges.update(wrap_angle(b) for b in breakpoints)
     peak_list = [(wrap_angle(a), max(float(s), min_width)) for a, s in peaks]
     edges.update(a for a, _ in peak_list)
@@ -134,28 +127,29 @@ def circle_quadrature(
     for e in sorted_edges[1:]:
         if e - cleaned[-1] > 1e-14:
             cleaned.append(e)
-    panels = list(zip(cleaned, cleaned[1:] + [cleaned[0] + TWO_PI]))
-
-    def allowed(lo: float, hi: float) -> float:
-        cap = TWO_PI / base_panels
-        for angle, scale in peak_list:
-            d = _interval_peak_dist(lo, hi, angle)
-            cap = min(cap, max(scale, d, min_width))
-        return cap
-
+    end = cleaned[0] + TWO_PI
+    # Bisect depth first, left half first, so panels come out in order.
+    base_width = TWO_PI / base_panels
     out = []
-    stack = list(reversed(panels))
+    stack = list(zip(cleaned, cleaned[1:] + [end]))[::-1]
     while stack:
         lo, hi = stack.pop()
-        if hi - lo > allowed(lo, hi) * (1.0 + 1e-12) and hi - lo > 2.0 * min_width:
+        width = hi - lo
+        cap = base_width
+        for angle, scale in peak_list:
+            off = math.fmod(angle - lo, TWO_PI)
+            if off < 0.0:
+                off += TWO_PI
+            d = 0.0 if off <= width else min(off - width, TWO_PI - off)
+            cap = min(cap, max(scale, d))
+        if width > cap * (1.0 + 1e-12) and width > 2.0 * min_width:
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi))
             stack.append((lo, mid))
         else:
-            out.append((lo, hi))
-    out.sort()
-    edges_arr = np.array([p[0] for p in out] + [out[-1][1]])
-    return _from_edges(edges_arr, nodes_per_panel, target_tol)
+            out.append(lo)
+    out.append(end)
+    return _from_edges(np.array(out), nodes_per_panel, target_tol)
 
 
 def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleQuadrature) -> float:

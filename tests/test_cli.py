@@ -157,7 +157,7 @@ class TestRunners:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("doc,kind", [(RKT_DOC, "rkt-hardy"), (T2_DOC, "theorem2")])
+    @pytest.mark.parametrize("doc,kind", [(RKT_DOC, "rkt-hardy"), (T2_DOC, "theorem2"), (PHIH_DOC, "phi-h")])
     def test_csv_byte_identical(self, tmp_path, doc, kind):
         cfg = write_config(tmp_path, "c.json", doc)
         outs = []
@@ -188,6 +188,28 @@ class TestExitCodes:
         assert summary["checks"][0]["name"] == "window-additivity"
         assert summary["checks"][0]["passed"] is False
 
+    @pytest.mark.parametrize(
+        "doc,path",
+        [
+            (dict(RKT_DOC, grid={"levels": 0, "angles": 16}), "config.grid.levels"),
+            (dict(RKT_DOC, grid={"levels": 30, "angles": 16}), "config.grid.levels"),
+            (dict(RKT_DOC, grid={"levels": 8, "angles": 0}), "config.grid.angles"),
+            (dict(RKT_DOC, polynomials={"count": 0, "max_degree": 12}), "config.polynomials.count"),
+            (dict(RKT_DOC, polynomials={"count": 10, "max_degree": -1}), "config.polynomials.max_degree"),
+            (dict(PHIH_DOC, sup_grid={"rings": 0, "angles": 24}), "config.sup_grid.rings"),
+            (dict(PHIH_DOC, sup_grid={"rings": 6, "angles": 0}), "config.sup_grid.angles"),
+            (dict(PHIH_DOC, h_exponents=[5]), "config.h_exponents"),
+            (dict(PHIH_DOC, h_exponents=[5, 5]), "config.h_exponents"),
+            (dict(PHIH_DOC, h_exponents=[3, 3, 4, 5]), "config.h_exponents"),
+        ],
+    )
+    def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
+        cfg = write_config(tmp_path, "c.json", doc)
+        out = tmp_path / "o"
+        assert run(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert path in caplog.text
+        assert not (out / "summary.json").exists()
+
     def test_precision_error_exits_three(self, tmp_path, monkeypatch):
         from rktlab import cli
         from rktlab.errors import PrecisionError
@@ -198,6 +220,17 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "windows", fake_runner)
         cfg = write_config(tmp_path, "w.json", WINDOWS_DOC)
         assert run(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PRECISION
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize(
+        "config", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_quick_run_passes_every_check(self, tmp_path, config):
+        out = tmp_path / "o"
+        assert run(["run", "--config", str(config), "--out", str(out), "--quick"]) == EXIT_OK
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        assert checks and all(c["passed"] for c in checks), checks
 
 
 class TestReport:

@@ -2,18 +2,83 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError
+from rktlab.hardy import _graded_edges
 from rktlab.numerics import (
     RADIAL_CAP,
     TWO_PI,
     DiskGrid,
     circle_quadrature,
     eigen_hermitian,
+    gauss_legendre_panel,
     hermitian_part,
     integrate_circle,
     null_vector,
+    wrap_angle,
 )
+
+
+# Reference rule builders: one scalar Gauss-Legendre map per panel and a
+# stack-based splitter with a per-panel cap function.  The array builders
+# must reproduce them bit for bit.
+
+
+def _reference_panels(edges, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (float(hi) - float(lo))
+        nodes.append(float(lo) + half * (x + 1.0))
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _reference_circle_rule(breakpoints, peaks, base_panels, nodes_per_panel, min_width=2.0**-26):
+    edges = {wrap_angle(k * TWO_PI / base_panels) for k in range(base_panels)}
+    edges.update(wrap_angle(b) for b in breakpoints)
+    peak_list = [(wrap_angle(a), max(float(s), min_width)) for a, s in peaks]
+    edges.update(a for a, _ in peak_list)
+    sorted_edges = sorted(edges)
+    cleaned = [sorted_edges[0]]
+    for e in sorted_edges[1:]:
+        if e - cleaned[-1] > 1e-14:
+            cleaned.append(e)
+    panels = list(zip(cleaned, cleaned[1:] + [cleaned[0] + TWO_PI]))
+
+    def peak_dist(lo, hi, angle):
+        width = hi - lo
+        off = wrap_angle(angle - lo)
+        if off <= width:
+            return 0.0
+        return min(off - width, TWO_PI - off)
+
+    def allowed(lo, hi):
+        cap = TWO_PI / base_panels
+        for angle, scale in peak_list:
+            cap = min(cap, max(scale, peak_dist(lo, hi, angle), min_width))
+        return cap
+
+    out = []
+    stack = list(reversed(panels))
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo > allowed(lo, hi) * (1.0 + 1e-12) and hi - lo > 2.0 * min_width:
+            mid = 0.5 * (lo + hi)
+            stack.append((mid, hi))
+            stack.append((lo, mid))
+        else:
+            out.append((lo, hi))
+    out.sort()
+    edges_arr = np.array([p[0] for p in out] + [out[-1][1]])
+    return (edges_arr,) + _reference_panels(edges_arr, nodes_per_panel)
+
+
+# scales from 1 down past min_width = 2^-26 (smaller ones are clamped to it)
+_scales = st.builds(lambda m, k: m * 2.0**-k, st.floats(1.0, 2.0, exclude_max=True), st.integers(0, 28))
+_angles = st.floats(-TWO_PI, 2.0 * TWO_PI)
 
 
 class TestCircleQuadrature:
@@ -74,6 +139,49 @@ class TestCircleQuadrature:
 
         with pytest.raises(EvaluationError, match="theta"):
             integrate_circle(f, q)
+
+
+class TestRuleBuildersBitIdentical:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_circle_quadrature_matches_reference(self, data):
+        base_panels = data.draw(st.sampled_from([1, 16, 64]))
+        nodes_per_panel = data.draw(st.sampled_from([2, 12, 16]))
+        peaks = data.draw(st.lists(st.tuples(_angles, _scales), max_size=3))
+        # breakpoints anywhere, on a base edge, or within 1e-14 of one
+        near_edge = st.builds(
+            lambda k, eps: k * TWO_PI / base_panels + eps,
+            st.integers(0, base_panels),
+            st.sampled_from([0.0, 1e-14, -1e-14, 5e-15, -5e-15]),
+        )
+        breakpoints = data.draw(st.lists(st.one_of(_angles, near_edge), max_size=4))
+        edges, nodes, weights = _reference_circle_rule(breakpoints, peaks, base_panels, nodes_per_panel)
+        args = dict(breakpoints=breakpoints, peaks=peaks, base_panels=base_panels, nodes_per_panel=nodes_per_panel)
+        if not np.all(weights > 0.0):
+            # an empty panel (e.g. a tiny negative breakpoint wraps to 2*pi)
+            # is refused by the positive-weight check
+            with pytest.raises(DomainError):
+                circle_quadrature(**args)
+            return
+        rule = circle_quadrature(**args)
+        assert np.array_equal(rule.panel_edges, edges)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
+
+    @given(
+        lo=st.floats(-4.0, 4.0),
+        width=st.floats(1e-6, 4.0),
+        attract=st.floats(0.0, 1.0),
+        scale=_scales,
+        n=st.sampled_from([4, 8, 12]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_panel_map_matches_scalar_loop_on_graded_edges(self, lo, width, attract, scale, n):
+        edges = _graded_edges(lo, lo + width, lo + attract * width, scale * width)
+        nodes, weights = gauss_legendre_panel(edges[:-1], edges[1:], n)
+        ref_nodes, ref_weights = _reference_panels(edges, n)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
 
 
 class TestDiskGrid:
