@@ -25,7 +25,6 @@ __all__ = [
     "kernel_pow_circle_sum",
     "kernel_pow_disk_sum",
     "phi_h_window_sum",
-    "pw_rkt_partial",
     "pw_rkt_grid",
     "jacobi_eigh",
     "pw_norm_factor",
@@ -71,20 +70,6 @@ def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):
     return float(radial @ d2 ** (-0.5 * p) @ wangs)
 
 
-def pw_rkt_partial(points, a, b):
-    c2 = pw_norm_factor(b)
-    u = math.pi * (points - a)
-    v = math.pi * b
-    w2 = u * u + v * v
-    num = np.sin(u) ** 2 + math.sinh(v) ** 2
-    small = w2 < _SINC_SERIES_CUT
-    out = np.empty_like(w2)
-    np.divide(num, w2, out=out, where=~small)
-    # removable value at w -> 0: |sinc(pi w)|^2 ~ 1 - (u^2 - v^2)/3
-    out[small] = 1.0 - (u[small] ** 2 - v * v) / 3.0
-    return c2 * float(np.sum(out))
-
-
 def pw_rkt_grid(points, res, ims):
     # u and everything built from it alone do not depend on Im lambda
     u = math.pi * (points[None, :] - res[:, None])
@@ -101,6 +86,7 @@ def pw_rkt_grid(points, res, ims):
         vals = (s2 + sh2) / np.maximum(w2, 1e-300)
         small = w2 < _SINC_SERIES_CUT
         if small.any():
+            # removable value at w -> 0: |sinc(pi w)|^2 ~ 1 - (u^2 - v^2)/3
             vals[small] = 1.0 - (uu[small] - v * v) / 3.0
         out[i, :] = c2 * vals.sum(axis=1)
     return out

@@ -456,13 +456,29 @@ def run_pw(doc: dict, quick: bool, seed: int):
     )
     n = got["truncation"]
     wit_spec = got.get("witness", {"length": 256.0, "rate": 8})
+    if wit_spec["length"] < 256.0:
+        raise ConfigError("config.witness.length", "must be >= 256")
+    if wit_spec["rate"] < 8:
+        raise ConfigError("config.witness.rate", "must be >= 8")
     if n < 4 * wit_spec["length"]:
         raise ConfigError(
             "config.truncation",
             f"must be >= 4 * witness length = {int(4 * wit_spec['length'])}",
         )
     scan_spec = got.get("scan", {"re": [0.0, 4.0], "im": [-2.0, 2.0], "resolution": [128, 128]})
+    for name in ("re", "im", "resolution"):
+        if len(scan_spec[name]) != 2:
+            raise ConfigError(f"config.scan.{name}", "expected 2 entries")
     res = scan_spec["resolution"]
+    if min(res) < 64:
+        raise ConfigError("config.scan.resolution", "must be at least 64 x 64")
+    # the tail bound needs n - 1/8 - |Re lambda| > 1
+    if n - 0.125 - max(map(abs, scan_spec["re"])) <= 1.0:
+        raise ConfigError("config.scan.re", f"must stay more than 1.125 inside the truncation {n}")
+    gram_truncations = got.get("gram_truncations", [16] if quick else [16, 32, 64])
+    for i, t in enumerate(gram_truncations):
+        if not 1 <= t <= n:
+            raise ConfigError(f"config.gram_truncations[{i}]", f"must lie in 1..truncation = {n}")
     if quick:
         res = [min(res[0], 64), min(res[1], 64)]
     seq = SamplingSequence.kadets(n)
@@ -476,7 +492,7 @@ def run_pw(doc: dict, quick: bool, seed: int):
     fraction = bandlimit_check(values, wit_spec["length"], wit_spec["rate"])
     sanity = carleson_sanity(seq)
     grams = {}
-    for t in got.get("gram_truncations", [16] if quick else [16, 32, 64]):
+    for t in gram_truncations:
         grams[str(t)] = gram_min_eigenvalue(seq, t)
     summary = {
         "kind": "pw-counterexample",
@@ -548,21 +564,34 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
     for i, zd in enumerate(zeros_doc):
         zf = _check_fields(zd, f"config.zeros[{i}]", {"re": (True, _number), "im": (True, _number)})
         zeros.append(complex(zf["re"], zf["im"]))
+    if len(zeros) < 2:
+        raise ConfigError("config.zeros", "the construction needs at least 2 zeros")
     try:
         theta = BlaschkeProduct(np.array(zeros))
     except DomainError as exc:
         raise ConfigError("config.zeros", str(exc)) from exc
     alpha = complex(np.exp(1j * got["alpha_angle"]))
+    for name in ("rings", "angles"):
+        if got["grid"][name] < 1:
+            raise ConfigError(f"config.grid.{name}", "must be positive")
     rings, angles = got["grid"]["rings"], got["grid"]["angles"]
     if quick:
         rings, angles = min(rings, 16), min(angles, 128)
     grid = DiskGrid.geometric(rings, angles)
-    sys_ = build_theorem2_measure(theta, alpha, got.get("epsilon"))
+    try:
+        sys_ = build_theorem2_measure(theta, alpha, got.get("epsilon"))
+    except DomainError as exc:
+        raise ConfigError("config.epsilon", str(exc)) from exc
+    psis = {}
+    for i, d in enumerate(got["delta_list"]):
+        try:
+            psis[str(d)] = float(model_psi(sys_, d, grid))
+        except DomainError as exc:
+            raise ConfigError(f"config.delta_list[{i}]", str(exc)) from exc
     scan = rkt_model_scan(sys_, grid)
     wit = witness_function(sys_)
     ratio = witness_ratio(sys_, wit.function)
     rb = riesz_bounds(sys_)
-    psis = {str(d): float(model_psi(sys_, d, grid)) for d in got["delta_list"]}
     clark_coords = clark_kernel_coords(sys_.basis, sys_.clark.points)
     gram = clark_coords @ clark_coords.conj().T
     gram_dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
@@ -595,9 +624,7 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
     # decomposition: full-system sum - phi == mu-norm, with phi from the
     # closed form and the full sum from the stacked coordinates
     zs = scan.zs[:: max(1, scan.zs.size // 512)]
-    e = sys_.basis.eval_matrix(zs)
-    coords = np.conj(e)
-    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    coords = clark_kernel_coords(sys_.basis, zs)
     stack = np.vstack([sys_.zeta0_coords()[None, :], sys_.xi_coords()])
     full = np.sum(np.abs(coords @ stack.conj().T) ** 2, axis=1)
     mu_part = np.sum(np.abs(coords @ sys_.xi_coords().conj().T) ** 2, axis=1)

@@ -48,7 +48,6 @@ class HardyConfig:
     quadrature: CircleQuadrature
     base_panels: int
     nodes_per_panel: int
-    target_tol: float
 
     def __post_init__(self):
         if not 1.0 < self.p < math.inf:
@@ -57,25 +56,17 @@ class HardyConfig:
             raise DomainError("conjugate exponent pair is inconsistent")
 
 
-def hardy_config(
-    p: float,
-    base_panels: int = 64,
-    nodes_per_panel: int = 16,
-    target_tol: float = 1e-10,
-) -> HardyConfig:
+def hardy_config(p: float, base_panels: int = 64, nodes_per_panel: int = 16) -> HardyConfig:
     p = float(p)
     if not 1.0 < p < math.inf:
         raise DomainError(f"p must lie in (1, inf), got {p}")
-    quad = circle_quadrature(
-        base_panels=base_panels, nodes_per_panel=nodes_per_panel, target_tol=target_tol
-    )
+    quad = circle_quadrature(base_panels=base_panels, nodes_per_panel=nodes_per_panel)
     return HardyConfig(
         p=p,
         p_conj=p / (p - 1.0),
         quadrature=quad,
         base_panels=base_panels,
         nodes_per_panel=nodes_per_panel,
-        target_tol=target_tol,
     )
 
 
@@ -153,7 +144,6 @@ def _kernel_rule(cfg: HardyConfig, lam: complex, breakpoints=()) -> CircleQuadra
         peaks=[(phi, scale)],
         base_panels=cfg.base_panels,
         nodes_per_panel=cfg.nodes_per_panel,
-        target_tol=cfg.target_tol,
     )
 
 
@@ -279,7 +269,6 @@ def _measure_pth_integral_poly(mu: Measure, f: HardyFunction, cfg: HardyConfig) 
             breakpoints=mu.boundary.breakpoints,
             base_panels=cfg.base_panels,
             nodes_per_panel=cfg.nodes_per_panel,
-            target_tol=cfg.target_tol,
         )
         dens = mu.boundary.value_at(rule.nodes)
         vals = np.abs(f(np.exp(1j * rule.nodes))) ** p
@@ -399,7 +388,6 @@ def phi_h_measure_integral(
             peaks=[(arc.start, h), (arc.end, h)],
             base_panels=outer_panels,
             nodes_per_panel=outer_nodes,
-            target_tol=cfg.target_tol,
         )
         dens = mu.boundary.value_at(rule.nodes)
         vals = np.array([phi_h(complex(np.exp(1j * t)), arc, h, cfg) for t in rule.nodes])

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import brentq
 
 from .errors import DegenerateSystemError, DomainError, PrecisionError
 from .measures import Measure
@@ -117,12 +116,25 @@ class ModelSpaceBasis:
             rows[k, : poly.size] = poly
         return rows
 
+    def shift_matrix(self) -> np.ndarray:
+        """(N+1) x N matrix of z e_k in the basis e_0..e_{N-1}, B_N = Theta/front
+        of K_{z Theta}: with c_k = sqrt(1-|a_k|^2) and B_k = prod_{j<k} b_j,
+        z e_k = a_k e_k + c_k B_{k+1} and B_i = c_i e_i - conj(a_i) B_{i+1}."""
+        a = self.theta.zeros
+        n = a.size
+        c = np.sqrt(1.0 - np.abs(a) ** 2)
+        m = np.zeros((n + 1, n), dtype=np.complex128)
+        m[np.arange(n), np.arange(n)] = a
+        for k in range(n):
+            run = c[k] * np.cumprod(np.concatenate([[1.0], -np.conj(a[k + 1 :])]))
+            m[k + 1 : n, k] = run[:-1] * c[k + 1 :]
+            m[n, k] = run[-1]
+        return m
+
     def q_coeffs(self) -> np.ndarray:
-        """Ascending coefficients of Q(z) = prod (1 - conj(a_j) z)."""
-        q = np.array([1.0], dtype=np.complex128)
-        for aj in self.theta.zeros:
-            q = np.convolve(q, np.array([1.0, -np.conj(aj)], dtype=np.complex128))
-        return q
+        """Ascending coefficients of Q(z) = prod (1 - conj(a_j) z): the
+        descending coefficients of prod (z - a_j), conjugated."""
+        return np.conj(np.poly(self.theta.zeros))
 
     def boundary_gram(self, base_panels: int = 64, nodes_per_panel: int = 16) -> np.ndarray:
         """Gram matrix of the basis by boundary quadrature (test oracle)."""
@@ -213,49 +225,35 @@ class ClarkSystem:
 
 
 def clark_points(theta: BlaschkeProduct, alpha: complex) -> ClarkSystem:
-    """All N boundary solutions of Theta(zeta) = alpha, by monotone-phase
-    bracketing and Brent refinement; weights |Theta'| from the zero data."""
+    """All N boundary solutions of Theta(zeta) = alpha; weights |Theta'|.
+
+    They are the roots of the degree-N polynomial front*P - alpha*P~
+    (P = prod (z - a_j), P~ = prod (1 - conj(a_j) z)) and the eigenvalues of
+    the Clark unitary U f = S_Theta f + <z f, Theta> k_0 / conj(alpha -
+    Theta(0)), since z k_zeta = zeta k_zeta - zeta k_0 + zeta conj(alpha -
+    Theta(0)) Theta.  U is unitary, so LAPACK keeps its eigenvalues where the
+    companion matrix of the polynomial loses zeros clustered near the circle.
+    One Newton step on the boundary phase (speed |Theta'|) polishes them.
+    """
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise DomainError("alpha must be unimodular")
-    n = theta.degree
-    # sampling density: the boundary phase moves at speed |Theta'|
-    probe = np.exp(1j * np.linspace(0.0, TWO_PI, 512, endpoint=False))
-    max_speed = float(np.max(theta.boundary_derivative_abs(probe)))
-    m = max(4096, int(32 * max_speed))
-    thetas = np.linspace(0.0, TWO_PI, m + 1)
-    u = np.unwrap(np.angle(theta(np.exp(1j * thetas)) * np.conj(alpha)))
-    winding = u[-1] - u[0]
-    if abs(winding - TWO_PI * n) > 1e-6:
-        raise PrecisionError(
-            f"boundary phase winding {winding:.6f} does not match 2*pi*N={TWO_PI * n:.6f}"
-        )
-
-    def local(thetav: float) -> float:
-        return float(np.angle(theta(np.exp(1j * thetav)) * np.conj(alpha)))
-
-    k_start = math.ceil(u[0] / TWO_PI - 1e-12)
-    roots = []
-    for k in range(k_start, k_start + n):
-        target = TWO_PI * k
-        i = int(np.searchsorted(u, target, side="left"))
-        if i == 0:
-            roots.append(float(thetas[0]))
-            continue
-        lo, hi = float(thetas[i - 1]), float(thetas[i])
-        flo, fhi = u[i - 1] - target, u[i] - target
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if fhi == 0.0:
-            roots.append(hi)
-            continue
-        if not (flo < 0.0 < fhi):
-            raise PrecisionError(
-                f"bracket failure near theta in [{lo:.9f}, {hi:.9f}] for level {k}"
-            )
-        roots.append(float(brentq(local, lo, hi, xtol=1e-15, rtol=8.9e-16)))
-    angles = np.array(sorted(wrap_angle(t) for t in roots))
+    basis = ModelSpaceBasis(theta)
+    shift = basis.shift_matrix()
+    k0 = np.conj(basis.eval_matrix(np.array([0j]))[0])
+    defect = np.conj(theta.front) * shift[-1]  # <z e_k, Theta>
+    u = shift[:-1] + np.outer(k0, defect) / np.conj(alpha - theta(0.0))
+    # polish in [0, 2*pi): wrapping afterwards would add the rounding of 2*pi
+    t = np.array([wrap_angle(x) for x in np.angle(np.linalg.eigvals(u))])
+    z = np.exp(1j * t)
+    t -= np.angle(theta(z) * np.conj(alpha)) / theta.boundary_derivative_abs(z)
+    angles = np.array(sorted(wrap_angle(x) for x in t))
+    # points are 2*pi apart in phase, which moves at speed |Theta'| <=
+    # sum (1+|a|)/(1-|a|): a closer pair is one root found twice
+    r = np.abs(theta.zeros)
+    gap = float(np.min(np.diff(angles, append=angles[0] + TWO_PI)))
+    if gap < math.pi / np.sum((1.0 + r) / (1.0 - r)):
+        raise PrecisionError(f"Clark points are not {angles.size} distinct points: gap {gap:.3e}")
     pts = np.exp(1j * angles)
     resid = float(np.max(np.abs(theta(pts) - alpha)))
     if resid > 1e-12:
@@ -445,9 +443,7 @@ def riesz_bounds(sys: PerturbedSystem) -> RieszBounds:
     """Extreme eigenvalues of the Gram of {K_zeta0} union {K_xi_n}:
     the frame window (1-eta, 1+eta) of the perturbed system."""
     c = np.vstack([sys.zeta0_coords()[None, :], sys.xi_coords()])
-    gram = c @ c.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    evals, _ = eigen_hermitian(gram)
+    evals, _ = eigen_hermitian(c @ c.conj().T)
     eta = float(max(abs(1.0 - evals[0]), abs(evals[-1] - 1.0)))
     return RieszBounds(1.0 - eta, 1.0 + eta, eta)
 
@@ -466,9 +462,7 @@ def rkt_model_scan(sys: PerturbedSystem, grid: DiskGrid, include_origin: bool = 
     zs = grid.points()
     if include_origin:
         zs = np.concatenate([[0.0 + 0.0j], zs])
-    e = sys.basis.eval_matrix(zs)
-    coords = np.conj(e)
-    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    coords = clark_kernel_coords(sys.basis, zs)
     u = sys.xi_coords()
     inner = coords @ u.conj().T
     mu_norm_sq = np.sum(np.abs(inner) ** 2, axis=1)

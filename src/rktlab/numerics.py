@@ -35,7 +35,10 @@ def ensure_point(z: complex) -> complex:
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     t = math.fmod(float(theta), TWO_PI)
-    return t + TWO_PI if t < 0.0 else t
+    if t < 0.0:
+        t += TWO_PI
+    # a tiny negative angle rounds up to 2*pi itself, which is 0 on the circle
+    return 0.0 if t == TWO_PI else t
 
 
 @lru_cache(maxsize=64)
@@ -77,7 +80,6 @@ class CircleQuadrature:
     weights: np.ndarray
     panel_edges: np.ndarray
     nodes_per_panel: int
-    target_tol: float = 1e-10
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -85,18 +87,14 @@ class CircleQuadrature:
 
     def with_nodes_per_panel(self, n: int) -> "CircleQuadrature":
         """Same panels, different per-panel node count (refinement checks)."""
-        return _from_edges(self.panel_edges, n, self.target_tol)
+        return _from_edges(self.panel_edges, n)
 
 
-def _from_edges(edges: np.ndarray, nodes_per_panel: int, target_tol: float) -> CircleQuadrature:
+def _from_edges(edges: np.ndarray, nodes_per_panel: int) -> CircleQuadrature:
     edges = np.asarray(edges, dtype=float)
     nodes, weights = gauss_legendre_panel(edges[:-1], edges[1:], nodes_per_panel)
     return CircleQuadrature(
-        nodes=nodes,
-        weights=weights,
-        panel_edges=edges,
-        nodes_per_panel=nodes_per_panel,
-        target_tol=target_tol,
+        nodes=nodes, weights=weights, panel_edges=edges, nodes_per_panel=nodes_per_panel
     )
 
 
@@ -106,7 +104,6 @@ def circle_quadrature(
     base_panels: int = 16,
     nodes_per_panel: int = 12,
     min_width: float = 2.0**-26,
-    target_tol: float = 1e-10,
 ) -> CircleQuadrature:
     """Build a circle rule.
 
@@ -149,7 +146,7 @@ def circle_quadrature(
         else:
             out.append(lo)
     out.append(end)
-    return _from_edges(np.array(out), nodes_per_panel, target_tol)
+    return _from_edges(np.array(out), nodes_per_panel)
 
 
 def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleQuadrature) -> float:

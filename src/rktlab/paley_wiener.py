@@ -109,7 +109,7 @@ def rkt_sum(lam: complex, seq: SamplingSequence) -> Interval:
     lam = ensure_point(lam)
     if seq.n_max and seq.n_max < 64:
         raise DomainError("truncation n_max must be >= 64")
-    partial = _kernels.pw_rkt_partial(seq.points, lam.real, lam.imag)
+    partial = _kernels.pw_rkt_grid(seq.points, np.array([lam.real]), np.array([lam.imag]))[0, 0]
     tail = _tail_bound(seq, lam.real, lam.imag) if seq.n_max else 0.0
     return Interval(float(partial), float(partial + tail))
 

@@ -201,6 +201,21 @@ class TestExitCodes:
             (dict(PHIH_DOC, h_exponents=[5]), "config.h_exponents"),
             (dict(PHIH_DOC, h_exponents=[5, 5]), "config.h_exponents"),
             (dict(PHIH_DOC, h_exponents=[3, 3, 4, 5]), "config.h_exponents"),
+            (dict(T2_DOC, zeros=[{"re": 0.0, "im": 0.0}]), "config.zeros"),
+            (dict(T2_DOC, grid={"rings": 0, "angles": 128}), "config.grid.rings"),
+            (dict(T2_DOC, grid={"rings": 16, "angles": 0}), "config.grid.angles"),
+            (dict(T2_DOC, delta_list=[0.1, 0.0]), "config.delta_list[1]"),
+            (dict(T2_DOC, delta_list=[-0.1]), "config.delta_list[0]"),
+            (dict(T2_DOC, delta_list=[10.0]), "config.delta_list[0]"),
+            (dict(T2_DOC, epsilon=0.0), "config.epsilon"),
+            (dict(T2_DOC, epsilon=1.0), "config.epsilon"),
+            (dict(PW_DOC, scan=dict(PW_DOC["scan"], resolution=[32, 64])), "config.scan.resolution"),
+            (dict(PW_DOC, scan=dict(PW_DOC["scan"], re=[0.0, 1023.0])), "config.scan.re"),
+            (dict(PW_DOC, scan=dict(PW_DOC["scan"], re=[0.0])), "config.scan.re"),
+            (dict(PW_DOC, witness={"length": 256.0, "rate": 4}), "config.witness.rate"),
+            (dict(PW_DOC, witness={"length": 128.0, "rate": 8}), "config.witness.length"),
+            (dict(PW_DOC, gram_truncations=[100000]), "config.gram_truncations[0]"),
+            (dict(PW_DOC, gram_truncations=[16, 0]), "config.gram_truncations[1]"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):

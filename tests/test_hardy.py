@@ -138,6 +138,11 @@ class TestKernelNorm:
         with pytest.warns(PrecisionWarning):
             kernel_norm(1.0 - 2.0**-22, cfg)
 
+    def test_point_just_below_real_axis(self):
+        # its peak angle -2e-17 wraps to 0, not to an edge at 2*pi that
+        # would leave an empty panel
+        assert kernel_norm(0.5 - 1e-17j, hardy_config(2.0)) == pytest.approx(0.75**-0.5, rel=1e-12)
+
 
 class TestRktFunctional:
     def test_normalized_arclength_p2(self):

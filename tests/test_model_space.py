@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from rktlab.errors import DomainError
+import rktlab
+from rktlab.errors import DomainError, PrecisionError
 from rktlab.model_space import (
     BlaschkeProduct,
     ModelSpaceBasis,
@@ -24,7 +32,7 @@ from rktlab.model_space import (
     witness_function,
     witness_ratio,
 )
-from rktlab.numerics import TWO_PI, DiskGrid, null_vector
+from rktlab.numerics import TWO_PI, DiskGrid, null_vector, wrap_angle
 
 Z8 = BlaschkeProduct(np.zeros(8, dtype=complex))
 Z2 = BlaschkeProduct(np.zeros(2, dtype=complex))
@@ -34,6 +42,46 @@ EPS8 = 0.05 * (TWO_PI / 8.0)
 def random_blaschke(rng, n, rmax=0.75):
     zeros = rmax * np.sqrt(rng.uniform(0.05, 1.0, n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
     return BlaschkeProduct(zeros)
+
+
+def _brent_clark_angles(theta, alpha):
+    """Reference Clark solver (the former phase-sampling one): sample the
+    unwrapped boundary phase, bracket each level 2*pi*k and refine it with
+    Brent's method.  A level just below angle 0 is solved on [-h, 0]; the
+    former solver put it at 0 exactly."""
+    n = theta.degree
+    # sampling density: the boundary phase moves at speed |Theta'|
+    probe = np.exp(1j * np.linspace(0.0, TWO_PI, 512, endpoint=False))
+    max_speed = float(np.max(theta.boundary_derivative_abs(probe)))
+    m = max(4096, int(32 * max_speed))
+    thetas = np.linspace(0.0, TWO_PI, m + 1)
+    u = np.unwrap(np.angle(theta(np.exp(1j * thetas)) * np.conj(alpha)))
+    assert abs(u[-1] - u[0] - TWO_PI * n) <= 1e-6
+
+    def local(thetav):
+        return float(np.angle(theta(np.exp(1j * thetav)) * np.conj(alpha)))
+
+    k_start = math.ceil(u[0] / TWO_PI - 1e-12)
+    roots = []
+    for k in range(k_start, k_start + n):
+        target = TWO_PI * k
+        i = int(np.searchsorted(u, target, side="left"))
+        if i == 0:  # the level lies just below angle 0
+            roots.append(float(brentq(local, -thetas[1], 0.0, xtol=1e-15, rtol=8.9e-16)))
+            continue
+        lo, hi = float(thetas[i - 1]), float(thetas[i])
+        flo, fhi = u[i - 1] - target, u[i] - target
+        if flo == 0.0 or fhi == 0.0:
+            roots.append(lo if flo == 0.0 else hi)
+            continue
+        assert flo < 0.0 < fhi
+        roots.append(float(brentq(local, lo, hi, xtol=1e-15, rtol=8.9e-16)))
+    return np.array(sorted(wrap_angle(t) for t in roots))
+
+
+_disk_points = st.builds(
+    lambda r, t: r * complex(math.cos(t), math.sin(t)), st.floats(0.0, 0.99), st.floats(0.0, TWO_PI)
+)
 
 
 class TestBlaschke:
@@ -84,6 +132,26 @@ class TestBasis:
             )
             assert abs(direct - via) <= 1e-9
 
+    def test_q_coeffs_match_convolution(self):
+        rng = np.random.default_rng(9)
+        for n in range(1, 17):
+            for _ in range(4):
+                theta = random_blaschke(rng, n, rmax=0.99)
+                q = np.array([1.0], dtype=np.complex128)
+                for aj in theta.zeros:
+                    q = np.convolve(q, np.array([1.0, -np.conj(aj)], dtype=np.complex128))
+                assert np.array_equal(ModelSpaceBasis(theta).q_coeffs(), q)
+
+    def test_shift_matrix_multiplies_by_z(self):
+        rng = np.random.default_rng(10)
+        theta = BlaschkeProduct(random_blaschke(rng, 7, rmax=0.95).zeros, front=complex(np.exp(0.3j)))
+        basis = ModelSpaceBasis(theta)
+        m = basis.shift_matrix()
+        zs = 0.9 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(1j * rng.uniform(0, TWO_PI, 40))
+        e = basis.eval_matrix(zs)
+        rhs = e @ m[:-1] + np.outer(theta(zs) / theta.front, m[-1])
+        assert np.max(np.abs(zs[:, None] * e - rhs)) <= 1e-13
+
     def test_monomial_basis_for_power(self):
         basis = ModelSpaceBasis(Z8)
         nm = basis.numerator_matrix()
@@ -116,6 +184,78 @@ class TestClark:
         assert np.allclose(clark.angles, TWO_PI * np.arange(8) / 8.0, atol=1e-12)
         assert np.allclose(clark.weights, 8.0)
         assert np.max(np.abs(Z8(clark.points) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, math.pi, 5.5])
+    def test_power_roots_of_unity(self, n, gamma):
+        # z^n = e^{i gamma}: angles (gamma + 2 pi k)/n, sorted in [0, 2 pi)
+        theta = BlaschkeProduct(np.zeros(n, dtype=complex))
+        clark = clark_points(theta, complex(np.exp(1j * gamma)))
+        assert np.allclose(clark.angles, (gamma + TWO_PI * np.arange(n)) / n, rtol=0.0, atol=1e-12)
+        assert np.allclose(clark.weights, n)
+
+    @given(
+        zeros=st.lists(_disk_points, min_size=1, max_size=16),
+        gamma=st.floats(0.0, TWO_PI),
+        front=st.floats(0.0, TWO_PI),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_brent_reference(self, zeros, gamma, front):
+        theta = BlaschkeProduct(np.array(zeros), front=complex(np.exp(1j * front)))
+        alpha = complex(np.exp(1j * gamma))
+        ref = _brent_clark_angles(theta, alpha)
+        try:
+            clark = clark_points(theta, alpha)
+        except PrecisionError:
+            # only where the reference angles miss the 1e-12 residual as well:
+            # there |Theta'| times the rounding of an angle alone nears it
+            assert np.max(np.abs(theta(np.exp(1j * ref)) - alpha)) > 0.5e-12
+            return
+        angles = clark.angles
+        assert angles.size == len(zeros)
+        assert 0.0 <= angles[0] and angles[-1] < TWO_PI
+        assert np.all(np.diff(angles) > 0.0)
+        d = np.abs(angles[:, None] - ref[None, :])
+        assert np.max(np.min(np.minimum(d, TWO_PI - d), axis=1)) <= 1e-13
+
+    def test_roots_of_the_polynomial(self):
+        # front*P - alpha*P~ with P = prod (z - a_j), P~ = prod (1 - conj(a_j) z)
+        rng = np.random.default_rng(12)
+        for n in (2, 5, 11):
+            theta = random_blaschke(rng, n, rmax=0.9)
+            alpha = complex(np.exp(2.1j))
+            p = np.poly(theta.zeros)
+            poly = theta.front * p - alpha * np.conj(p)[::-1]
+            vals = np.polyval(poly, clark_points(theta, alpha).points)
+            assert np.max(np.abs(vals)) <= 1e-12 * np.sum(np.abs(poly))
+
+    def test_clustered_zeros_near_the_circle(self):
+        # the companion matrix of the polynomial loses these points
+        for n, r in ((8, 0.99), (12, 0.99), (12, 0.95), (16, 0.9)):
+            theta = BlaschkeProduct(np.full(n, r + 0.0j))
+            clark = clark_points(theta, 1.0)
+            assert clark.dim == n
+            assert np.max(np.abs(theta(clark.points) - 1.0)) <= 1e-12
+            d = np.abs(clark.angles - _brent_clark_angles(theta, 1.0))
+            assert np.max(np.minimum(d, TWO_PI - d)) <= 1e-13
+
+    def test_root_found_twice_is_refused(self, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def one_twice(u):
+            vals = np.sort_complex(eigvals(u))
+            vals[1] = vals[0]
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvals", one_twice)
+        with pytest.raises(PrecisionError, match="distinct"):
+            clark_points(BlaschkeProduct(np.array([0.5, -0.3j, 0.2 + 0.6j])), 1.0)
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        src = str(Path(rktlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, rktlab.cli; assert 'scipy.optimize' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_power_two_at_minus_one(self):
         clark = clark_points(Z2, -1.0)

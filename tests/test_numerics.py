@@ -125,6 +125,11 @@ class TestCircleQuadrature:
         assert np.any(np.isclose(q.panel_edges, 1.0))
         assert np.any(np.isclose(q.panel_edges, 2.5))
 
+    def test_tiny_negative_breakpoint(self):
+        q = circle_quadrature(breakpoints=[-1e-17])
+        assert np.all(q.weights > 0.0)
+        assert integrate_circle(lambda t: np.ones_like(t), q) == pytest.approx(TWO_PI, abs=1e-12)
+
     def test_weights_positive(self):
         q = circle_quadrature(peaks=[(0.3, 1e-6)])
         assert np.all(q.weights > 0.0)
@@ -139,6 +144,21 @@ class TestCircleQuadrature:
 
         with pytest.raises(EvaluationError, match="theta"):
             integrate_circle(f, q)
+
+
+class TestWrapAngle:
+    @given(theta=st.floats(-1e6, 1e6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_half_open_range_same_point(self, theta):
+        w = wrap_angle(theta)
+        assert 0.0 <= w < TWO_PI
+        assert abs(math.remainder(w - theta, TWO_PI)) <= 1e-12 * max(1.0, abs(theta))
+
+    @pytest.mark.parametrize("theta", [-5e-324, -1e-300, -1e-17, -2e-16, -4.4e-16, -TWO_PI, TWO_PI, 2.0 * TWO_PI])
+    def test_tiny_negative_and_full_turns(self, theta):
+        w = wrap_angle(theta)
+        assert 0.0 <= w < TWO_PI
+        assert min(w, TWO_PI - w) <= 5e-16
 
 
 class TestRuleBuildersBitIdentical:
@@ -158,8 +178,7 @@ class TestRuleBuildersBitIdentical:
         edges, nodes, weights = _reference_circle_rule(breakpoints, peaks, base_panels, nodes_per_panel)
         args = dict(breakpoints=breakpoints, peaks=peaks, base_panels=base_panels, nodes_per_panel=nodes_per_panel)
         if not np.all(weights > 0.0):
-            # an empty panel (e.g. a tiny negative breakpoint wraps to 2*pi)
-            # is refused by the positive-weight check
+            # an empty panel is refused by the positive-weight check
             with pytest.raises(DomainError):
                 circle_quadrature(**args)
             return
