@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, DomainError, PrecisionError
+from .errors import ConfigError, DegenerateSystemError, DomainError, EvaluationError, PrecisionError
 from .hardy import (
     DEFAULT_SEED,
     hardy_config,
@@ -69,6 +69,7 @@ from .paley_wiener import (
     SamplingSequence,
     bandlimit_check,
     carleson_sanity,
+    generating_witness,
     gram_min_eigenvalue,
     rkt_lower_bound_scan,
     rkt_sum,
@@ -202,16 +203,9 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    """rows hold Python ints and floats (repr of a numpy scalar differs)."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -265,9 +259,7 @@ def run_windows(doc: dict, quick: bool, seed: int):
         masses = refine_window_to_arc(mu, got["refine_arc"], depths)
         summary["refine_depths"] = list(map(float, depths))
         summary["refine_masses"] = [float(m) for m in masses]
-    rows = [
-        (g, ratio, arc.center, arc.length) for g, ratio, arc in scan.table
-    ]
+    rows = [(g, float(ratio), arc.center, arc.length) for g, ratio, arc in scan.table]
     checks = []
     checks.append(
         Check(
@@ -351,7 +343,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         Check("kernel-norm-closed-form", dev <= 1e-8, f"max relative deviation {dev:.3e} at p=2")
     )
     header = ("re_lambda", "im_lambda", "rkt_value")
-    rows = [tuple(r) for r in scan.rows]
+    rows = scan.rows.tolist()
     return summary, header, rows, checks
 
 
@@ -399,7 +391,7 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     for z in [z_off, z_mid] + sup_zs:
         for h in hs:
             v = phi_h(z, arc, float(h), cfg)
-            rows.append((z.real, z.imag, float(h), v))
+            rows.append((float(z.real), float(z.imag), float(h), float(v)))
             sup_val = max(sup_val, v)
     off_rec = records[0]
     mid_rec = records[1]
@@ -522,8 +514,6 @@ def run_pw(doc: dict, quick: bool, seed: int):
             f"doubling the truncation moved the sum by {abs(full_iv.low - half_iv.low):.3e}",
         )
     )
-    from .paley_wiener import generating_witness
-
     inner = seq.points[np.abs(seq.points) <= 64.0]
     at_pts = generating_witness(seq, inner)
     max_at = float(np.max(np.abs(at_pts.values)))
@@ -534,11 +524,10 @@ def run_pw(doc: dict, quick: bool, seed: int):
             f"max |f(x_n)| = {max_at!r} over |x_n| <= 64",
         )
     )
-    m = scan.low.shape
-    rows = []
-    for i in range(m[0]):
-        for j in range(m[1]):
-            rows.append((scan.re_grid[j], scan.im_grid[i], scan.low[i, j], scan.high[i, j]))
+    nim, nre = scan.low.shape
+    rows = np.column_stack(
+        [np.tile(scan.re_grid, nim), np.repeat(scan.im_grid, nre), scan.low.ravel(), scan.high.ravel()]
+    ).tolist()
     header = ("re_lambda", "im_lambda", "rkt_sum_low", "rkt_sum_high")
     return summary, header, rows, checks
 
@@ -595,7 +584,10 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
     clark_coords = clark_kernel_coords(sys_.basis, sys_.clark.points)
     gram = clark_coords @ clark_coords.conj().T
     gram_dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    components = sublevel_component_count(theta, 0.5, 256 if quick else 512)
+    sublevel = sublevel_component_count(theta, 0.5)
+    # an infinite margin (every critical value 0, as for z^N) is written as null
+    margin = sublevel.margin if math.isfinite(sublevel.margin) else None
+    logger.info("{|Theta| < 0.5} has %d component(s), critical-value margin %s", sublevel.count, margin)
     summary = {
         "kind": "theorem2",
         "dimension": theta.degree,
@@ -609,7 +601,8 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
         "rkt_witness_im": scan.witness.imag,
         "witness_ratio": ratio,
         "clark_gram_max_dev": gram_dev,
-        "sublevel_components": components,
+        "sublevel_components": sublevel.count,
+        "sublevel_margin": margin,
         "xi1_min_overlap": sys_.min_overlap(),
     }
     checks = [
@@ -641,10 +634,7 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
         )
         kdev = max(kdev, abs(direct - via_basis))
     checks.append(Check("kernel-formula-consistency", kdev <= 1e-9, f"max deviation {kdev:.3e}"))
-    rows = [
-        (z.real, z.imag, pv, mv)
-        for z, pv, mv in zip(scan.zs, scan.phi_vals, scan.mu_norm_sq)
-    ]
+    rows = np.column_stack([scan.zs.real, scan.zs.imag, scan.phi_vals, scan.mu_norm_sq]).tolist()
     header = ("re_z", "im_z", "phi", "norm_mu_sq")
     return summary, header, rows, checks
 
@@ -688,6 +678,8 @@ _CLAIM_ROWS = {
         ("psi", "psi(delta) < 1 off every neighborhood of the deleted point"),
         ("rkt_delta", "kernel mass bounded below while the witness mass vanishes"),
         ("witness_ratio", "reverse inequality fails on the deleted-point measure"),
+        ("sublevel_components", "one-component check: {|Theta| < 0.5} is connected (exact count)"),
+        ("sublevel_margin", "log-distance from 0.5 to the nearest critical value (none when every one is 0)"),
     ],
 }
 
@@ -777,7 +769,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         logger.error("config rejected: %s", exc)
         return EXIT_CONFIG
-    except PrecisionError as exc:
+    except (DomainError, DegenerateSystemError) as exc:
+        logger.error("input out of domain: %s", exc)
+        return EXIT_CONFIG
+    except (PrecisionError, EvaluationError) as exc:
         logger.error("numerical precision failure: %s", exc)
         return EXIT_PRECISION
     summary["seed"] = seed

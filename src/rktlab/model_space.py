@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateSystemError, DomainError, PrecisionError
 from .measures import Measure
 from .numerics import (
     TWO_PI,
     DiskGrid,
-    circle_quadrature,
     eigen_hermitian,
     ensure_point,
     null_vector,
@@ -101,21 +100,6 @@ class ModelSpaceBasis:
         scale = np.sqrt(1.0 - np.abs(a) ** 2)
         return scale * blaschke / denom
 
-    def numerator_matrix(self) -> np.ndarray:
-        """Row k: ascending monomial coefficients of the numerator of e_k
-        over the common denominator Q(z) = prod (1 - conj(a_j) z)."""
-        a = self.theta.zeros
-        n = a.size
-        rows = np.zeros((n, n), dtype=np.complex128)
-        for k in range(n):
-            poly = np.array([math.sqrt(1.0 - abs(a[k]) ** 2)], dtype=np.complex128)
-            for j in range(k):
-                poly = np.convolve(poly, np.array([-a[j], 1.0], dtype=np.complex128))
-            for j in range(k + 1, n):
-                poly = np.convolve(poly, np.array([1.0, -np.conj(a[j])], dtype=np.complex128))
-            rows[k, : poly.size] = poly
-        return rows
-
     def shift_matrix(self) -> np.ndarray:
         """(N+1) x N matrix of z e_k in the basis e_0..e_{N-1}, B_N = Theta/front
         of K_{z Theta}: with c_k = sqrt(1-|a_k|^2) and B_k = prod_{j<k} b_j,
@@ -135,17 +119,6 @@ class ModelSpaceBasis:
         """Ascending coefficients of Q(z) = prod (1 - conj(a_j) z): the
         descending coefficients of prod (z - a_j), conjugated."""
         return np.conj(np.poly(self.theta.zeros))
-
-    def boundary_gram(self, base_panels: int = 64, nodes_per_panel: int = 16) -> np.ndarray:
-        """Gram matrix of the basis by boundary quadrature (test oracle)."""
-        peaks = [
-            (math.atan2(aj.imag, aj.real), max(0.5 * (1.0 - abs(aj)), 2.0**-24))
-            for aj in self.theta.zeros
-            if abs(aj) > 0.0
-        ]
-        rule = circle_quadrature(peaks=peaks, base_panels=base_panels, nodes_per_panel=nodes_per_panel)
-        e = self.eval_matrix(np.exp(1j * rule.nodes))
-        return (e.conj().T * rule.weights) @ e / TWO_PI
 
 
 @dataclass(frozen=True)
@@ -408,18 +381,6 @@ def phi(sys: PerturbedSystem, z) -> np.ndarray:
     return out if out.size > 1 else float(out[0])
 
 
-def phi_inner(sys: PerturbedSystem, z) -> np.ndarray:
-    """phi via basis coordinates (cross-check route)."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    e = sys.basis.eval_matrix(z)
-    norms_sq = np.sum(np.abs(e) ** 2, axis=1)
-    zc = np.conj(sys.basis.eval_matrix(np.array([sys.zeta0]))[0])
-    w0 = float(np.sum(np.abs(zc) ** 2))
-    numer = np.abs(e @ zc) ** 2
-    out = numer / (w0 * norms_sq)
-    return out if out.size > 1 else float(out[0])
-
-
 def psi(sys: PerturbedSystem, delta: float, grid: DiskGrid, include_origin: bool = True) -> float:
     """Grid supremum of phi over the disk minus the ball |z - zeta0| < delta."""
     if delta <= 0.0:
@@ -472,18 +433,9 @@ def rkt_model_scan(sys: PerturbedSystem, grid: DiskGrid, include_origin: bool = 
 
 
 def backward_shift(f: ModelSpaceFunction) -> ModelSpaceFunction:
-    """S* f = (f - f(0))/z in basis coordinates; K_Theta is S*-invariant."""
-    basis = f.basis
-    nm = basis.numerator_matrix()
-    p = nm.T @ f.coeffs  # ascending numerator coefficients, length N
-    q = basis.q_coeffs()  # length N+1
-    f0 = p[0]  # Q(0) = 1
-    full = np.zeros(q.size, dtype=np.complex128)
-    full[: p.size] = p
-    full -= f0 * q
-    shifted = full[1:]  # exact division by z: constant term is zero
-    coeffs = np.linalg.solve(nm.T, shifted)
-    return ModelSpaceFunction(basis, coeffs)
+    """S* f = (f - f(0))/z in basis coordinates.  K_Theta is S*-invariant, so
+    S* on it is the adjoint of the compressed shift S_Theta = shift_matrix()[:-1]."""
+    return ModelSpaceFunction(f.basis, f.basis.shift_matrix()[:-1].conj().T @ f.coeffs)
 
 
 class SeparatingPair(NamedTuple):
@@ -552,17 +504,56 @@ def separating_pair(
     return SeparatingPair(g, h, det2, abs(det2) <= tol, True)
 
 
-def sublevel_component_count(theta: BlaschkeProduct, eps: float = 0.5, resolution: int = 512) -> int:
-    """Number of connected components of {z in D : |Theta(z)| < eps} on a
-    pixel grid (one component is the one-component sanity check)."""
+class SublevelCount(NamedTuple):
+    count: int
+    margin: float  # min |log(|Theta(c)|/eps)| over the critical points c; inf if every Theta(c) = 0
+
+
+def sublevel_component_count(theta: BlaschkeProduct, eps: float = 0.5) -> SublevelCount:
+    """Exact number of connected components of {z in D : |Theta(z)| < eps}
+    (one component is the one-component sanity check).
+
+    Each component is simply connected (maximum principle) and Theta maps it
+    properly onto the disk of radius eps with some degree d, so by
+    Riemann-Hurwitz it holds d - 1 critical points: the count is N minus the
+    critical points in D, with multiplicity, whose value lies below eps.  A
+    zero of multiplicity m is one of multiplicity m - 1 with value 0; the
+    others are the K - 1 roots in D of f = Theta'/Theta = sum_j w_j / q_j over
+    the K distinct zeros, w_j = m_j (1 - |a_j|^2), q_j = (z - a_j)(1 - conj(a_j) z).
+    np.roots of f prod q_j starts them and Aberth steps on f itself finish
+    them (np.roots alone misplaces them when the zeros cluster near the
+    circle).  The count
+    changes only where eps crosses a critical value: the margin is the
+    log-distance from eps to the nearest one.
+    """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    xs = np.linspace(-1.0, 1.0, resolution)
-    re, im = np.meshgrid(xs, xs)
-    z = re + 1j * im
-    inside = np.abs(z) < 1.0
-    mask = np.zeros_like(inside)
-    vals = np.abs(theta(z[inside]))
-    mask[inside] = vals < eps
-    _, count = ndimage.label(mask)
-    return int(count)
+    a, mult = np.unique(theta.zeros, return_counts=True)
+    w = mult * (1.0 - np.abs(a) ** 2)
+    quad = [np.array([-np.conj(x), 1.0 + abs(x) ** 2, -x]) for x in a]
+    with np.errstate(all="ignore"):  # inf and nan fail the checks below
+        try:
+            z = np.roots(sum(w[j] * reduce(np.convolve, quad[:j] + quad[j + 1 :], np.ones(1)) for j in range(a.size)))
+        except np.linalg.LinAlgError as exc:
+            raise PrecisionError(f"critical points of Theta: {exc}") from exc
+        # a step vanishes exactly where f does, so the roots far outside can
+        # be left out of the repulsion sum
+        z = z[np.abs(z) < 2.0]
+        for _ in range(100):
+            q = (z[:, None] - a) * (1.0 - np.conj(a) * z[:, None])
+            dq = 1.0 + np.abs(a) ** 2 - 2.0 * np.conj(a) * z[:, None]
+            f, df = np.sum(w / q, axis=1), -np.sum(w * dq / q**2, axis=1)
+            pairs = z[:, None] - z + np.diag(np.full(z.size, np.inf))
+            step = f / (df + f * (np.sum(dq / q, axis=1) - np.sum(1.0 / pairs, axis=1)))
+            z = z - step
+            # a step s moves |Theta(c)| by a factor 1 + O((s / dist(c, zeros))^2)
+            if np.all(np.abs(step) <= 1e-4 * np.min(np.abs(z[:, None] - a), axis=1)):
+                break
+        else:
+            raise PrecisionError("critical points of Theta did not converge")
+        crit = z[np.abs(z) < 1.0]
+        if crit.size != a.size - 1:
+            raise PrecisionError(f"found {crit.size} critical points in the disk, expected {a.size - 1}")
+        vals = np.abs(theta(crit))
+        margin = float(np.min(np.abs(np.log(vals / eps)), initial=math.inf))
+    return SublevelCount(a.size - int(np.sum(vals < eps)), margin)

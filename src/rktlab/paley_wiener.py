@@ -166,24 +166,37 @@ def _pair_products(xs, n_levels):
     return snapshots
 
 
+# B_2i / (2i)! for i = 1..7
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
+
+
+def _zeta_tail(s: int, q: int) -> float:
+    """Hurwitz zeta(s, q) = sum_{k >= q} k^-s for s >= 2, q >= 128, by Euler-Maclaurin:
+    q^(1-s)/(s-1) + q^-s/2 + sum_i B_2i/(2i)! (s)_(2i-1) q^(1-s-2i), to 1e-27 relative."""
+    total, rising = q ** (1 - s) / (s - 1) + 0.5 * q**-s, s  # rising = (s)_(2i-1)
+    for i, b in enumerate(_BERNOULLI, 1):
+        total += b * rising * q ** (1 - s - 2 * i)
+        rising *= (s + 2 * i - 1) * (s + 2 * i)
+    return total
+
+
 @lru_cache(maxsize=8)
 def _tail_constants(n: int):
-    """x-independent sums over the pair indices k > n with m_k = k^2 - 1/64:
-    sum 1/m_k (via digamma), and the alternating/higher-power sums directly
-    (their direct-summation remainders are below 1e-12)."""
-    from scipy.special import digamma
-
-    c = 0.125
-    c1 = float(digamma(n + 1 + c) - digamma(n + 1 - c)) / (2.0 * c)
-    ks = np.arange(n + 1, n + 1 + 2_000_000, dtype=float)
-    mk = ks * ks - 1.0 / 64.0
-    sk = np.where(ks % 2.0 == 0.0, 1.0, -1.0)
-    c1s = float(np.sum(sk / mk))
-    c2 = float(np.sum(1.0 / mk**2))
-    c2s = float(np.sum(sk / mk**2))
-    c3 = float(np.sum(1.0 / mk**3))
-    c3s = float(np.sum(sk / mk**3))
-    return c1, c1s, c2, c2s, c3, c3s
+    """x-independent sums over the pair indices k > n >= 256 with m_k = k^2 - 1/64:
+    c_p = sum m_k^-p and c_ps = sum s_k m_k^-p (s_k = +1 for even k, -1 for odd
+    k), p = 1, 2, 3.  m_k^-p = sum_j C(p+j-1, j) 64^-j k^(-2p-2j) to 2e-19
+    relative at j <= 2, each power summed by _zeta_tail; even k = 2i give
+    2^-s zeta(s, n//2 + 1), and c_ps = 2 (sum over even k) - c_p."""
+    out = []
+    for p in (1, 2, 3):
+        full = even = 0.0
+        for j in range(3):
+            s = 2 * (p + j)
+            c = math.comb(p + j - 1, j) / 64.0**j
+            full += c * _zeta_tail(s, n + 1)
+            even += c * 2.0**-s * _zeta_tail(s, n // 2 + 1)
+        out += [full, 2.0 * even - full]
+    return tuple(out)
 
 
 def _log_tail(xs: np.ndarray, n: int) -> np.ndarray:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from rktlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, main, render_report
+from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError, PrecisionError
 
 
 def write_config(tmp_path: Path, name: str, doc: dict) -> str:
@@ -143,6 +144,8 @@ class TestRunners:
         assert summary["witness_ratio"] <= 1e-12
         assert summary["eta"] < 0.5
         assert summary["sublevel_components"] == 1
+        # every critical value of z^8 is 0, so no eps-margin is finite
+        assert summary["sublevel_margin"] is None
         header = (out / "theorem2.csv").read_text().splitlines()[0]
         assert header == "re_z,im_z,phi,norm_mu_sq"
 
@@ -227,7 +230,6 @@ class TestExitCodes:
 
     def test_precision_error_exits_three(self, tmp_path, monkeypatch):
         from rktlab import cli
-        from rktlab.errors import PrecisionError
 
         def fake_runner(doc, quick, seed):
             raise PrecisionError("forced precision failure")
@@ -235,6 +237,23 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "windows", fake_runner)
         cfg = write_config(tmp_path, "w.json", WINDOWS_DOC)
         assert run(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PRECISION
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [(EvaluationError, EXIT_PRECISION), (DomainError, EXIT_CONFIG), (DegenerateSystemError, EXIT_CONFIG)],
+    )
+    def test_leftover_error_maps_to_exit_code(self, tmp_path, monkeypatch, caplog, error, code):
+        from rktlab import cli
+
+        def fake_runner(doc, quick, seed):
+            raise error("forced failure")
+
+        monkeypatch.setitem(cli._RUNNERS, "windows", fake_runner)
+        cfg = write_config(tmp_path, "w.json", WINDOWS_DOC)
+        out = tmp_path / "o"
+        assert run(["run", "--config", cfg, "--out", str(out)]) == code
+        assert "forced failure" in caplog.text
+        assert not (out / "summary.json").exists()
 
 
 class TestShippedConfigs:
@@ -244,8 +263,12 @@ class TestShippedConfigs:
     def test_quick_run_passes_every_check(self, tmp_path, config):
         out = tmp_path / "o"
         assert run(["run", "--config", str(config), "--out", str(out), "--quick"]) == EXIT_OK
-        checks = json.loads((out / "summary.json").read_text())["checks"]
+        summary = json.loads((out / "summary.json").read_text())
+        checks = summary["checks"]
         assert checks and all(c["passed"] for c in checks), checks
+        # every cell is a plain number: repr of a numpy scalar would read np.float64(...)
+        lines = (out / f"{summary['kind']}.csv").read_text().splitlines()[1:]
+        assert lines and [float(x) for line in lines for x in line.split(",")]
 
 
 class TestReport:
@@ -269,3 +292,12 @@ class TestReport:
         }
         text = render_report(summary)
         assert "FAIL" in text
+
+    def test_theorem2_report_names_the_sublevel_margin(self, tmp_path):
+        cfg = write_config(tmp_path, "t.json", dict(T2_DOC, zeros=[{"re": 0.35, "im": 0.1}, {"re": -0.2, "im": 0.45}]))
+        out = tmp_path / "o"
+        assert run(["run", "--config", cfg, "--out", str(out), "--quick"]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        margin = summary["sublevel_margin"]
+        assert margin > 0.0
+        assert f"| `sublevel_margin` | {margin:.6g} |" in render_report(summary)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.optimize import brentq
 
 import rktlab
@@ -23,7 +24,6 @@ from rktlab.model_space import (
     kernel_value,
     model_kernel,
     phi,
-    phi_inner,
     psi,
     riesz_bounds,
     rkt_model_scan,
@@ -32,11 +32,30 @@ from rktlab.model_space import (
     witness_function,
     witness_ratio,
 )
-from rktlab.numerics import TWO_PI, DiskGrid, null_vector, wrap_angle
+from rktlab.numerics import TWO_PI, DiskGrid, circle_quadrature, null_vector, wrap_angle
 
 Z8 = BlaschkeProduct(np.zeros(8, dtype=complex))
 Z2 = BlaschkeProduct(np.zeros(2, dtype=complex))
 EPS8 = 0.05 * (TWO_PI / 8.0)
+
+
+def boundary_gram(basis, base_panels=64, nodes_per_panel=16):
+    """Gram matrix of the basis by boundary quadrature, peaks at the zeros."""
+    peaks = [
+        (math.atan2(aj.imag, aj.real), max(0.5 * (1.0 - abs(aj)), 2.0**-24))
+        for aj in basis.theta.zeros
+        if abs(aj) > 0.0
+    ]
+    rule = circle_quadrature(peaks=peaks, base_panels=base_panels, nodes_per_panel=nodes_per_panel)
+    e = basis.eval_matrix(np.exp(1j * rule.nodes))
+    return (e.conj().T * rule.weights) @ e / TWO_PI
+
+
+def phi_inner(sys_, zs):
+    """phi = |<K_zeta0, K_z>|^2 / (||K_zeta0||^2 ||K_z||^2) from basis coordinates."""
+    e = sys_.basis.eval_matrix(zs)
+    zc = np.conj(sys_.basis.eval_matrix(np.array([sys_.zeta0]))[0])
+    return np.abs(e @ zc) ** 2 / (np.sum(np.abs(zc) ** 2) * np.sum(np.abs(e) ** 2, axis=1))
 
 
 def random_blaschke(rng, n, rmax=0.75):
@@ -115,7 +134,7 @@ class TestBasis:
         rng = np.random.default_rng(4)
         for n in (2, 5, 8):
             basis = ModelSpaceBasis(random_blaschke(rng, n))
-            gram = basis.boundary_gram()
+            gram = boundary_gram(basis)
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
 
     def test_reproducing_identity(self):
@@ -153,9 +172,9 @@ class TestBasis:
         assert np.max(np.abs(zs[:, None] * e - rhs)) <= 1e-13
 
     def test_monomial_basis_for_power(self):
-        basis = ModelSpaceBasis(Z8)
-        nm = basis.numerator_matrix()
-        assert np.allclose(nm, np.eye(8))
+        zs = np.array([0.3 + 0.4j, -0.7j, 0.95, complex(np.exp(2.0j))])
+        e = ModelSpaceBasis(Z8).eval_matrix(zs)
+        assert np.max(np.abs(e - zs[:, None] ** np.arange(8))) <= 1e-15
 
 
 class TestModelKernel:
@@ -254,7 +273,11 @@ class TestClark:
     def test_cli_import_leaves_scipy_optimize_out(self):
         src = str(Path(rktlab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, rktlab.cli; assert 'scipy.optimize' not in sys.modules"
+        code = (
+            "import sys, rktlab.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded"
+        )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_power_two_at_minus_one(self):
@@ -578,8 +601,93 @@ class TestSeparatingPair:
             separating_pair(Z2, 1.0 + 0.0j, 1.0 + 0.0j)
 
 
+def _pixel_component_count(theta, eps=0.5, resolution=512):
+    """Reference count (the former one): label the pixels of a resolution^2
+    grid over [-1, 1]^2 that lie in the disk with |Theta| < eps."""
+    xs = np.linspace(-1.0, 1.0, resolution)
+    re, im = np.meshgrid(xs, xs)
+    z = re + 1j * im
+    inside = np.abs(z) < 1.0
+    mask = np.zeros_like(inside)
+    mask[inside] = np.abs(theta(z[inside])) < eps
+    return int(ndimage.label(mask)[1])
+
+
+@st.composite
+def _sublevel_zeros(draw):
+    """Zeros of three kinds: anywhere in |a| < 0.97, clustered in an arc near
+    the circle, or drawn with repeats from a small pool."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["spread", "clustered", "repeated"]))
+    if kind == "spread":
+        pts = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)), st.floats(0.0, 0.97), st.floats(0.0, TWO_PI))
+        return draw(st.lists(pts, min_size=n, max_size=n))
+    if kind == "clustered":
+        t0 = draw(st.floats(0.0, TWO_PI))
+        pts = st.builds(
+            lambda r, t: r * complex(math.cos(t0 + t), math.sin(t0 + t)), st.floats(0.85, 0.97), st.floats(-0.4, 0.4)
+        )
+        return draw(st.lists(pts, min_size=n, max_size=n))
+    pool = draw(st.lists(_disk_points.filter(lambda a: abs(a) < 0.97), min_size=1, max_size=3))
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+
+
 class TestSublevel:
     def test_configured_products_connected(self):
-        assert sublevel_component_count(Z8, 0.5, 256) == 1
+        assert sublevel_component_count(Z8, 0.5) == (1, math.inf)
         theta = BlaschkeProduct(np.array([0.35 + 0.1j, -0.2 + 0.45j]))
-        assert sublevel_component_count(theta, 0.5, 256) == 1
+        assert sublevel_component_count(theta, 0.5).count == 1
+
+    @pytest.mark.parametrize("r,eps", [(0.6, 0.5), (0.8, 0.5), (0.7, 0.49), (0.7, 0.5), (0.5, 0.9)])
+    def test_symmetric_pair_closed_form(self, r, eps):
+        # (z^2 - r^2)/(1 - r^2 z^2) has one critical point, 0, with value -r^2
+        got = sublevel_component_count(BlaschkeProduct(np.array([r, -r])), eps)
+        assert got.count == (1 if r * r < eps else 2)
+        assert got.margin == pytest.approx(abs(math.log(r * r / eps)), rel=1e-12)
+
+    def test_repeated_zero_is_one_component(self):
+        # a Moebius map to the power 8: seven critical points at the zero
+        theta = BlaschkeProduct(np.full(8, 0.567 - 0.698j))
+        assert sublevel_component_count(theta, 0.5) == (1, math.inf)
+
+    @given(zeros=_sublevel_zeros())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_pixel_labelling(self, zeros):
+        theta = BlaschkeProduct(np.array(zeros))
+        try:
+            got = sublevel_component_count(theta, 0.5)
+        except PrecisionError:
+            # allowed only where distinct zeros, and so the critical points
+            # between them, are closer than the input resolves
+            a = np.unique(theta.zeros)
+            assert np.min(np.abs(a[:, None] - a + np.diag(np.full(a.size, np.inf)))) < 1e-8
+            return
+        # a critical value near eps pinches two components together, below
+        # what the pixel grid resolves
+        assume(got.margin > 0.05)
+        assert got.count == _pixel_component_count(theta)
+
+    def test_zeros_clustered_near_the_circle(self):
+        # np.roots alone finds 2 components here; the reference is 1 at
+        # resolution 1024 and from 60-digit roots
+        zeros = [0.245 + 0.885j, 0.514 + 0.846j, 0.312 + 0.852j, 0.205 + 0.898j, 0.371 + 0.859j, 0.537 + 0.772j,
+                 0.235 + 0.929j, 0.598 + 0.685j, 0.539 + 0.802j, 0.236 + 0.923j, 0.208 + 0.937j, 0.581 + 0.708j]
+        assert sublevel_component_count(BlaschkeProduct(np.array(zeros)), 0.5).count == 1
+
+    @pytest.mark.parametrize(
+        "start,match",
+        [
+            (lambda r: r[np.abs(r) > 1.0], "found 0 critical points in the disk, expected 2"),
+            (lambda r: np.full(r.size, 0.5 + 0j), "did not converge"),  # on a pole of f
+        ],
+        ids=["outside-only", "at-a-zero"],
+    )
+    def test_lost_critical_points_are_refused(self, monkeypatch, start, match):
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: start(roots(c)))
+        with pytest.raises(PrecisionError, match=match):
+            sublevel_component_count(BlaschkeProduct(np.array([0.5, -0.3j, 0.2 + 0.6j])), 0.5)
+
+    def test_eps_out_of_range(self):
+        with pytest.raises(DomainError):
+            sublevel_component_count(Z8, 1.0)

@@ -5,6 +5,7 @@ import pytest
 
 from rktlab.errors import DomainError
 from rktlab.paley_wiener import (
+    _tail_constants,
     SamplingSequence,
     bandlimit_check,
     carleson_sanity,
@@ -188,6 +189,28 @@ class TestWitness:
         seq = SamplingSequence.kadets(512)
         with pytest.raises(DomainError):
             generating_witness(seq, np.array([200.0]))
+
+
+class TestTailConstants:
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096])
+    def test_against_hurwitz_zeta(self, n):
+        # m_k^-p = sum_j C(p+j-1, j) 64^-j k^(-2p-2j); each power summed over
+        # k > n (all k) and k = 2i > n (even k) by mpmath's zeta(s, N) at 50
+        # digits, 12 terms of j (the rest is below 1e-60 relative)
+        mpmath = pytest.importorskip("mpmath")
+        got = _tail_constants(n)
+        with mpmath.workdps(50):
+            for p in (1, 2, 3):
+                full = even = mpmath.mpf(0)
+                for j in range(12):
+                    s = 2 * (p + j)
+                    c = mpmath.binomial(p + j - 1, j) / mpmath.mpf(64) ** j
+                    full += c * mpmath.zeta(s, n + 1)
+                    even += c * mpmath.mpf(2) ** -s * mpmath.zeta(s, n // 2 + 1)
+                # both sums have the same |terms|, which add up to the full sum
+                tol = 1e-15 * float(full)
+                assert abs(got[2 * p - 2] - float(full)) <= tol
+                assert abs(got[2 * p - 1] - float(2 * even - full)) <= tol
 
 
 class TestBandlimit:
