@@ -135,16 +135,30 @@ def _integer(v, path):
     return v
 
 
-def _number_list(v, path):
-    if not isinstance(v, list) or not v:
-        raise ConfigError(path, "expected a nonempty list of numbers")
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+def _int_in(lo, hi=None):
+    """Checker for an integer in lo..hi, or at least lo when hi is None."""
+
+    def check(v, path):
+        _integer(v, path)
+        if v < lo or (hi is not None and v > hi):
+            raise ConfigError(path, f"must be >= {lo}" if hi is None else f"must lie in {lo}..{hi}")
+        return v
+
+    return check
 
 
-def _int_list(v, path):
-    if not isinstance(v, list) or not v:
-        raise ConfigError(path, "expected a nonempty list of integers")
-    return [_integer(x, f"{path}[{i}]") for i, x in enumerate(v)]
+def _list_of(item, what):
+    """Checker for a nonempty list whose entries pass ``item``."""
+
+    def check(v, path):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(path, f"expected a nonempty list of {what}")
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+    return check
+
+
+_number_list = _list_of(_number, "numbers")
 
 
 def _arc_spec(v, path):
@@ -156,7 +170,11 @@ def _arc_spec(v, path):
 
 
 def _grid_spec(v, path):
-    return _check_fields(v, path, {"rings": (True, _integer), "angles": (True, _integer)})
+    return _check_fields(v, path, {"rings": (True, _int_in(1)), "angles": (True, _int_in(1))})
+
+
+#: Fields every experiment kind accepts.
+_COMMON_FIELDS = {"kind": (True, lambda v, p: v), "seed": (False, _integer)}
 
 
 _BUILTIN_MEASURES = {
@@ -229,18 +247,15 @@ def run_windows(doc: dict, quick: bool, seed: int):
         doc,
         "config",
         {
-            "kind": (True, lambda v, p: v),
-            "seed": (False, _integer),
+            **_COMMON_FIELDS,
             "measure": (True, _measure_spec),
-            "max_depth": (True, _integer),
+            "max_depth": (True, _int_in(1, 16)),
             "refine_arc": (False, _arc_spec),
             "refine_depths": (False, _number_list),
         },
     )
     mu = got["measure"]
     depth = got["max_depth"]
-    if not 1 <= depth <= 16:
-        raise ConfigError("config.max_depth", "must lie in 1..16")
     if quick:
         depth = min(depth, 8)
     scan = window_infimum_scan(mu, depth)
@@ -291,12 +306,11 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         doc,
         "config",
         {
-            "kind": (True, lambda v, p: v),
-            "seed": (False, _integer),
+            **_COMMON_FIELDS,
             "measure": (True, _measure_spec),
             "p": (True, _number),
-            "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _integer), "angles": (True, _integer)})),
-            "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _integer), "max_degree": (True, _integer)})),
+            "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1))})),
+            "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1)), "max_degree": (True, _int_in(0))})),
         },
     )
     mu = got["measure"]
@@ -305,16 +319,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         raise ConfigError("config.p", "p must lie in (1, inf)")
     grid_spec = got.get("grid", {"levels": 16, "angles": 64})
     levels, angles = grid_spec["levels"], grid_spec["angles"]
-    if not 1 <= levels <= 20:
-        raise ConfigError("config.grid.levels", "must lie in 1..20")
-    if angles < 1:
-        raise ConfigError("config.grid.angles", "must be positive")
     poly_spec = got.get("polynomials")
-    if poly_spec is not None:
-        if poly_spec["count"] < 1:
-            raise ConfigError("config.polynomials.count", "must be positive")
-        if poly_spec["max_degree"] < 0:
-            raise ConfigError("config.polynomials.max_degree", "must be non-negative")
     if quick:
         levels, angles = min(levels, 10), min(angles, 32)
     cfg = hardy_config(p)
@@ -352,11 +357,10 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
         doc,
         "config",
         {
-            "kind": (True, lambda v, p: v),
-            "seed": (False, _integer),
+            **_COMMON_FIELDS,
             "arc": (True, _arc_spec),
             "p": (True, _number),
-            "h_exponents": (True, _int_list),
+            "h_exponents": (True, _list_of(_int_in(1, 16), "integers")),
             "sup_grid": (False, _grid_spec),
         },
     )
@@ -365,14 +369,9 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     if not 1.0 < p < math.inf:
         raise ConfigError("config.p", "p must lie in (1, inf)")
     exps = sorted(got["h_exponents"])
-    if any(not 1 <= e <= 16 for e in exps):
-        raise ConfigError("config.h_exponents", "exponents must lie in 1..16")
     if len(exps) < 2 or len(set(exps)) < len(exps):
         raise ConfigError("config.h_exponents", "expected at least 2 exponents, all distinct")
     sup_spec = got.get("sup_grid", {"rings": 6, "angles": 24})
-    for name in ("rings", "angles"):
-        if sup_spec[name] < 1:
-            raise ConfigError(f"config.sup_grid.{name}", "must be positive")
     if quick:
         exps = exps[: max(3, len(exps) // 2)]
     hs = np.array([2.0**-e for e in exps])
@@ -424,8 +423,7 @@ def run_pw(doc: dict, quick: bool, seed: int):
         doc,
         "config",
         {
-            "kind": (True, lambda v, p: v),
-            "seed": (False, _integer),
+            **_COMMON_FIELDS,
             "truncation": (True, _integer),
             "scan": (
                 False,
@@ -435,23 +433,21 @@ def run_pw(doc: dict, quick: bool, seed: int):
                     {
                         "re": (True, _number_list),
                         "im": (True, _number_list),
-                        "resolution": (True, _int_list),
+                        "resolution": (True, _list_of(_int_in(64), "integers")),
                     },
                 ),
             ),
             "witness": (
                 False,
-                lambda v, p: _check_fields(v, p, {"length": (True, _number), "rate": (True, _integer)}),
+                lambda v, p: _check_fields(v, p, {"length": (True, _number), "rate": (True, _int_in(8))}),
             ),
-            "gram_truncations": (False, _int_list),
+            "gram_truncations": (False, _list_of(_integer, "integers")),
         },
     )
     n = got["truncation"]
     wit_spec = got.get("witness", {"length": 256.0, "rate": 8})
     if wit_spec["length"] < 256.0:
         raise ConfigError("config.witness.length", "must be >= 256")
-    if wit_spec["rate"] < 8:
-        raise ConfigError("config.witness.rate", "must be >= 8")
     if n < 4 * wit_spec["length"]:
         raise ConfigError(
             "config.truncation",
@@ -462,8 +458,6 @@ def run_pw(doc: dict, quick: bool, seed: int):
         if len(scan_spec[name]) != 2:
             raise ConfigError(f"config.scan.{name}", "expected 2 entries")
     res = scan_spec["resolution"]
-    if min(res) < 64:
-        raise ConfigError("config.scan.resolution", "must be at least 64 x 64")
     # the tail bound needs n - 1/8 - |Re lambda| > 1
     if n - 0.125 - max(map(abs, scan_spec["re"])) <= 1.0:
         raise ConfigError("config.scan.re", f"must stay more than 1.125 inside the truncation {n}")
@@ -537,8 +531,7 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
         doc,
         "config",
         {
-            "kind": (True, lambda v, p: v),
-            "seed": (False, _integer),
+            **_COMMON_FIELDS,
             "zeros": (True, lambda v, p: v),
             "alpha_angle": (True, _number),
             "epsilon": (False, lambda v, p: None if v is None else _number(v, p)),
@@ -560,9 +553,6 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
     except DomainError as exc:
         raise ConfigError("config.zeros", str(exc)) from exc
     alpha = complex(np.exp(1j * got["alpha_angle"]))
-    for name in ("rings", "angles"):
-        if got["grid"][name] < 1:
-            raise ConfigError(f"config.grid.{name}", "must be positive")
     rings, angles = got["grid"]["rings"], got["grid"]["angles"]
     if quick:
         rings, angles = min(rings, 16), min(angles, 128)

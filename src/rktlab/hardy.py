@@ -38,36 +38,26 @@ DEFAULT_SEED = 0xC0FFEE
 #: Window depths below this are outside the supported resolution.
 MIN_WINDOW_DEPTH = 2.0**-16
 
+#: Panels and Gauss nodes per panel of every H^p circle rule.
+BASE_PANELS = 64
+NODES_PER_PANEL = 16
+
 
 @dataclass(frozen=True)
 class HardyConfig:
-    """Exponent pair and quadrature parameters for one H^p session."""
+    """Exponent and the uniform circle rule for one H^p session."""
 
     p: float
-    p_conj: float
     quadrature: CircleQuadrature
-    base_panels: int
-    nodes_per_panel: int
 
     def __post_init__(self):
         if not 1.0 < self.p < math.inf:
             raise DomainError(f"p must lie in (1, inf), got {self.p}")
-        if abs(1.0 / self.p + 1.0 / self.p_conj - 1.0) > 1e-14:
-            raise DomainError("conjugate exponent pair is inconsistent")
 
 
-def hardy_config(p: float, base_panels: int = 64, nodes_per_panel: int = 16) -> HardyConfig:
-    p = float(p)
-    if not 1.0 < p < math.inf:
-        raise DomainError(f"p must lie in (1, inf), got {p}")
-    quad = circle_quadrature(base_panels=base_panels, nodes_per_panel=nodes_per_panel)
-    return HardyConfig(
-        p=p,
-        p_conj=p / (p - 1.0),
-        quadrature=quad,
-        base_panels=base_panels,
-        nodes_per_panel=nodes_per_panel,
-    )
+def hardy_config(p: float) -> HardyConfig:
+    quad = circle_quadrature(base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
+    return HardyConfig(p=float(p), quadrature=quad)
 
 
 @dataclass(frozen=True)
@@ -78,7 +68,7 @@ class HardyFunction:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
-        if c.ndim != 1 or not np.all(np.isfinite(c.view(float))):
+        if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise DomainError("coefficients must be a finite 1-d array")
         object.__setattr__(self, "coeffs", c)
 
@@ -103,14 +93,6 @@ def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEE
     return out
 
 
-def vanishing_polynomial(points: Sequence[complex]) -> HardyFunction:
-    """Monic product prod (z - xi) over the given points."""
-    c = np.array([1.0 + 0.0j])
-    for xi in points:
-        c = np.convolve(c, np.array([-complex(xi), 1.0 + 0.0j]))
-    return HardyFunction(c[:: 1])
-
-
 def hp_norm(f: HardyFunction, cfg: HardyConfig) -> float:
     """(integral of |f|^p d(theta)/(2*pi))^(1/p) over the boundary circle."""
     vals = np.abs(f(np.exp(1j * cfg.quadrature.nodes))) ** cfg.p
@@ -118,38 +100,21 @@ def hp_norm(f: HardyFunction, cfg: HardyConfig) -> float:
     return mean ** (1.0 / cfg.p)
 
 
-@dataclass(frozen=True)
-class HardyKernel:
-    """Evaluator of k_lam(z) = 1 / (1 - conj(lam) z)."""
-
-    lam: complex
-
-    def __call__(self, z):
-        return 1.0 / (1.0 - np.conj(self.lam) * np.asarray(z))
-
-
-def kernel(lam: complex) -> HardyKernel:
-    lam = ensure_point(lam)
-    if abs(lam) >= 1.0:
-        raise DomainError(f"kernel point must lie in the open disk, got |lam|={abs(lam)}")
-    return HardyKernel(lam)
-
-
-def _kernel_rule(cfg: HardyConfig, lam: complex, breakpoints=()) -> CircleQuadrature:
+def _kernel_rule(lam: complex, breakpoints=()) -> CircleQuadrature:
     r = abs(lam)
     scale = max(0.5 * (1.0 - r), 2.0**-24)
     phi = math.atan2(lam.imag, lam.real)
     return circle_quadrature(
         breakpoints=breakpoints,
         peaks=[(phi, scale)],
-        base_panels=cfg.base_panels,
-        nodes_per_panel=cfg.nodes_per_panel,
+        base_panels=BASE_PANELS,
+        nodes_per_panel=NODES_PER_PANEL,
     )
 
 
 def _kernel_pth_mean(lam: complex, cfg: HardyConfig) -> float:
     """integral of |k_lam|^p d(theta)/(2*pi) by the peak-refined rule."""
-    rule = _kernel_rule(cfg, lam)
+    rule = _kernel_rule(lam)
     r = abs(lam)
     phi = math.atan2(lam.imag, lam.real)
     return _kernels.kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, cfg.p) / TWO_PI
@@ -170,7 +135,7 @@ def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
     return _kernel_pth_mean(lam, cfg) ** (1.0 / cfg.p)
 
 
-def _polar_cell_nodes(r0, r1, a0, a1, peak_angle, scale, nodes=8, max_ang_width=math.pi / 16):
+def _polar_cell_nodes(r0, r1, a0, a1, peak_angle, scale, nodes=8):
     """Product Gauss-Legendre nodes on the polar cell [r0,r1] x [a0,a1],
     graded angularly toward peak_angle and radially toward the outer edge."""
     r_edges = _graded_edges(r0, r1, r1, max(scale, (r1 - r0) / 32.0))
@@ -181,7 +146,7 @@ def _polar_cell_nodes(r0, r1, a0, a1, peak_angle, scale, nodes=8, max_ang_width=
         attract = a0 + off
     else:
         attract = a1 if (off - width) < (TWO_PI - off) else a0
-    a_edges = _graded_edges(a0, a1, attract, max(scale, min(width, max_ang_width)))
+    a_edges = _graded_edges(a0, a1, attract, max(scale, min(width, math.pi / 16)))
     rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], nodes)
     ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], nodes)
     rho = np.repeat(rs, ts.size)
@@ -224,7 +189,7 @@ def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
         d2 = (1.0 - r * az) ** 2 + 4.0 * r * az * s * s
         num += mass * d2 ** (-0.5 * p)
     if mu.boundary.total() > 0.0:
-        rule = _kernel_rule(cfg, lam, breakpoints=mu.boundary.breakpoints)
+        rule = _kernel_rule(lam, breakpoints=mu.boundary.breakpoints)
         dens = mu.boundary.value_at(rule.nodes)
         num += _kernels.kernel_pow_circle_sum(rule.nodes, rule.weights * dens, r, phi, p)
     if mu.area is not None:
@@ -241,12 +206,10 @@ class RktScan(NamedTuple):
     rows: np.ndarray  # columns (re_lambda, im_lambda, rkt_value)
 
 
-def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid, include_origin: bool = True) -> RktScan:
-    """Minimum of the kernel functional over the grid; estimates the best
-    uniform lower constant over all kernel points."""
-    lams = list(grid.points())
-    if include_origin:
-        lams.insert(0, 0.0 + 0.0j)
+def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
+    """Minimum of the kernel functional over the origin and the grid;
+    estimates the best uniform lower constant over all kernel points."""
+    lams = [0.0 + 0.0j] + list(grid.points())
     rows = np.empty((len(lams), 3))
     best = math.inf
     witness = None
@@ -267,8 +230,8 @@ def _measure_pth_integral_poly(mu: Measure, f: HardyFunction, cfg: HardyConfig) 
     if mu.boundary.total() > 0.0:
         rule = circle_quadrature(
             breakpoints=mu.boundary.breakpoints,
-            base_panels=cfg.base_panels,
-            nodes_per_panel=cfg.nodes_per_panel,
+            base_panels=BASE_PANELS,
+            nodes_per_panel=NODES_PER_PANEL,
         )
         dens = mu.boundary.value_at(rule.nodes)
         vals = np.abs(f(np.exp(1j * rule.nodes))) ** p
@@ -374,27 +337,3 @@ def phi_h_limit_profile(arc: Arc, hs: Sequence[float], zs: Sequence[complex], cf
         records.append(PhiHRecord(z, kind, vals, exponent, bracket))
     return records
 
-
-def phi_h_measure_integral(
-    mu: Measure, arc: Arc, h: float, cfg: HardyConfig, outer_panels: int = 16, outer_nodes: int = 8
-) -> float:
-    """integral of phi_h d(mu), evaluated pointwise over the measure parts."""
-    total = 0.0
-    for z, mass in mu.atoms:
-        total += mass * phi_h(z, arc, h, cfg)
-    if mu.boundary.total() > 0.0:
-        rule = circle_quadrature(
-            breakpoints=mu.boundary.breakpoints,
-            peaks=[(arc.start, h), (arc.end, h)],
-            base_panels=outer_panels,
-            nodes_per_panel=outer_nodes,
-        )
-        dens = mu.boundary.value_at(rule.nodes)
-        vals = np.array([phi_h(complex(np.exp(1j * t)), arc, h, cfg) for t in rule.nodes])
-        total += float(np.dot(rule.weights * dens, vals))
-    if mu.area is not None:
-        for r0, r1, a0, a1, val in mu.area.cells():
-            rho, ang, wts = _polar_cell_nodes(r0, r1, a0, a1, arc.center, scale=(r1 - r0) / 4.0, nodes=4)
-            vals = np.array([phi_h(rr * complex(np.exp(1j * aa)), arc, h, cfg) for rr, aa in zip(rho, ang)])
-            total += val * float(np.dot(wts, vals))
-    return total

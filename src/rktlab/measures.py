@@ -327,25 +327,8 @@ def refine_window_to_arc(mu: Measure, arc: Arc, depths: Sequence[float]) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (public schema)
+# JSON parsing (public schema)
 # ---------------------------------------------------------------------------
-
-
-def measure_to_dict(mu: Measure) -> dict:
-    doc: dict = {
-        "atoms": [{"re": z.real, "im": z.imag, "mass": m} for z, m in mu.atoms],
-        "boundary_density": {
-            "breakpoints": [float(b) for b in mu.boundary.breakpoints],
-            "values": [float(v) for v in mu.boundary.values],
-        },
-    }
-    if mu.area is not None:
-        doc["area_density"] = {
-            "radial_breaks": [float(r) for r in mu.area.radial_breaks],
-            "angular_breaks": [float(a) for a in mu.area.angular_breaks],
-            "values": [[float(x) for x in row] for row in mu.area.values],
-        }
-    return doc
 
 
 def measure_from_dict(doc: dict) -> Measure:

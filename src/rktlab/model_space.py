@@ -19,15 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSystemError, DomainError, PrecisionError
-from .measures import Measure
-from .numerics import (
-    TWO_PI,
-    DiskGrid,
-    eigen_hermitian,
-    ensure_point,
-    null_vector,
-    wrap_angle,
-)
+from .numerics import TWO_PI, DiskGrid, eigen_hermitian, null_vector, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,7 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.zeros, dtype=np.complex128))
-        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a.view(float))):
+        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
             raise DomainError("zeros must be a finite nonempty 1-d array")
         if np.any(np.abs(a) >= 1.0 - 1e-9):
             raise DomainError("zeros must lie strictly inside the disk")
@@ -115,12 +107,6 @@ class ModelSpaceBasis:
             m[n, k] = run[-1]
         return m
 
-    def q_coeffs(self) -> np.ndarray:
-        """Ascending coefficients of Q(z) = prod (1 - conj(a_j) z): the
-        descending coefficients of prod (z - a_j), conjugated."""
-        return np.conj(np.poly(self.theta.zeros))
-
-
 @dataclass(frozen=True)
 class ModelSpaceFunction:
     """Element of K_Theta in basis coordinates."""
@@ -140,38 +126,6 @@ class ModelSpaceFunction:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
-class ModelKernel:
-    """Kernel k_lam of K_Theta with its exact squared norm."""
-
-    lam: complex
-    coords: np.ndarray  # conj(e_k(lam)): coordinates in the basis
-    norm_sq: float
-    basis: ModelSpaceBasis
-
-    def __call__(self, z):
-        out = self.basis.eval_matrix(z) @ self.coords
-        return out if np.ndim(z) else complex(out[0])
-
-
-def model_kernel(theta: BlaschkeProduct, lam: complex, basis: ModelSpaceBasis | None = None) -> ModelKernel:
-    """Kernel at lam with norm^2 = (1-|Theta(lam)|^2)/(1-|lam|^2) inside the
-    disk and |Theta'(lam)| on the boundary (finite Blaschke products are
-    analytic across the circle, so boundary points are always admissible)."""
-    lam = ensure_point(lam)
-    r = abs(lam)
-    if r > 1.0 + 1e-12:
-        raise DomainError("kernel point must lie in the closed disk")
-    basis = basis or ModelSpaceBasis(theta)
-    if r < 1.0 - 1e-12:
-        norm_sq = (1.0 - abs(theta(lam)) ** 2) / (1.0 - r * r)
-    else:
-        lam = lam / r
-        norm_sq = float(theta.boundary_derivative_abs(np.array([lam]))[0])
-    coords = np.conj(basis.eval_matrix(np.array([lam]))[0])
-    return ModelKernel(lam, coords, float(norm_sq), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +246,6 @@ class PerturbedSystem:
         zc = clark_kernel_coords(self.basis, self.clark.points)
         return float(np.min(np.abs(xi1 @ zc.conj().T)))
 
-    def measure(self) -> Measure:
-        return Measure(atoms=tuple(zip(self.xi_points, self.masses)))
-
 
 def build_theorem2_measure(
     theta: BlaschkeProduct, alpha: complex = 1.0 + 0.0j, epsilon: float | None = None
@@ -381,13 +332,12 @@ def phi(sys: PerturbedSystem, z) -> np.ndarray:
     return out if out.size > 1 else float(out[0])
 
 
-def psi(sys: PerturbedSystem, delta: float, grid: DiskGrid, include_origin: bool = True) -> float:
-    """Grid supremum of phi over the disk minus the ball |z - zeta0| < delta."""
+def psi(sys: PerturbedSystem, delta: float, grid: DiskGrid) -> float:
+    """Grid supremum of phi over the disk minus the ball |z - zeta0| < delta
+    (the origin included)."""
     if delta <= 0.0:
         raise DomainError("delta must be positive")
-    zs = grid.points()
-    if include_origin:
-        zs = np.concatenate([[0.0 + 0.0j], zs])
+    zs = np.concatenate([[0.0 + 0.0j], grid.points()])
     mask = np.abs(zs - sys.zeta0) >= delta
     if not np.any(mask):
         raise DomainError("delta excludes the entire grid")
@@ -417,12 +367,11 @@ class ModelScan(NamedTuple):
     mu_norm_sq: np.ndarray
 
 
-def rkt_model_scan(sys: PerturbedSystem, grid: DiskGrid, include_origin: bool = True) -> ModelScan:
-    """Grid minimum of ||K_z||^2_{L2(mu)} = sum_{n>=1} |<K_z, K_xi_n>|^2,
-    with the phi profile alongside for the decomposition identity."""
-    zs = grid.points()
-    if include_origin:
-        zs = np.concatenate([[0.0 + 0.0j], zs])
+def rkt_model_scan(sys: PerturbedSystem, grid: DiskGrid) -> ModelScan:
+    """Grid minimum of ||K_z||^2_{L2(mu)} = sum_{n>=1} |<K_z, K_xi_n>|^2 over
+    the origin and the grid, with the phi profile alongside for the
+    decomposition identity."""
+    zs = np.concatenate([[0.0 + 0.0j], grid.points()])
     coords = clark_kernel_coords(sys.basis, zs)
     u = sys.xi_coords()
     inner = coords @ u.conj().T
@@ -430,78 +379,6 @@ def rkt_model_scan(sys: PerturbedSystem, grid: DiskGrid, include_origin: bool = 
     phi_vals = np.asarray(phi(sys, zs))
     i = int(np.argmin(mu_norm_sq))
     return ModelScan(float(mu_norm_sq[i]), complex(zs[i]), zs, phi_vals, mu_norm_sq)
-
-
-def backward_shift(f: ModelSpaceFunction) -> ModelSpaceFunction:
-    """S* f = (f - f(0))/z in basis coordinates.  K_Theta is S*-invariant, so
-    S* on it is the adjoint of the compressed shift S_Theta = shift_matrix()[:-1]."""
-    return ModelSpaceFunction(f.basis, f.basis.shift_matrix()[:-1].conj().T @ f.coeffs)
-
-
-class SeparatingPair(NamedTuple):
-    f1: ModelSpaceFunction
-    f2: ModelSpaceFunction
-    determinant: complex
-    degenerate: bool
-    used_fallback: bool
-
-
-def separating_pair(
-    theta: BlaschkeProduct,
-    zeta: complex,
-    zeta0: complex,
-    initial: tuple | None = None,
-    tol: float = 1e-8,
-) -> SeparatingPair:
-    """Two continuous elements whose value vectors at (zeta, zeta0) are
-    linearly independent.
-
-    Starts from basis elements; if their value vectors are dependent, forms
-    the combination vanishing at both points, strips leading zeros with the
-    backward shift, normalizes f(0) = 1, and returns (S*f, S*S*f).  A
-    determinant below tolerance is flagged degenerate: the dependence
-    algebra then forces zeta = zeta0.
-    """
-    zeta = ensure_point(zeta)
-    zeta0 = ensure_point(zeta0)
-    if abs(abs(zeta) - 1.0) > 1e-9 or abs(abs(zeta0) - 1.0) > 1e-9:
-        raise DomainError("both points must lie on the boundary circle")
-    if abs(zeta - zeta0) <= 1e-12:
-        raise DomainError("the two points must be distinct")
-    basis = ModelSpaceBasis(theta)
-    n = basis.dim
-    if n < 2:
-        raise DomainError("need dimension >= 2 for a separating pair")
-    if initial is None:
-        c1 = np.zeros(n, dtype=np.complex128)
-        c1[0] = 1.0
-        c2 = np.zeros(n, dtype=np.complex128)
-        c2[1] = 1.0
-        h1 = ModelSpaceFunction(basis, c1)
-        h2 = ModelSpaceFunction(basis, c2)
-    else:
-        h1, h2 = initial
-    v = np.array([[h1(zeta), h1(zeta0)], [h2(zeta), h2(zeta0)]])
-    det = complex(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
-    scale = float(np.max(np.abs(v))) ** 2 + 1e-300
-    if abs(det) > tol * scale:
-        return SeparatingPair(h1, h2, det, False, False)
-    # dependent values: build f = c1 h1 + c2 h2 with f(zeta) = f(zeta0) = 0
-    row = v[:, 0] if np.linalg.norm(v[:, 0]) >= np.linalg.norm(v[:, 1]) else v[:, 1]
-    comb = null_vector(row[None, :])
-    f = ModelSpaceFunction(basis, comb[0] * h1.coeffs + comb[1] * h2.coeffs)
-    for _ in range(n):
-        if abs(f(0.0)) > 1e-12 * f.norm():
-            break
-        f = backward_shift(f)
-    f0 = f(0.0)
-    if abs(f0) <= 1e-12 * max(f.norm(), 1e-300):
-        raise DegenerateSystemError("combination vanished identically under the shift")
-    f = ModelSpaceFunction(basis, f.coeffs / f0)
-    g = backward_shift(f)
-    h = backward_shift(g)
-    det2 = complex(g(zeta) * h(zeta0) - g(zeta0) * h(zeta))
-    return SeparatingPair(g, h, det2, abs(det2) <= tol, True)
 
 
 class SublevelCount(NamedTuple):

@@ -79,23 +79,10 @@ class CircleQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     panel_edges: np.ndarray
-    nodes_per_panel: int
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
             raise DomainError("quadrature weights must be positive")
-
-    def with_nodes_per_panel(self, n: int) -> "CircleQuadrature":
-        """Same panels, different per-panel node count (refinement checks)."""
-        return _from_edges(self.panel_edges, n)
-
-
-def _from_edges(edges: np.ndarray, nodes_per_panel: int) -> CircleQuadrature:
-    edges = np.asarray(edges, dtype=float)
-    nodes, weights = gauss_legendre_panel(edges[:-1], edges[1:], nodes_per_panel)
-    return CircleQuadrature(
-        nodes=nodes, weights=weights, panel_edges=edges, nodes_per_panel=nodes_per_panel
-    )
 
 
 def circle_quadrature(
@@ -146,7 +133,9 @@ def circle_quadrature(
         else:
             out.append(lo)
     out.append(end)
-    return _from_edges(np.array(out), nodes_per_panel)
+    edges = np.array(out)
+    nodes, weights = gauss_legendre_panel(edges[:-1], edges[1:], nodes_per_panel)
+    return CircleQuadrature(nodes=nodes, weights=weights, panel_edges=edges)
 
 
 def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleQuadrature) -> float:
@@ -237,7 +226,8 @@ class DiskGrid:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
+    """(m + m^H)/2; a real matrix stays real."""
+    m = np.asarray(m)
     return 0.5 * (m + m.conj().T)
 
 
@@ -245,13 +235,14 @@ def eigen_hermitian(m: np.ndarray):
     """Eigen-decomposition of a Hermitian matrix (LAPACK ``eigh``).
 
     The input is checked for shape, finite entries and Hermitian symmetry
-    to 1e-12 relative, then symmetrized.  Returns (eigenvalues ascending,
+    to 1e-12 relative, then symmetrized.  A real matrix is solved in real
+    arithmetic, a complex one in complex.  Returns (eigenvalues ascending,
     eigenvector columns).
     """
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError("expected a square matrix of dimension >= 1")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     scale = float(np.linalg.norm(a))
     if scale > 0.0 and float(np.linalg.norm(a - a.conj().T)) > 1e-12 * scale:

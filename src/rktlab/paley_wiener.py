@@ -60,26 +60,10 @@ class SamplingSequence:
             raise DomainError("perturbed sequence lost its separation")
         return seq
 
-    @classmethod
-    def from_points(cls, points: Sequence[float]) -> "SamplingSequence":
-        return cls(points=np.asarray(points, dtype=float), n_max=0)
-
     def separation(self) -> float:
         if self.points.size < 2:
             return math.inf
         return float(np.min(np.diff(self.points)))
-
-
-def pw_kernel_norm_sq(lam: complex) -> float:
-    """Squared norm of the unnormalized kernel sinc(pi(. - lam)):
-    sinh(2*pi*t)/(2*pi*t) with t = |Im lam|, and 1 at t = 0."""
-    lam = ensure_point(lam)
-    return 1.0 / _kernels.pw_norm_factor(lam.imag)
-
-
-def pw_normalization(lam: complex) -> float:
-    """c_lam with c_lam^2 = 1 / ||sinc(pi(. - lam))||^2."""
-    return math.sqrt(_kernels.pw_norm_factor(complex(lam).imag))
 
 
 class Interval(NamedTuple):
@@ -94,8 +78,6 @@ def _tail_bound(seq: SamplingSequence, a: float, b: float) -> float:
     tail bounded by the integral 2/(N - 7/8 - |a|).
     """
     n = seq.n_max
-    if n == 0:
-        return 0.0
     denom = n - 0.125 - abs(a)
     if denom <= 1.0:
         raise DomainError(f"Re lambda = {a} too close to the truncation edge {n}")
@@ -107,10 +89,10 @@ def rkt_sum(lam: complex, seq: SamplingSequence) -> Interval:
     """sum over the sequence of |K_lam(x_n)|^2, as the interval
     [partial sum, partial sum + tail bound]."""
     lam = ensure_point(lam)
-    if seq.n_max and seq.n_max < 64:
+    if seq.n_max < 64:
         raise DomainError("truncation n_max must be >= 64")
     partial = _kernels.pw_rkt_grid(seq.points, np.array([lam.real]), np.array([lam.imag]))[0, 0]
-    tail = _tail_bound(seq, lam.real, lam.imag) if seq.n_max else 0.0
+    tail = _tail_bound(seq, lam.real, lam.imag)
     return Interval(float(partial), float(partial + tail))
 
 
@@ -149,7 +131,6 @@ def rkt_lower_bound_scan(
 class GeneratingWitness(NamedTuple):
     values: np.ndarray
     extrapolation_spread: float
-    partials: tuple  # raw partial products at the two truncation stages
 
 
 def _pair_products(xs, n_levels):
@@ -245,7 +226,7 @@ def generating_witness(seq: SamplingSequence, xs: Sequence[float]) -> Generating
             f"relative spread {spread:.3e}"
         )
     values = np.where(zero, 0.0, values)
-    return GeneratingWitness(values, spread, (p_half, p_full))
+    return GeneratingWitness(values, spread)
 
 
 def witness_contrast(seq: SamplingSequence, length: float = 256.0, rate: int = 8):
@@ -308,16 +289,14 @@ def carleson_sanity(seq: SamplingSequence) -> CarlesonSanity:
     return CarlesonSanity(seq.separation(), 0.0)
 
 
-def gram_min_eigenvalue(seq: SamplingSequence, truncation: int, include_zero: bool = True) -> float:
+def gram_min_eigenvalue(seq: SamplingSequence, truncation: int) -> float:
     """Smallest eigenvalue of the Gram matrix of normalized kernels at the
-    points with |x_n| <= truncation (optionally adjoining the origin).
+    points with |x_n| <= truncation and at the deleted origin.
 
     Diagnostic only: bounded away from zero when the completed system is a
-    Riesz basis.
+    Riesz basis.  The sinc Gram is real symmetric and is solved as such.
     """
-    pts = seq.points[np.abs(seq.points) <= truncation]
-    if include_zero:
-        pts = np.sort(np.concatenate([pts, [0.0]]))
+    pts = np.sort(np.concatenate([seq.points[np.abs(seq.points) <= truncation], [0.0]]))
     gram = np.sinc(pts[:, None] - pts[None, :])
-    evals, _ = eigen_hermitian(gram.astype(np.complex128))
+    evals, _ = eigen_hermitian(gram)
     return float(evals[0])

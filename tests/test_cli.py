@@ -219,6 +219,8 @@ class TestExitCodes:
             (dict(PW_DOC, witness={"length": 128.0, "rate": 8}), "config.witness.length"),
             (dict(PW_DOC, gram_truncations=[100000]), "config.gram_truncations[0]"),
             (dict(PW_DOC, gram_truncations=[16, 0]), "config.gram_truncations[1]"),
+            (dict(PHIH_DOC, h_exponents=[3, 17]), "config.h_exponents[1]"),
+            (dict(WINDOWS_DOC, max_depth=17), "config.max_depth"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):

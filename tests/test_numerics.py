@@ -117,7 +117,9 @@ class TestCircleQuadrature:
         q = circle_quadrature()
         f = lambda t: np.exp(np.cos(t)) * np.sin(3 * t) ** 2
         v1 = integrate_circle(f, q)
-        v2 = integrate_circle(f, q.with_nodes_per_panel(2 * q.nodes_per_panel))
+        q2 = circle_quadrature(nodes_per_panel=24)  # twice the default, same panel edges
+        assert np.array_equal(q2.panel_edges, q.panel_edges)
+        v2 = integrate_circle(f, q2)
         assert abs(v1 - v2) <= 1e-10 * abs(v2)
 
     def test_breakpoints_are_panel_edges(self):
@@ -292,6 +294,22 @@ class TestEigenHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             eigen_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(DomainError):
+            eigen_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            eigen_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(10)
+        b = rng.standard_normal((9, 9))
+        m = b + b.T
+        assert hermitian_part(m).dtype == np.float64
+        assert hermitian_part(m.astype(complex)).dtype == np.complex128
+        w, v = eigen_hermitian(m)
+        assert v.dtype == np.float64
+        wc, vc = eigen_hermitian(m.astype(complex))
+        assert vc.dtype == np.complex128
+        assert np.max(np.abs(w - wc)) <= 1e-13 * np.max(np.abs(w))
 
 
 class TestNullVector:

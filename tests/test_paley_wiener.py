@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rktlab._kernels import pw_norm_factor
 from rktlab.errors import DomainError
 from rktlab.paley_wiener import (
     _tail_constants,
@@ -12,8 +13,6 @@ from rktlab.paley_wiener import (
     generating_witness,
     gram_min_eigenvalue,
     kadets_point,
-    pw_kernel_norm_sq,
-    pw_normalization,
     rkt_lower_bound_scan,
     rkt_sum,
     witness_contrast,
@@ -46,21 +45,26 @@ class TestSequence:
         assert sanity.strip_width == 0.0
 
     def test_integer_lattice_separation(self):
-        seq = SamplingSequence.from_points([float(n) for n in range(-5, 6)])
+        seq = SamplingSequence(points=[float(n) for n in range(-5, 6)], n_max=5)
         assert carleson_sanity(seq).separation == 1.0
 
     def test_single_point_convention(self):
-        seq = SamplingSequence.from_points([3.0])
+        seq = SamplingSequence(points=[3.0], n_max=3)
         assert carleson_sanity(seq).separation == math.inf
+
+
+def kernel_norm_sq(lam: complex) -> float:
+    """Squared norm of sinc(pi(. - lam)), the inverse of the normalization."""
+    return 1.0 / pw_norm_factor(complex(lam).imag)
 
 
 class TestKernelNorm:
     def test_real_point(self):
-        assert pw_kernel_norm_sq(1.5) == 1.0
+        assert kernel_norm_sq(1.5) == 1.0
 
     def test_imaginary_unit(self):
         exact = math.sinh(2 * math.pi) / (2 * math.pi)
-        assert pw_kernel_norm_sq(1j) == pytest.approx(exact, rel=1e-13)
+        assert kernel_norm_sq(1j) == pytest.approx(exact, rel=1e-13)
         assert exact == pytest.approx(42.61, rel=1e-3)
 
     def test_l2_integral_oracle(self):
@@ -71,17 +75,17 @@ class TestKernelNorm:
         v = math.pi * lam.imag
         vals = (np.sin(u) ** 2 + math.sinh(v) ** 2) / (u * u + v * v)
         integral = np.trapezoid(vals, xs)
-        assert pw_kernel_norm_sq(lam) == pytest.approx(integral, rel=1e-3)
+        assert kernel_norm_sq(lam) == pytest.approx(integral, rel=1e-3)
 
     def test_small_imaginary_series(self):
         t = 1e-5
         exact = math.sinh(2 * math.pi * t) / (2 * math.pi * t)
-        assert pw_kernel_norm_sq(complex(0, t)) == pytest.approx(exact, rel=1e-12)
+        assert kernel_norm_sq(complex(0, t)) == pytest.approx(exact, rel=1e-12)
 
     def test_decay_profile_bracket(self):
         # frozen: c_lam^2 / ((1+t) e^{-2 pi t}) stays within [0.99, 11.2] on [0, 8]
         for t in np.linspace(0.0, 8.0, 33):
-            c2 = pw_normalization(complex(0, t)) ** 2
+            c2 = pw_norm_factor(t)
             ratio = c2 / ((1.0 + t) * math.exp(-2.0 * math.pi * t))
             assert 0.99 <= ratio <= 11.2
 
@@ -106,7 +110,7 @@ class TestRktSum:
         seq = SamplingSequence.kadets(64)
         for lam in (1.5j, 0.4 + 1.0j, 2.0 - 2.0j):
             b = lam.imag
-            c2 = pw_normalization(lam) ** 2
+            c2 = pw_norm_factor(lam.imag)
             for x in seq.points[:40]:
                 u = math.pi * (x - lam.real)
                 term = c2 * (math.sin(u) ** 2 + math.sinh(math.pi * b) ** 2) / (u * u + (math.pi * b) ** 2)
@@ -239,3 +243,9 @@ class TestGramCrossCheck:
             val = gram_min_eigenvalue(seq, t)
             assert val > 0.05
             prev = val
+
+    def test_integer_lattice_is_orthonormal(self):
+        # with the origin adjoined the points are the integers -16..16, where
+        # the normalized sinc kernels are orthonormal: the Gram is the identity
+        seq = SamplingSequence(points=[float(n) for n in range(-16, 17) if n], n_max=16)
+        assert abs(gram_min_eigenvalue(seq, 16) - 1.0) <= 1e-14
