@@ -461,6 +461,8 @@ def run_pw(doc: dict, quick: bool, seed: int):
     # the tail bound needs n - 1/8 - |Re lambda| > 1
     if n - 0.125 - max(map(abs, scan_spec["re"])) <= 1.0:
         raise ConfigError("config.scan.re", f"must stay more than 1.125 inside the truncation {n}")
+    if max(map(abs, scan_spec["im"])) >= 112.0:
+        raise ConfigError("config.scan.im", "must stay inside |Im| < 112, where sinh(pi Im)^2 overflows")
     gram_truncations = got.get("gram_truncations", [16] if quick else [16, 32, 64])
     for i, t in enumerate(gram_truncations):
         if not 1 <= t <= n:
@@ -474,8 +476,10 @@ def run_pw(doc: dict, quick: bool, seed: int):
         im_range=tuple(scan_spec["im"]),
         resolution=tuple(res),
     )
-    mu_ratio, l2, values, xs = witness_contrast(seq, wit_spec["length"], wit_spec["rate"])
+    mu_ratio, l2, values, spread = witness_contrast(seq, wit_spec["length"], wit_spec["rate"])
+    logger.info("witness extrapolation spread %.3e (refused above 1e-2)", spread)
     fraction = bandlimit_check(values, wit_spec["length"], wit_spec["rate"])
+    tail_ratio = float(np.max((scan.mass - scan.low) / (scan.high - scan.low)))
     sanity = carleson_sanity(seq)
     grams = {}
     for t in gram_truncations:
@@ -488,6 +492,8 @@ def run_pw(doc: dict, quick: bool, seed: int):
         "delta_witness_im": scan.witness.imag,
         "witness_mu_ratio": mu_ratio,
         "witness_l2_norm_sq": l2,
+        "witness_extrapolation_spread": spread,
+        "tail_bound_ratio": tail_ratio,
         "bandlimit_fraction": fraction,
         "separation": sanity.separation,
         "strip_width": sanity.strip_width,
@@ -496,6 +502,8 @@ def run_pw(doc: dict, quick: bool, seed: int):
     checks = [
         Check("kadets-separation", abs(sanity.separation - 0.75) <= 1e-12, f"separation {sanity.separation!r}"),
         Check("kadets-strip-width", sanity.strip_width == 0.0, f"strip width {sanity.strip_width!r}"),
+        Check("sinc-mass-bracket", np.all((scan.low <= scan.mass) & (scan.mass <= scan.high)),
+              f"closed-form mass inside [low, high]; worst exact tail / tail bound {tail_ratio:.3e}"),
     ]
     half = SamplingSequence.kadets(n // 2)
     lam = 0.3 + 0.4j

@@ -8,7 +8,9 @@ generating function divided by z, so kernel-only lower bounds do not extend
 to the whole space here.
 
 All infinite sums and products are truncated symmetrically and reported
-with explicit tail bounds or extrapolation diagnostics.
+with explicit tail bounds or extrapolation diagnostics.  The kernel mass of
+the whole set has a closed form (Mittag-Leffler over two copies of 2Z),
+which gives the partial sums in O(grid) and checks the tail bound.
 """
 
 from __future__ import annotations
@@ -53,9 +55,7 @@ class SamplingSequence:
     def kadets(cls, n_max: int) -> "SamplingSequence":
         if n_max < 1:
             raise DomainError("n_max must be >= 1")
-        idx = np.concatenate([np.arange(-n_max, 0), np.arange(1, n_max + 1)])
-        pts = np.array([kadets_point(int(n)) for n in idx])
-        seq = cls(points=pts, n_max=int(n_max))
+        seq = cls(points=_kernels.kadets_points(int(n_max)), n_max=int(n_max))
         if seq.separation() < 0.75 - 1e-12:
             raise DomainError("perturbed sequence lost its separation")
         return seq
@@ -75,7 +75,7 @@ def _tail_bound(seq: SamplingSequence, a: float, b: float) -> float:
     """Upper bound for the sum of |K_lam(x_n)|^2 over |n| > n_max.
 
     Uses |sin(pi(x - lam))|^2 <= cosh(pi b)^2 and sum 1/(x_n - a)^2 over the
-    tail bounded by the integral 2/(N - 7/8 - |a|).
+    tail bounded by 2/(N - 1/8 - |a|); run_pw's sinc-mass-bracket tests it.
     """
     n = seq.n_max
     denom = n - 0.125 - abs(a)
@@ -103,6 +103,7 @@ class PwScan(NamedTuple):
     im_grid: np.ndarray
     low: np.ndarray  # shape (im, re): certified partial sums
     high: np.ndarray
+    mass: np.ndarray  # closed-form mass of the whole set, inside [low, high]
 
 
 def rkt_lower_bound_scan(
@@ -114,7 +115,7 @@ def rkt_lower_bound_scan(
     """Grid minimum of the kernel mass over a rectangle in the plane.
 
     The reported delta is the minimum of the certified lower ends, i.e. of
-    the partial sums themselves (every term is nonnegative).
+    the partial sums themselves (every term is nonnegative); ``mass`` is the oracle.
     """
     nre, nim = int(resolution[0]), int(resolution[1])
     if nre < 64 or nim < 64:
@@ -125,7 +126,8 @@ def rkt_lower_bound_scan(
     tails = np.array([_tail_bound(seq, float(np.max(np.abs(res))), float(b)) for b in ims])
     high = low + tails[:, None]
     i, j = np.unravel_index(int(np.argmin(low)), low.shape)
-    return PwScan(float(low[i, j]), complex(res[j], ims[i]), res, ims, low, high)
+    mass = _kernels.pw_sinc_mass(res, ims)
+    return PwScan(float(low[i, j]), complex(res[j], ims[i]), res, ims, low, high, mass)
 
 
 class GeneratingWitness(NamedTuple):
@@ -147,26 +149,12 @@ def _pair_products(xs, n_levels):
     return snapshots
 
 
-# B_2i / (2i)! for i = 1..7
-_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
-
-
-def _zeta_tail(s: int, q: int) -> float:
-    """Hurwitz zeta(s, q) = sum_{k >= q} k^-s for s >= 2, q >= 128, by Euler-Maclaurin:
-    q^(1-s)/(s-1) + q^-s/2 + sum_i B_2i/(2i)! (s)_(2i-1) q^(1-s-2i), to 1e-27 relative."""
-    total, rising = q ** (1 - s) / (s - 1) + 0.5 * q**-s, s  # rising = (s)_(2i-1)
-    for i, b in enumerate(_BERNOULLI, 1):
-        total += b * rising * q ** (1 - s - 2 * i)
-        rising *= (s + 2 * i - 1) * (s + 2 * i)
-    return total
-
-
 @lru_cache(maxsize=8)
 def _tail_constants(n: int):
     """x-independent sums over the pair indices k > n >= 256 with m_k = k^2 - 1/64:
     c_p = sum m_k^-p and c_ps = sum s_k m_k^-p (s_k = +1 for even k, -1 for odd
     k), p = 1, 2, 3.  m_k^-p = sum_j C(p+j-1, j) 64^-j k^(-2p-2j) to 2e-19
-    relative at j <= 2, each power summed by _zeta_tail; even k = 2i give
+    relative at j <= 2, each power summed by _kernels._zeta_tail; even k = 2i give
     2^-s zeta(s, n//2 + 1), and c_ps = 2 (sum over even k) - c_p."""
     out = []
     for p in (1, 2, 3):
@@ -174,8 +162,8 @@ def _tail_constants(n: int):
         for j in range(3):
             s = 2 * (p + j)
             c = math.comb(p + j - 1, j) / 64.0**j
-            full += c * _zeta_tail(s, n + 1)
-            even += c * 2.0**-s * _zeta_tail(s, n // 2 + 1)
+            full += c * _kernels._zeta_tail(s, n + 1)
+            even += c * 2.0**-s * _kernels._zeta_tail(s, n // 2 + 1)
         out += [full, 2.0 * even - full]
     return tuple(out)
 
@@ -232,9 +220,10 @@ def generating_witness(seq: SamplingSequence, xs: Sequence[float]) -> Generating
 def witness_contrast(seq: SamplingSequence, length: float = 256.0, rate: int = 8):
     """The two sides of the failure certificate for the witness f = G/z.
 
-    Returns (mu_ratio, l2_norm_sq, values, xs) with
+    Returns (mu_ratio, l2_norm_sq, values, extrapolation_spread) with
     mu_ratio = sum |f(x_n)|^2 / ||f||_{L2(R)}^2, the L2 norm estimated by
-    grid quadrature plus a c/x^2 tail model.
+    grid quadrature plus a c/x^2 tail model, and f on the grid (arange(n) - n//2)/rate,
+    n = length*rate, with the extrapolation spread of generating_witness.
     """
     if seq.n_max < 4 * length:
         raise DomainError(
@@ -252,7 +241,7 @@ def witness_contrast(seq: SamplingSequence, length: float = 256.0, rate: int = 8
     l2 += 2.0 * tail_coeff / (length / 2.0)
     if l2 <= 0.0:
         raise PrecisionError("witness has numerically zero L2 mass")
-    return mu_mass / l2, l2, wit.values, xs
+    return mu_mass / l2, l2, wit.values, wit.extrapolation_spread
 
 
 def bandlimit_check(values: np.ndarray, length: float, rate: int) -> float:

@@ -132,6 +132,10 @@ class TestRunners:
         assert summary["delta"] > 0.0
         assert summary["witness_mu_ratio"] < 1e-6
         assert summary["separation"] == 0.75
+        assert 0.0 < summary["witness_extrapolation_spread"] <= 1e-2
+        assert 0.0 < summary["tail_bound_ratio"] <= 1.0
+        bracket = [c for c in summary["checks"] if c["name"] == "sinc-mass-bracket"]
+        assert bracket[0]["passed"] and f"{summary['tail_bound_ratio']:.3e}" in bracket[0]["detail"]
         header = (out / "pw-counterexample.csv").read_text().splitlines()[0]
         assert header == "re_lambda,im_lambda,rkt_sum_low,rkt_sum_high"
 
@@ -215,6 +219,7 @@ class TestExitCodes:
             (dict(PW_DOC, scan=dict(PW_DOC["scan"], resolution=[32, 64])), "config.scan.resolution"),
             (dict(PW_DOC, scan=dict(PW_DOC["scan"], re=[0.0, 1023.0])), "config.scan.re"),
             (dict(PW_DOC, scan=dict(PW_DOC["scan"], re=[0.0])), "config.scan.re"),
+            (dict(PW_DOC, scan=dict(PW_DOC["scan"], im=[-200.0, 200.0])), "config.scan.im"),
             (dict(PW_DOC, witness={"length": 256.0, "rate": 4}), "config.witness.rate"),
             (dict(PW_DOC, witness={"length": 128.0, "rate": 8}), "config.witness.length"),
             (dict(PW_DOC, gram_truncations=[100000]), "config.gram_truncations[0]"),

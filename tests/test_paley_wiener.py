@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rktlab._kernels import pw_norm_factor
+from rktlab import _kernels
+from rktlab._kernels import kadets_points, pw_norm_factor, pw_rkt_grid, pw_sinc_mass
 from rktlab.errors import DomainError
 from rktlab.paley_wiener import (
+    _tail_bound,
     _tail_constants,
     SamplingSequence,
     bandlimit_check,
@@ -88,6 +90,142 @@ class TestKernelNorm:
             c2 = pw_norm_factor(t)
             ratio = c2 / ((1.0 + t) * math.exp(-2.0 * math.pi * t))
             assert 0.99 <= ratio <= 11.2
+
+
+def pw_rkt_grid_reference(points, res, ims):
+    """The former per-term kernel: every (grid point, sampling point) pair."""
+    u = math.pi * (points[None, :] - res[:, None])
+    uu = u * u
+    s2 = np.sin(u) ** 2
+    out = np.empty((ims.size, res.size))
+    for i in range(ims.size):
+        b = float(ims[i])
+        v = math.pi * b
+        w2 = uu + v * v
+        vals = (s2 + math.sinh(v) ** 2) / np.maximum(w2, 1e-300)
+        small = w2 < 1e-8
+        if small.any():
+            vals[small] = 1.0 - (uu[small] - v * v) / 3.0
+        out[i, :] = pw_norm_factor(b) * vals.sum(axis=1)
+    return out
+
+
+def seeded_pw_grid(seed):
+    """A 128 x 128 scan rectangle placed like the benchmark's seeded pw config."""
+    rng = np.random.default_rng(seed)
+    re0, im_mid = rng.uniform(-60.0, 56.0), rng.uniform(-1.0, 1.0)
+    return np.linspace(re0, re0 + 4.0, 128), np.linspace(im_mid - 2.0, im_mid + 2.0, 128)
+
+
+class TestSincKernel:
+    """pw_rkt_grid (closed-form copy sums less the tails) against the per-term sum."""
+
+    EDGE_IMS = np.array([0.0, 1e-300, -1e-300, 1e-9, -1e-9, 2.0, -2.0])
+
+    @staticmethod
+    def assert_agrees(n, res, ims):
+        pts = kadets_points(n)
+        got, want = pw_rkt_grid(pts, res, ims), pw_rkt_grid_reference(pts, res, ims)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        assert np.argmin(got) == np.argmin(want)
+
+    def test_shipped_grid(self):
+        self.assert_agrees(1024, np.linspace(0.0, 4.0, 128), np.linspace(-2.0, 2.0, 128))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_grid_at_4096(self, seed):
+        self.assert_agrees(4096, *seeded_pw_grid(seed))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_truncation_edge(self, n):
+        a = n - 1.125 - 1e-9
+        self.assert_agrees(n, np.array([a, -a]), self.EDGE_IMS)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_at_sampling_points_and_deleted_point(self, n):
+        pts = kadets_points(n)
+        res = np.concatenate([pts[np.abs(pts) < n - 1.125], [0.125, -0.125, 0.0]])
+        self.assert_agrees(n, res, self.EDGE_IMS)
+
+    def test_against_mpmath(self):
+        # 40-digit sum over the truncation, lambda taken as the exact doubles;
+        # the closed form must be no worse than the per-term sum, or 1e-14
+        mpmath = pytest.importorskip("mpmath")
+        lams = [(64, a, b) for a in (0.0, 0.125, -0.125, 62.875 - 1e-9) for b in (0.0, -0.015748031496062964, 2.0)]
+        lams += [(128, a, b) for a in (0.875, 0.3, -1.7, -(126.875 - 1e-9)) for b in (1e-9, 0.4)]
+        lams += [(1024, a, b) for a in (0.0, 3.9, 60.5, 1022.875 - 1e-9) for b in (-0.015748031496062964,)]
+        assert len(lams) == 24
+        for n, a, b in lams:
+            pts = kadets_points(n)
+            with mpmath.workdps(40):
+                lam, bb = mpmath.mpc(a, b), mpmath.mpf(b)
+                c2 = 2 * mpmath.pi * abs(bb) / mpmath.sinh(2 * mpmath.pi * abs(bb)) if b else 1
+                want = c2 * sum(abs(mpmath.sinc(mpmath.pi * (mpmath.mpf(float(x)) - lam))) ** 2 for x in pts)
+            got = pw_rkt_grid(pts, np.array([a]), np.array([b]))[0, 0]
+            ref = pw_rkt_grid_reference(pts, np.array([a]), np.array([b]))[0, 0]
+            err, ref_err = float(abs(got - want) / want), float(abs(ref - want) / want)
+            assert err <= max(ref_err, 1e-14), (n, a, b, err, ref_err)
+
+    def test_conjugate_rows_bitwise_equal(self):
+        ims = np.array([1e-300, -1e-300, 0.015748031496062964, -0.015748031496062964, 1.3, -1.3])
+        out = pw_rkt_grid(kadets_points(1024), np.linspace(-3.0, 5.0, 97), ims)
+        assert np.array_equal(out[0::2], out[1::2])
+
+    def test_shipped_witness_unchanged(self):
+        scan = rkt_lower_bound_scan(SamplingSequence.kadets(1024))
+        assert scan.witness == complex(0.0, -0.015748031496062964)
+
+    def test_mass_brackets_the_reference(self):
+        # the whole set's closed-form mass lies between the per-term partial
+        # sum and the partial sum plus the tail bound
+        seq = SamplingSequence.kadets(1024)
+        res, ims = np.linspace(-4.0, 4.0, 33), np.linspace(-2.0, 2.0, 33)
+        low = pw_rkt_grid_reference(seq.points, res, ims)
+        tails = np.array([_tail_bound(seq, 4.0, b) for b in ims])[:, None]
+        mass = pw_sinc_mass(res, ims)
+        assert np.all((low <= mass) & (mass <= low + tails))
+
+    @pytest.mark.parametrize(
+        "points",
+        [kadets_points(64)[1:], kadets_points(64) + 1e-15, np.arange(-64.0, 65.0)[np.arange(-64, 65) != 0]],
+        ids=["odd-length", "shifted", "integers"],
+    )
+    def test_refuses_other_points(self, points):
+        with pytest.raises(DomainError):
+            pw_rkt_grid(points, np.array([0.3]), np.array([0.0]))
+
+    @pytest.mark.parametrize("re,im", [(64.0, 0.0), (-64.5, 0.0), (0.3, 112.0), (0.3, np.nan)])
+    def test_refuses_lambda_out_of_range(self, re, im):
+        with pytest.raises(DomainError):
+            pw_rkt_grid(kadets_points(64), np.array([re]), np.array([im]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+    def test_kadets_points_bit_identical(self, n):
+        idx = [k for k in range(-n, n + 1) if k]
+        assert np.array_equal(kadets_points(n), np.array([kadets_point(k) for k in idx]))
+        assert np.array_equal(SamplingSequence.kadets(n).points, kadets_points(n))
+
+    @pytest.mark.parametrize("s", [2, 4, 12, 22])
+    def test_zeta_tail_real_q(self, s):
+        # real and array q against a 60-digit reference (200 terms summed, then
+        # Euler-Maclaurin with 11 Bernoulli terms; mpmath.zeta itself is off
+        # by up to 4e-13 here at large s and q); the error must stay within the
+        # first omitted term, 7.1 (s-1) (s)_15/16! q^-16 relative, or rounding
+        mpmath = pytest.importorskip("mpmath")
+        qs = np.array([16.0, 16.4375, 100.3, 5000.7])
+        got = _kernels._zeta_tail(s, qs)
+        for q, g in zip(qs, got):
+            with mpmath.workdps(60):
+                q0 = mpmath.mpf(float(q))
+                want, q1, rising = sum((k + q0) ** -s for k in range(200)), q0 + 200, s
+                want += q1 ** (1 - s) / (s - 1) + q1**-s / 2
+                for i in range(1, 12):
+                    want += mpmath.bernoulli(2 * i) / mpmath.factorial(2 * i) * rising * q1 ** (1 - s - 2 * i)
+                    rising *= (s + 2 * i - 1) * (s + 2 * i)
+                want = float(want)
+            bound = 7.1 * (s - 1) * math.prod(range(s, s + 15)) / math.factorial(16) * q**-16
+            assert abs(g - want) <= (bound + 1e-15) * want
+            assert _kernels._zeta_tail(s, float(q)) == g
 
 
 class TestRktSum:
@@ -180,10 +318,11 @@ class TestWitness:
 
     def test_contrast_pair(self):
         seq = SamplingSequence.kadets(1024)
-        ratio, l2, values, xs = witness_contrast(seq)
+        ratio, l2, values, spread = witness_contrast(seq)
         assert ratio < 1e-6
         assert l2 > 0.1
         assert bandlimit_check(values, 256.0, 8) < 0.05
+        assert 0.0 < spread <= 1e-2
 
     def test_truncation_floor(self):
         with pytest.raises(DomainError):
