@@ -219,13 +219,13 @@ class TestExitCodes:
             (dict(PW_DOC, scan=dict(PW_DOC["scan"], resolution=[32, 64])), "config.scan.resolution"),
             (dict(PW_DOC, scan=dict(PW_DOC["scan"], re=[0.0, 1023.0])), "config.scan.re"),
             (dict(PW_DOC, scan=dict(PW_DOC["scan"], re=[0.0])), "config.scan.re"),
-            (dict(PW_DOC, scan=dict(PW_DOC["scan"], im=[-200.0, 200.0])), "config.scan.im"),
             (dict(PW_DOC, witness={"length": 256.0, "rate": 4}), "config.witness.rate"),
             (dict(PW_DOC, witness={"length": 128.0, "rate": 8}), "config.witness.length"),
             (dict(PW_DOC, gram_truncations=[100000]), "config.gram_truncations[0]"),
             (dict(PW_DOC, gram_truncations=[16, 0]), "config.gram_truncations[1]"),
             (dict(PHIH_DOC, h_exponents=[3, 17]), "config.h_exponents[1]"),
             (dict(WINDOWS_DOC, max_depth=17), "config.max_depth"),
+            (dict(PW_DOC, scan=dict(PW_DOC["scan"], im=[-200.0, 200.0])), "config.scan.im"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
