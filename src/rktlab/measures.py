@@ -73,15 +73,11 @@ def carleson_window(arc: Arc) -> CarlesonWindow:
     return CarlesonWindow(arc, min(arc.length, 1.0))
 
 
-def _overlap_on_circle(start: float, length: float, a: float, b: float) -> float:
-    """Length of the intersection of the arc [start, start+length] with the
-    fixed (non-wrapped) angular interval [a, b]."""
-    w = b - a
-    d0 = wrap_angle(start - a)
-    total = max(0.0, min(d0 + length, w) - d0)
-    d1 = d0 - TWO_PI
-    total += max(0.0, min(d1 + length, w) - max(d1, 0.0))
-    return total
+def _wrap(t: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` over an array, with the same float operations."""
+    t = np.fmod(t, TWO_PI)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    return np.where(t == TWO_PI, 0.0, t)
 
 
 @dataclass(frozen=True)
@@ -126,27 +122,23 @@ class BoundaryDensity:
         idx = np.clip(idx, 0, self.values.size - 1)
         return self.values[idx]
 
-    def _cumulative(self, x: float) -> float:
-        """Integral from breakpoints[0] to x, with x in [bp0, bp0 + 2*pi]."""
+    def integrals(self, starts: np.ndarray, length: float) -> np.ndarray:
+        """Exact integrals of the density over the arcs [start, start+length],
+        0 < length <= 2*pi."""
         edges = self._extended()
-        j = int(np.searchsorted(edges, x, side="right")) - 1
-        j = min(max(j, 0), self.values.size - 1)
-        widths = np.diff(edges[: j + 1]) if j > 0 else np.array([])
-        head = float(np.dot(widths, self.values[:j])) if j > 0 else 0.0
-        return head + float(self.values[j]) * (x - float(edges[j]))
+        v = self.values
+        # head[j] integrates the pieces below piece j
+        head = np.array([float(np.dot(np.diff(edges[: j + 1]), v[:j])) if j > 0 else 0.0 for j in range(v.size)])
 
-    def integral(self, start: float, length: float) -> float:
-        """Exact integral of the density over the arc [start, start+length]."""
-        if length <= 0.0:
-            return 0.0
-        length = min(length, TWO_PI)
+        def cumulative(x):  # integral from breakpoints[0] to x in [bp0, bp0 + 2*pi]
+            j = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, v.size - 1)
+            return head[j] + v[j] * (x - edges[j])
+
         bp0 = float(self.breakpoints[0])
-        a = wrap_angle(start - bp0) + bp0
+        a = _wrap(starts - bp0) + bp0
         b = a + length
-        hi = bp0 + TWO_PI
-        if b <= hi:
-            return self._cumulative(b) - self._cumulative(a)
-        return self.total() - self._cumulative(a) + self._cumulative(b - TWO_PI)
+        cum_a = cumulative(a)
+        return np.where(b > bp0 + TWO_PI, self.total() - cum_a + cumulative(b - TWO_PI), cumulative(b) - cum_a)
 
     def total(self) -> float:
         edges = self._extended()
@@ -197,18 +189,20 @@ class AreaDensity:
                 if v[i, j] > 0.0:
                     yield float(rb[i]), float(rb[i + 1]), float(ab[j]), float(ab[j + 1]), float(v[i, j])
 
-    def sector_mass(self, r_lo: float, r_hi: float, arc: Arc) -> float:
-        """Exact mass of {r_lo <= |z| <= r_hi, arg z in arc}."""
-        total = 0.0
+    def sector_masses(self, r_lo: np.ndarray, starts: np.ndarray, length: float) -> np.ndarray:
+        """Exact masses of {r_lo <= |z| <= 1, arg z in [start, start+length]}
+        (r_lo and starts of one shape)."""
+        total = np.zeros(starts.shape)
         for c_rlo, c_rhi, c_alo, c_ahi, val in self.cells():
-            lo = max(r_lo, c_rlo)
-            hi = min(r_hi, c_rhi)
-            if hi <= lo:
-                continue
-            ang = _overlap_on_circle(arc.start, arc.length, c_alo, c_ahi)
-            if ang <= 0.0:
-                continue
-            total += val * 0.5 * (hi * hi - lo * lo) * ang
+            lo = np.maximum(r_lo, c_rlo)
+            hi = min(1.0, c_rhi)
+            # overlap of each arc with the fixed interval [c_alo, c_ahi]
+            w = c_ahi - c_alo
+            d0 = _wrap(starts - c_alo)
+            ang = np.maximum(0.0, np.minimum(d0 + length, w) - d0)
+            d1 = d0 - TWO_PI
+            ang += np.maximum(0.0, np.minimum(d1 + length, w) - np.maximum(d1, 0.0))
+            np.add(total, val * 0.5 * (hi * hi - lo * lo) * ang, out=total, where=(hi > lo) & (ang > 0.0))
         return total
 
 
@@ -236,28 +230,41 @@ class Measure:
         return any(abs(z) >= 1.0 - _BOUNDARY_ATOM_TOL for z, _ in self.atoms)
 
 
-def window_mass(mu: Measure, w: CarlesonWindow) -> float:
-    """mu(S_{I,h}): atoms in the closed window, plus the boundary-density
-    integral over I, plus the area-density mass of the annular sector.
+def window_masses(mu: Measure, centers, length: float, depths) -> np.ndarray:
+    """mu(S_{I,h}) for the arcs I of one length around each centre, at one
+    depth or one depth per centre: atoms in the closed window, plus the
+    boundary-density integral over I, plus the area-density mass of the
+    annular sector.
 
     Additivity over a partition of I holds exactly provided no atom sits
     on a shared subarc endpoint (the windows are closed sets).
     """
-    r_lo = 1.0 - w.depth
-    total = mu.boundary.integral(w.arc.start, w.arc.length)
+    centers, depths = np.broadcast_arrays(np.asarray(centers, dtype=float), np.asarray(depths, dtype=float))
+    if not 0.0 < length <= TWO_PI + 1e-12 or not np.all(np.isfinite(centers) & (depths > 0.0) & (depths <= 1.0)):
+        raise DomainError("windows need finite centres, length in (0, 2*pi] and depths in (0, 1]")
+    length = min(float(length), TWO_PI)
+    centers = _wrap(centers)
+    starts = _wrap(centers - 0.5 * length)
+    r_lo = 1.0 - depths
+    total = mu.boundary.integrals(starts, length)
     for z, mass in mu.atoms:
         az = abs(z)
         if az == 0.0:
             # z/|z| is undefined at the origin; it belongs to the window
             # only when the window is the whole closed disk
-            if r_lo <= 0.0 and w.arc.length >= TWO_PI - 1e-15:
-                total += mass
-            continue
-        if az >= r_lo and w.arc.contains(math.atan2(z.imag, z.real)):
-            total += mass
+            inside = (r_lo <= 0.0) & (length >= TWO_PI - 1e-15)
+        else:
+            dist = np.abs(_wrap(math.atan2(z.imag, z.real) - centers + math.pi) - math.pi)
+            inside = (az >= r_lo) & (dist <= 0.5 * length)
+        np.add(total, mass, out=total, where=inside)
     if mu.area is not None:
-        total += mu.area.sector_mass(r_lo, 1.0, w.arc)
+        total = total + mu.area.sector_masses(r_lo, starts, length)
     return total
+
+
+def window_mass(mu: Measure, w: CarlesonWindow) -> float:
+    """mu(S_{I,h}) of one window (see ``window_masses``)."""
+    return float(window_masses(mu, [w.arc.center], w.arc.length, w.depth)[0])
 
 
 class WindowScan(NamedTuple):
@@ -281,14 +288,9 @@ def window_infimum_scan(mu: Measure, max_depth: int) -> WindowScan:
     for g in range(1, max_depth + 1):
         length = TWO_PI * 2.0**-g
         centers = 0.5 * length * (1.0 + np.arange(2 ** (g + 1)))
-        gen_best = math.inf
-        gen_witness = None
-        for c in centers:
-            arc = Arc(float(c), length)
-            ratio = window_mass(mu, carleson_window(arc)) / length
-            if ratio < gen_best:
-                gen_best = ratio
-                gen_witness = arc
+        ratios = window_masses(mu, centers, length, carleson_window(Arc(0.0, length)).depth) / length
+        i = int(np.argmin(ratios))  # the first minimum, as a strict-< loop finds it
+        gen_best, gen_witness = float(ratios[i]), Arc(float(centers[i]), length)
         table.append((g, gen_best, gen_witness))
         if gen_best < best:
             best = gen_best
@@ -323,7 +325,7 @@ def refine_window_to_arc(mu: Measure, arc: Arc, depths: Sequence[float]) -> np.n
         raise DomainError("depths must lie in (0, 1]")
     if d[-1] < 2.0**-24:
         raise DomainError("depths below 2^-24 exceed the supported resolution")
-    return np.array([window_mass(mu, CarlesonWindow(arc, float(h))) for h in d])
+    return window_masses(mu, [arc.center], arc.length, d)
 
 
 # ---------------------------------------------------------------------------

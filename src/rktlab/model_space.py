@@ -302,8 +302,7 @@ def witness_function(sys: PerturbedSystem) -> Witness:
     except DegenerateSystemError as exc:  # distinct points: cannot happen
         raise DegenerateSystemError(f"evaluation system degenerate: {exc}") from exc
     f = ModelSpaceFunction(sys.basis, coeffs)
-    vals = sys.basis.eval_matrix(sys.xi_points) @ coeffs
-    mu_norm_sq = float(np.sum(sys.masses * np.abs(vals) ** 2))
+    mu_norm_sq = float(np.sum(sys.masses * np.abs(rows @ f.coeffs) ** 2))
     return Witness(f, mu_norm_sq, f(sys.zeta0))
 
 
@@ -335,13 +334,18 @@ def phi(sys: PerturbedSystem, z) -> np.ndarray:
 def psi(sys: PerturbedSystem, delta: float, grid: DiskGrid) -> float:
     """Grid supremum of phi over the disk minus the ball |z - zeta0| < delta
     (the origin included)."""
+    zs = np.concatenate([[0.0 + 0.0j], grid.points()])
+    return psi_from_values(zs, np.asarray(phi(sys, zs)), sys.zeta0, delta)
+
+
+def psi_from_values(zs: np.ndarray, phi_vals: np.ndarray, zeta0: complex, delta: float) -> float:
+    """Supremum of phi_vals over the points zs outside the ball |z - zeta0| < delta."""
     if delta <= 0.0:
         raise DomainError("delta must be positive")
-    zs = np.concatenate([[0.0 + 0.0j], grid.points()])
-    mask = np.abs(zs - sys.zeta0) >= delta
+    mask = np.abs(zs - zeta0) >= delta
     if not np.any(mask):
         raise DomainError("delta excludes the entire grid")
-    return float(np.max(phi(sys, zs[mask])))
+    return float(np.max(phi_vals[mask]))
 
 
 class RieszBounds(NamedTuple):
@@ -370,7 +374,7 @@ class ModelScan(NamedTuple):
 def rkt_model_scan(sys: PerturbedSystem, grid: DiskGrid) -> ModelScan:
     """Grid minimum of ||K_z||^2_{L2(mu)} = sum_{n>=1} |<K_z, K_xi_n>|^2 over
     the origin and the grid, with the phi profile alongside for the
-    decomposition identity."""
+    decomposition identity and for psi (``psi_from_values``)."""
     zs = np.concatenate([[0.0 + 0.0j], grid.points()])
     coords = clark_kernel_coords(sys.basis, zs)
     u = sys.xi_coords()

@@ -134,6 +134,8 @@ class TestRunners:
         assert summary["separation"] == 0.75
         assert 0.0 < summary["witness_extrapolation_spread"] <= 1e-2
         assert 0.0 < summary["tail_bound_ratio"] <= 1.0
+        vanish = [c for c in summary["checks"] if c["name"] == "witness-vanishes-on-sequence"]
+        assert vanish[0]["passed"] and "|x_n| <= 128.0" in vanish[0]["detail"]
         bracket = [c for c in summary["checks"] if c["name"] == "sinc-mass-bracket"]
         assert bracket[0]["passed"] and f"{summary['tail_bound_ratio']:.3e}" in bracket[0]["detail"]
         header = (out / "pw-counterexample.csv").read_text().splitlines()[0]
@@ -146,6 +148,9 @@ class TestRunners:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rkt_delta"] > 0.0
         assert summary["witness_ratio"] <= 1e-12
+        assert summary["witness_abs_at_zeta0"] >= 1e-6 * 8**0.5  # |Theta'| = 8 on the circle for z^8
+        checks = {c["name"]: c["passed"] for c in summary["checks"]}
+        assert checks["witness-nonzero-at-deleted-point"] and checks["kernel-formula-consistency"]
         assert summary["eta"] < 0.5
         assert summary["sublevel_components"] == 1
         # every critical value of z^8 is 0, so no eps-margin is finite
@@ -226,6 +231,9 @@ class TestExitCodes:
             (dict(PHIH_DOC, h_exponents=[3, 17]), "config.h_exponents[1]"),
             (dict(WINDOWS_DOC, max_depth=17), "config.max_depth"),
             (dict(PW_DOC, scan=dict(PW_DOC["scan"], im=[-200.0, 200.0])), "config.scan.im"),
+            (dict(T2_DOC, grid={"rings": 129, "angles": 128}), "config.grid.rings"),
+            (dict(T2_DOC, grid={"rings": 16, "angles": 2049}), "config.grid.angles"),
+            (dict(T2_DOC, zeros=[{"re": 0.0, "im": 0.0}] * 33), "config.zeros"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):

@@ -21,8 +21,9 @@ from rktlab.measures import (
     upper_half_arclength,
     window_infimum_scan,
     window_mass,
+    window_masses,
 )
-from rktlab.numerics import TWO_PI
+from rktlab.numerics import TWO_PI, wrap_angle
 
 
 def oracle_window_mass(mu: Measure, w: CarlesonWindow) -> float:
@@ -51,6 +52,139 @@ def oracle_window_mass(mu: Measure, w: CarlesonWindow) -> float:
             ang_len = float(np.sum(inside)) * (a1 - a0) / 20_000
             total += val * 0.5 * (rhi**2 - rlo**2) * ang_len
     return total
+
+
+# --- the former one-window-per-call path, kept as the bit-identity reference
+
+
+def reference_cumulative(bd: BoundaryDensity, x: float) -> float:
+    edges = np.concatenate([bd.breakpoints, [bd.breakpoints[0] + TWO_PI]])
+    j = int(np.searchsorted(edges, x, side="right")) - 1
+    j = min(max(j, 0), bd.values.size - 1)
+    widths = np.diff(edges[: j + 1]) if j > 0 else np.array([])
+    head = float(np.dot(widths, bd.values[:j])) if j > 0 else 0.0
+    return head + float(bd.values[j]) * (x - float(edges[j]))
+
+
+def reference_integral(bd: BoundaryDensity, start: float, length: float) -> float:
+    length = min(length, TWO_PI)
+    bp0 = float(bd.breakpoints[0])
+    a = wrap_angle(start - bp0) + bp0
+    b = a + length
+    if b <= bp0 + TWO_PI:
+        return reference_cumulative(bd, b) - reference_cumulative(bd, a)
+    return bd.total() - reference_cumulative(bd, a) + reference_cumulative(bd, b - TWO_PI)
+
+
+def reference_overlap(start: float, length: float, a: float, b: float) -> float:
+    w = b - a
+    d0 = wrap_angle(start - a)
+    total = max(0.0, min(d0 + length, w) - d0)
+    d1 = d0 - TWO_PI
+    total += max(0.0, min(d1 + length, w) - max(d1, 0.0))
+    return total
+
+
+def reference_window_mass(mu: Measure, w: CarlesonWindow) -> float:
+    r_lo = 1.0 - w.depth
+    total = reference_integral(mu.boundary, w.arc.start, w.arc.length)
+    for z, mass in mu.atoms:
+        az = abs(z)
+        if az == 0.0:
+            if r_lo <= 0.0 and w.arc.length >= TWO_PI - 1e-15:
+                total += mass
+            continue
+        if az >= r_lo and w.arc.contains(math.atan2(z.imag, z.real)):
+            total += mass
+    if mu.area is not None:
+        area = 0.0
+        for c_rlo, c_rhi, c_alo, c_ahi, val in mu.area.cells():
+            lo, hi = max(r_lo, c_rlo), min(1.0, c_rhi)
+            if hi <= lo:
+                continue
+            ang = reference_overlap(w.arc.start, w.arc.length, c_alo, c_ahi)
+            if ang <= 0.0:
+                continue
+            area += val * 0.5 * (hi * hi - lo * lo) * ang
+        total += area
+    return total
+
+
+def reference_scan(mu: Measure, max_depth: int):
+    """(best, witness, table, masses per generation) by the per-window loop."""
+    best, witness, table, masses = math.inf, None, [], []
+    for g in range(1, max_depth + 1):
+        length = TWO_PI * 2.0**-g
+        gen_best, gen_witness, gen_masses = math.inf, None, []
+        for c in 0.5 * length * (1.0 + np.arange(2 ** (g + 1))):
+            arc = Arc(float(c), length)
+            gen_masses.append(reference_window_mass(mu, carleson_window(arc)))
+            if gen_masses[-1] / length < gen_best:
+                gen_best, gen_witness = gen_masses[-1] / length, arc
+        table.append((g, gen_best, gen_witness))
+        masses.append(np.array(gen_masses))
+        if gen_best < best:
+            best, witness = gen_best, gen_witness
+    return best, witness, tuple(table), masses
+
+
+# window endpoints of every generation sit at multiples of 2*pi*2^-13
+_dyadic_angle = st.integers(0, 2**13 - 1).map(lambda k: k * TWO_PI * 2.0**-13)
+_angle = st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), _dyadic_angle)
+# atoms at the origin, on the circle and on the axes, whose atan2 angles
+# 0, +-pi/2 and pi are window endpoints from generation 2 on
+_atom = st.tuples(
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([1.0, 1j, -1.0, -1j]), _angle.map(lambda t: complex(math.cos(t), math.sin(t)))),
+    st.floats(1e-3, 2.0),
+).map(lambda t: (t[0] * t[1], t[2]))
+_breakpoints = st.lists(
+    st.one_of(st.just(0.0), st.just(float(np.nextafter(TWO_PI, 0.0))), st.just(TWO_PI - 1e-9), _angle),
+    min_size=1,
+    max_size=6,
+    unique=True,
+).map(sorted)
+
+
+@st.composite
+def measures(draw):
+    bp = draw(_breakpoints)
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=len(bp), max_size=len(bp)))
+    area = None
+    if draw(st.booleans()):
+        rb = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4, unique=True).map(sorted))
+        a0 = draw(st.one_of(st.just(0.0), st.floats(-TWO_PI, TWO_PI)))
+        ab = [a0] + sorted(draw(st.lists(st.floats(1e-3, TWO_PI), min_size=1, max_size=3, unique=True)))
+        ab = [a0] + [a0 + x for x in ab[1:]]
+        vals = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=(len(rb) - 1) * (len(ab) - 1),
+                             max_size=(len(rb) - 1) * (len(ab) - 1)))
+        area = AreaDensity(np.array(rb), np.array(ab), np.array(vals).reshape(len(rb) - 1, len(ab) - 1))
+    atoms = tuple(draw(st.lists(_atom, max_size=4)))
+    return Measure(atoms=atoms, boundary=BoundaryDensity(np.array(bp), np.array(values)), area=area)
+
+
+class TestWindowScanBitIdentical:
+    """The array scan repeats the per-window loop's float operations exactly."""
+
+    @given(mu=measures(), max_depth=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_scan_matches_per_window_loop(self, mu, max_depth):
+        best, witness, table, masses = reference_scan(mu, max_depth)
+        for g, ref in enumerate(masses, start=1):
+            length = TWO_PI * 2.0**-g
+            centers = 0.5 * length * (1.0 + np.arange(2 ** (g + 1)))
+            assert np.array_equal(window_masses(mu, centers, length, min(length, 1.0)), ref)
+        scan = window_infimum_scan(mu, max_depth)
+        assert (scan.ratio, scan.witness, scan.table) == (best, witness, table)
+
+    @given(mu=measures(), center=_angle, length=st.floats(1e-3, TWO_PI),
+           depths=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_single_windows_and_depth_lists(self, mu, center, length, depths):
+        arc = Arc(center, length)
+        ref = np.array([reference_window_mass(mu, CarlesonWindow(arc, h)) for h in depths])
+        assert np.array_equal(window_masses(mu, [center], length, depths), ref)
+        assert window_mass(mu, CarlesonWindow(arc, depths[0])) == ref[0]
 
 
 class TestArc:

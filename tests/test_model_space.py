@@ -12,6 +12,7 @@ from scipy import ndimage
 from scipy.optimize import brentq
 
 import rktlab
+from rktlab.cli import run_theorem2
 from rktlab.errors import DomainError, PrecisionError
 from rktlab.model_space import (
     BlaschkeProduct,
@@ -355,6 +356,15 @@ class TestWitness:
             assert witness_ratio(sys_, wit.function) <= 1e-24
             assert wit.function.norm() == pytest.approx(1.0, abs=1e-12)
 
+    def test_ratio_from_witness_mass_bit_identical(self):
+        # the runner takes the ratio from Witness.mu_norm_sq instead of
+        # evaluating the witness on the retained points again
+        rng = np.random.default_rng(12)
+        for n in (2, 5, 8):
+            sys_ = build_theorem2_measure(random_blaschke(rng, n), 1.0)
+            wit = witness_function(sys_)
+            assert wit.mu_norm_sq / wit.function.norm() ** 2 == witness_ratio(sys_, wit.function)
+
 
 class TestPhi:
     def test_radial_limit_reaches_one(self):
@@ -407,6 +417,28 @@ class TestPsi:
         val = psi(sys_, 0.2, grid)
         assert val < 1.0 - 0.19
         assert val == pytest.approx(0.8023247388810879, rel=1e-9)
+
+    def test_runner_psi_bit_identical(self):
+        # the runner reads psi off the scan's phi profile; both it and psi()
+        # must equal the sup of phi evaluated on the kept points alone
+        rng = np.random.default_rng(13)
+        for k in range(4):
+            zeros = random_blaschke(rng, 8, rmax=0.9).zeros
+            doc = {
+                "kind": "theorem2",
+                "zeros": [{"re": float(z.real), "im": float(z.imag)} for z in zeros],
+                "alpha_angle": float(rng.uniform(0, TWO_PI)),
+                "grid": {"rings": 16, "angles": 128},
+                "delta_list": [0.05, 0.1, 0.2, 0.4, 1.5],
+            }
+            summary = run_theorem2(doc, quick=False, seed=k)[0]
+            sys_ = build_theorem2_measure(BlaschkeProduct(zeros), complex(np.exp(1j * doc["alpha_angle"])))
+            grid = DiskGrid.geometric(16, 128)
+            zs = np.concatenate([[0j], grid.points()])
+            for d in doc["delta_list"]:
+                kept = zs[np.abs(zs - sys_.zeta0) >= d]
+                former = float(np.max(phi(sys_, kept)))
+                assert summary["psi"][str(d)] == psi(sys_, d, grid) == former
 
     def test_strict_gap_for_random_product(self):
         rng = np.random.default_rng(10)
