@@ -168,10 +168,6 @@ def _arc_spec(v, path):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _grid_spec(v, path):
-    return _check_fields(v, path, {"rings": (True, _int_in(1)), "angles": (True, _int_in(1))})
-
-
 #: Fields every experiment kind accepts.
 _COMMON_FIELDS = {"kind": (True, lambda v, p: v), "seed": (False, _integer)}
 
@@ -270,7 +266,10 @@ def run_windows(doc: dict, quick: bool, seed: int):
     }
     if "refine_arc" in got:
         depths = got.get("refine_depths", [2.0**-k for k in range(1, 9)])
-        masses = refine_window_to_arc(mu, got["refine_arc"], depths)
+        try:
+            masses = refine_window_to_arc(mu, got["refine_arc"], depths)
+        except DomainError as exc:
+            raise ConfigError("config.refine_depths", str(exc)) from exc
         summary["refine_depths"] = list(map(float, depths))
         summary["refine_masses"] = [float(m) for m in masses]
     rows = [(g, float(ratio), arc.center, arc.length) for g, ratio, arc in scan.table]
@@ -305,8 +304,9 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
             **_COMMON_FIELDS,
             "measure": (True, _measure_spec),
             "p": (True, _number),
-            "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1))})),
-            "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1)), "max_degree": (True, _int_in(0))})),
+            # the largest grid with the largest family runs in about 22 s and 45 MiB
+            "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1, 512))})),
+            "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1, 1000)), "max_degree": (True, _int_in(0, 256))})),
         },
     )
     mu = got["measure"]
@@ -357,7 +357,8 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
             "arc": (True, _arc_spec),
             "p": (True, _number),
             "h_exponents": (True, _list_of(_int_in(1, 16), "integers")),
-            "sup_grid": (False, _grid_spec),
+            # 16 depths on the largest grid run in about 25 s and 95 MiB
+            "sup_grid": (False, lambda v, p: _check_fields(v, p, {"rings": (True, _int_in(1, 32)), "angles": (True, _int_in(1, 256))})),
         },
     )
     arc = got["arc"]
@@ -420,7 +421,8 @@ def run_pw(doc: dict, quick: bool, seed: int):
         "config",
         {
             **_COMMON_FIELDS,
-            "truncation": (True, _integer),
+            # at every cap together (8 Gram solves of size 2,049) a run takes about 18 s and 250 MiB
+            "truncation": (True, _int_in(1, 16384)),
             "scan": (
                 False,
                 lambda v, p: _check_fields(
@@ -429,21 +431,22 @@ def run_pw(doc: dict, quick: bool, seed: int):
                     {
                         "re": (True, _number_list),
                         "im": (True, _number_list),
-                        "resolution": (True, _list_of(_int_in(64), "integers")),
+                        "resolution": (True, _list_of(_int_in(64, 512), "integers")),
                     },
                 ),
             ),
             "witness": (
                 False,
-                lambda v, p: _check_fields(v, p, {"length": (True, _number), "rate": (True, _int_in(8))}),
+                lambda v, p: _check_fields(v, p, {"length": (True, _number), "rate": (True, _int_in(8, 32))}),
             ),
-            "gram_truncations": (False, _list_of(_integer, "integers")),
+            "gram_truncations": (False, _list_of(_int_in(1, 1024), "integers")),
         },
     )
     n = got["truncation"]
     wit_spec = got.get("witness", {"length": 256.0, "rate": 8})
-    if wit_spec["length"] < 256.0:
-        raise ConfigError("config.witness.length", "must be >= 256")
+    # past length ~700 the partial products overflow near |x| = length/2
+    if not 256.0 <= wit_spec["length"] <= 512.0:
+        raise ConfigError("config.witness.length", "must lie in [256, 512]")
     if n < 4 * wit_spec["length"]:
         raise ConfigError(
             "config.truncation",
@@ -460,8 +463,10 @@ def run_pw(doc: dict, quick: bool, seed: int):
     if max(map(abs, scan_spec["im"])) >= 112.0:
         raise ConfigError("config.scan.im", "must stay inside |Im| < 112, where sinh(pi Im)^2 overflows")
     gram_truncations = got.get("gram_truncations", [16] if quick else [16, 32, 64])
+    if len(gram_truncations) > 8:
+        raise ConfigError("config.gram_truncations", "expected at most 8 entries")
     for i, t in enumerate(gram_truncations):
-        if not 1 <= t <= n:
+        if t > n:
             raise ConfigError(f"config.gram_truncations[{i}]", f"must lie in 1..truncation = {n}")
     if quick:
         res = [min(res[0], 64), min(res[1], 64)]

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, PrecisionWarning
+from .errors import DomainError, EvaluationError, PrecisionWarning
 from .measures import Arc, Measure
 from .numerics import (
     RADIAL_CAP,
@@ -112,12 +112,9 @@ def _kernel_rule(lam: complex, breakpoints=()) -> CircleQuadrature:
     )
 
 
-def _kernel_pth_mean(lam: complex, cfg: HardyConfig) -> float:
-    """integral of |k_lam|^p d(theta)/(2*pi) by the peak-refined rule."""
-    rule = _kernel_rule(lam)
-    r = abs(lam)
-    phi = math.atan2(lam.imag, lam.real)
-    return _kernels.kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, cfg.p) / TWO_PI
+def _kernel_pth_mean(rule: CircleQuadrature, r: float, phi: float, p: float) -> float:
+    """integral of |k_lam|^p d(theta)/(2*pi) by a peak-refined rule of lam."""
+    return _kernels.kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI
 
 
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
@@ -132,21 +129,25 @@ def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
             "the quadrature is reported at reduced confidence",
             PrecisionWarning,
         )
-    return _kernel_pth_mean(lam, cfg) ** (1.0 / cfg.p)
+    phi = math.atan2(lam.imag, lam.real)
+    return _kernel_pth_mean(_kernel_rule(lam), r, phi, cfg.p) ** (1.0 / cfg.p)
+
+
+def _nearest_on_arc(angle: float, lo: float, hi: float) -> float:
+    """The point of the arc [lo, hi] nearest the angle (lifted into [lo, hi])."""
+    off = wrap_angle(angle - lo)
+    width = hi - lo
+    if off <= width:
+        return lo + off
+    return hi if (off - width) < (TWO_PI - off) else lo
 
 
 def _polar_cell_nodes(r0, r1, a0, a1, peak_angle, scale, nodes=8):
     """Product Gauss-Legendre nodes on the polar cell [r0,r1] x [a0,a1],
     graded angularly toward peak_angle and radially toward the outer edge."""
     r_edges = _graded_edges(r0, r1, r1, max(scale, (r1 - r0) / 32.0))
-    # map the peak into the angular interval (or to its nearest endpoint)
-    off = wrap_angle(peak_angle - a0)
-    width = a1 - a0
-    if off <= width:
-        attract = a0 + off
-    else:
-        attract = a1 if (off - width) < (TWO_PI - off) else a0
-    a_edges = _graded_edges(a0, a1, attract, max(scale, min(width, math.pi / 16)))
+    attract = _nearest_on_arc(peak_angle, a0, a1)
+    a_edges = _graded_edges(a0, a1, attract, max(scale, min(a1 - a0, math.pi / 16)))
     rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], nodes)
     ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], nodes)
     rho = np.repeat(rs, ts.size)
@@ -175,21 +176,21 @@ def _graded_edges(lo: float, hi: float, attract: float, scale: float) -> np.ndar
 
 
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
-    """integral of |K_lam|^p d(mu) for the normalized kernel K_lam."""
+    """integral of |K_lam|^p d(mu) for the normalized kernel K_lam; one rule through
+    the density's breakpoints gives the boundary integral and ||k_lam||_p^p."""
     lam = ensure_point(lam)
     r = abs(lam)
     if r >= 1.0:
         raise DomainError(f"kernel point must lie in the open disk, got |lam|={r}")
     phi = math.atan2(lam.imag, lam.real)
     p = cfg.p
+    rule = _kernel_rule(lam, mu.boundary.breakpoints)
     num = 0.0
-    for z, mass in mu.atoms:
-        az = abs(z)
-        s = math.sin(0.5 * (math.atan2(z.imag, z.real) - phi)) if az > 0.0 else 0.0
-        d2 = (1.0 - r * az) ** 2 + 4.0 * r * az * s * s
-        num += mass * d2 ** (-0.5 * p)
+    if mu.atoms:
+        zs, masses = (np.array(part) for part in zip(*mu.atoms))
+        # an atom at the origin has angle 0 and radius 0, hence d^2 = 1
+        num += _kernels.kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, r, phi, p)
     if mu.boundary.total() > 0.0:
-        rule = _kernel_rule(lam, breakpoints=mu.boundary.breakpoints)
         dens = mu.boundary.value_at(rule.nodes)
         num += _kernels.kernel_pow_circle_sum(rule.nodes, rule.weights * dens, r, phi, p)
     if mu.area is not None:
@@ -197,7 +198,10 @@ def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
         for r0, r1, a0, a1, val in mu.area.cells():
             rho, ang, wts = _polar_cell_nodes(r0, r1, a0, a1, phi, scale)
             num += val * _kernels.kernel_pow_disk_sum(rho, ang, wts, r, phi, p)
-    return num / _kernel_pth_mean(lam, cfg)
+    norm = _kernel_pth_mean(rule, r, phi, p)
+    if not (math.isfinite(num) and math.isfinite(norm)):
+        raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
+    return num / norm
 
 
 class RktScan(NamedTuple):
@@ -209,24 +213,18 @@ class RktScan(NamedTuple):
 def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     """Minimum of the kernel functional over the origin and the grid;
     estimates the best uniform lower constant over all kernel points."""
-    lams = [0.0 + 0.0j] + list(grid.points())
-    rows = np.empty((len(lams), 3))
-    best = math.inf
-    witness = None
-    for i, lam in enumerate(lams):
-        v = rkt_functional(mu, lam, cfg)
-        rows[i] = (lam.real, lam.imag, v)
-        if v < best:
-            best = v
-            witness = lam
-    return RktScan(best, witness, rows)
+    lams = np.concatenate([[0.0 + 0.0j], grid.points()])
+    vals = np.array([rkt_functional(mu, lam, cfg) for lam in lams])
+    i = int(np.argmin(vals))  # the first minimum, as a strict-< loop finds it
+    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]))
 
 
 def _measure_pth_integral_poly(mu: Measure, f: HardyFunction, cfg: HardyConfig) -> float:
     p = cfg.p
     total = 0.0
-    for z, mass in mu.atoms:
-        total += mass * abs(f(z)) ** p
+    if mu.atoms:
+        zs, masses = (np.array(part) for part in zip(*mu.atoms))
+        total += float(np.dot(masses, np.abs(f(zs)) ** p))
     if mu.boundary.total() > 0.0:
         rule = circle_quadrature(
             breakpoints=mu.boundary.breakpoints,
@@ -248,10 +246,13 @@ def reverse_embedding_ratio(mu: Measure, f: HardyFunction, cfg: HardyConfig) -> 
     """integral |f|^p d(mu) divided by ||f||_p^p."""
     if f.is_zero():
         raise DomainError("reverse embedding ratio is undefined for the zero function")
-    norm = hp_norm(f, cfg)
-    if norm == 0.0:
+    norm_p = hp_norm(f, cfg) ** cfg.p
+    if norm_p == 0.0:
         raise DomainError("function has zero H^p norm")
-    return _measure_pth_integral_poly(mu, f, cfg) / norm**cfg.p
+    num = _measure_pth_integral_poly(mu, f, cfg)
+    if not (math.isfinite(num) and math.isfinite(norm_p)):
+        raise EvaluationError(f"|f|^p overflows at p = {cfg.p!r}: integral {num!r}, ||f||_p^p {norm_p!r}")
+    return num / norm_p
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +274,9 @@ def phi_h(z: complex, arc: Arc, h: float, cfg: HardyConfig, nodes: int = 8) -> f
     psi = math.atan2(z.imag, z.real) if rho > 0.0 else 0.0
     t_edges = _graded_edges(0.0, h, 0.0, max(h * 2.0**-20, 2.0**-30))
     start = arc.start
-    width = arc.length
-    off = wrap_angle(psi - start)
-    if off <= width:
-        attract = start + off
-    else:
-        attract = start + width if (off - width) < (TWO_PI - off) else start
+    end = start + arc.length
     ang_scale = max(0.25 * (1.0 - rho), 2.0**-26)
-    a_edges = _graded_edges(start, start + width, attract, ang_scale)
+    a_edges = _graded_edges(start, end, _nearest_on_arc(psi, start, end), ang_scale)
     ts, wts = gauss_legendre_panel(t_edges[:-1], t_edges[1:], nodes)
     angs, wangs = gauss_legendre_panel(a_edges[:-1], a_edges[1:], nodes)
     return _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p) / h

@@ -46,10 +46,6 @@ class Arc:
     def start(self) -> float:
         return wrap_angle(self.center - 0.5 * self.length)
 
-    @property
-    def end(self) -> float:
-        return wrap_angle(self.center + 0.5 * self.length)
-
     def contains(self, angle: float) -> bool:
         """Closed-arc membership of the angle."""
         d = abs(wrap_angle(angle - self.center + math.pi) - math.pi)

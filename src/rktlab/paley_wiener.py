@@ -135,18 +135,17 @@ class GeneratingWitness(NamedTuple):
     extrapolation_spread: float
 
 
-def _pair_products(xs, n_levels):
-    """Cumulative symmetric products prod (1 - x/x_n)(1 - x/x_{-n}).
+def _pair_products(xs, n):
+    """The symmetric products prod (1 - x/x_k)(1 - x/x_{-k}) over k <= n//2
+    and over k <= n.
 
-    Multiplying factor-by-factor keeps the zero at x = x_n exact."""
+    Multiplying factor-by-factor keeps the zero at x = x_k exact."""
     prod = np.ones_like(xs)
-    snapshots = {}
-    top = max(n_levels)
-    for n in range(1, top + 1):
-        prod = prod * (1.0 - xs / kadets_point(n)) * (1.0 - xs / kadets_point(-n))
-        if n in n_levels:
-            snapshots[n] = prod.copy()
-    return snapshots
+    for k in range(1, n + 1):
+        prod = prod * (1.0 - xs / kadets_point(k)) * (1.0 - xs / kadets_point(-k))
+        if k == n // 2:
+            half = prod
+    return half, prod
 
 
 @lru_cache(maxsize=8)
@@ -201,14 +200,13 @@ def generating_witness(seq: SamplingSequence, xs: Sequence[float]) -> Generating
             "the tail correction is only certified for |x| <= n_max/8"
         )
     levels = (n // 2, n)
-    snaps = _pair_products(xs, set(levels))
-    p_half, p_full = snaps[levels[0]], snaps[levels[1]]
+    p_half, p_full = _pair_products(xs, n)
     zero = p_full == 0.0
     corrected_half = p_half * np.exp(_log_tail(xs, levels[0]))
     values = p_full * np.exp(_log_tail(xs, levels[1]))
     scale = np.maximum(np.abs(values), 1e-12)
     spread = float(np.max(np.where(zero, 0.0, np.abs(values - corrected_half)) / scale))
-    if spread > 1e-2:
+    if not spread <= 1e-2:  # a NaN spread means the products overflowed
         raise PrecisionError(
             f"tail-corrected products disagree across truncations {levels}: "
             f"relative spread {spread:.3e}"
@@ -231,17 +229,18 @@ def witness_contrast(seq: SamplingSequence, length: float = 256.0, rate: int = 8
         )
     n = int(round(length * rate))
     xs = (np.arange(n) - n // 2) / float(rate)
-    wit = generating_witness(seq, xs)
-    at_points = generating_witness(seq, seq.points[np.abs(seq.points) <= length / 2.0])
-    mu_mass = float(np.sum(np.abs(at_points.values) ** 2))
-    vals2 = np.abs(wit.values) ** 2
+    # one product pass over the grid and the sequence points together
+    wit = generating_witness(seq, np.concatenate([xs, seq.points[np.abs(seq.points) <= length / 2.0]]))
+    values = wit.values[:n]
+    mu_mass = float(np.sum(np.abs(wit.values[n:]) ** 2))
+    vals2 = np.abs(values) ** 2
     l2 = float(np.sum(vals2)) / rate
     edge = max(int(0.05 * n), 8)
     tail_coeff = float(np.mean(np.concatenate([vals2[:edge] * xs[:edge] ** 2, vals2[-edge:] * xs[-edge:] ** 2])))
     l2 += 2.0 * tail_coeff / (length / 2.0)
     if l2 <= 0.0:
         raise PrecisionError("witness has numerically zero L2 mass")
-    return mu_mass / l2, l2, wit.values, wit.extrapolation_spread
+    return mu_mass / l2, l2, values, wit.extrapolation_spread
 
 
 def bandlimit_check(values: np.ndarray, length: float, rate: int) -> float:

@@ -234,6 +234,21 @@ class TestExitCodes:
             (dict(T2_DOC, grid={"rings": 129, "angles": 128}), "config.grid.rings"),
             (dict(T2_DOC, grid={"rings": 16, "angles": 2049}), "config.grid.angles"),
             (dict(T2_DOC, zeros=[{"re": 0.0, "im": 0.0}] * 33), "config.zeros"),
+            (dict(WINDOWS_DOC, refine_arc={"center": 0.0, "length": 1.0}, refine_depths=[0.5, 0.6]), "config.refine_depths"),
+            (dict(WINDOWS_DOC, refine_arc={"center": 0.0, "length": 1.0}, refine_depths=[0.0]), "config.refine_depths"),
+            (dict(WINDOWS_DOC, refine_arc={"center": 0.0, "length": 1.0}, refine_depths=[2.0]), "config.refine_depths"),
+            (dict(WINDOWS_DOC, refine_arc={"center": 0.0, "length": 1.0}, refine_depths=[1e-30]), "config.refine_depths"),
+            (dict(PW_DOC, truncation=16385), "config.truncation"),
+            (dict(PW_DOC, scan=dict(PW_DOC["scan"], resolution=[64, 513])), "config.scan.resolution[1]"),
+            (dict(PW_DOC, witness={"length": 256.0, "rate": 33}), "config.witness.rate"),
+            (dict(PW_DOC, truncation=4096, witness={"length": 1024.0, "rate": 8}), "config.witness.length"),
+            (dict(PW_DOC, truncation=4096, gram_truncations=[16, 1025]), "config.gram_truncations[1]"),
+            (dict(PW_DOC, gram_truncations=[16] * 9), "config.gram_truncations"),
+            (dict(PHIH_DOC, sup_grid={"rings": 33, "angles": 24}), "config.sup_grid.rings"),
+            (dict(PHIH_DOC, sup_grid={"rings": 6, "angles": 257}), "config.sup_grid.angles"),
+            (dict(RKT_DOC, grid={"levels": 8, "angles": 513}), "config.grid.angles"),
+            (dict(RKT_DOC, polynomials={"count": 1001, "max_degree": 12}), "config.polynomials.count"),
+            (dict(RKT_DOC, polynomials={"count": 10, "max_degree": 257}), "config.polynomials.max_degree"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
@@ -241,6 +256,20 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert path in caplog.text
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [({"levels": 8, "angles": 16}, "|k_lam|^p overflows"), ({"levels": 1, "angles": 4}, "|f|^p overflows")],
+        ids=["kernel-overflow", "polynomial-overflow"],
+    )
+    def test_overflowing_p_exits_three(self, tmp_path, caplog, grid, message):
+        # at p = 300, |k_lam|^p overflows on the grid and |f|^p on the circle:
+        # either ratio would be inf/inf, so the run writes nothing
+        doc = dict(RKT_DOC, p=300.0, grid=grid, polynomials={"count": 10, "max_degree": 32})
+        out = tmp_path / "o"
+        assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
+        assert message in caplog.text
         assert not (out / "summary.json").exists()
 
     def test_precision_error_exits_three(self, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rktlab.errors import DomainError, PrecisionWarning
+from rktlab.errors import DomainError, EvaluationError, PrecisionWarning
 from rktlab.hardy import (
     HardyFunction,
     classify_against_arc,
@@ -29,6 +29,23 @@ from rktlab.measures import (
 from rktlab.numerics import TWO_PI, DiskGrid
 
 P_SWEEP = [1.5, 2.0, 3.0, 4.0]
+
+
+def harmonic_measure(lam, a, b):
+    """omega(lam, (a, b)) = arg((e^ib - lam)/(e^ia - lam))/pi - (b - a)/(2 pi),
+    the branch in [0, 1] (the formula gives it modulo 2)."""
+    w = np.angle((np.exp(1j * b) - lam) / (np.exp(1j * a) - lam)) / math.pi - (b - a) / TWO_PI
+    return w + 2.0 if w < -0.5 else w
+
+
+def kernel_loop(mu, lam, p):
+    """integral of |k_lam|^p over the atoms, one scalar term per atom."""
+    r, phi = abs(lam), math.atan2(lam.imag, lam.real)
+    total = 0.0
+    for z, mass in mu.atoms:
+        s = math.sin(0.5 * (math.atan2(z.imag, z.real) - phi)) if z else 0.0
+        total += mass * ((1.0 - r * abs(z)) ** 2 + 4.0 * r * abs(z) * s * s) ** (-0.5 * p)
+    return total
 
 
 def phi_h_riemann(z, arc, h, p, nr=600, na=3000):
@@ -157,6 +174,41 @@ class TestRktFunctional:
         mu = normalized_arclength(scale=0.3)
         assert rkt_functional(mu, 0.4 + 0.2j, cfg) == pytest.approx(0.3, abs=1e-9)
 
+    @pytest.mark.parametrize("pieces", range(1, 8))
+    def test_p2_harmonic_measure_oracle(self, pieces):
+        # at p = 2, |K_lam|^2 d(theta)/(2 pi) is the Poisson kernel, so a density c_i
+        # on the arcs I_i gives sum 2 pi c_i omega(lam, I_i) (omega = 1 for one piece)
+        cfg = hardy_config(2.0)
+        for seed in range(6):
+            rng = np.random.default_rng(100 * pieces + seed)
+            bp = np.sort(rng.uniform(0.0, TWO_PI, pieces))
+            vals = rng.uniform(0.05, 1.0, pieces)
+            mu = Measure(boundary=BoundaryDensity(bp, vals))
+            edges = np.append(bp, bp[0] + TWO_PI)
+            for j in range(21):
+                lam = 0j if j == 0 else (1.0 - 2.0**-j) * complex(np.exp(1j * rng.uniform(0.0, TWO_PI)))
+                omegas = [harmonic_measure(lam, a, b) for a, b in zip(edges[:-1], edges[1:])] if pieces > 1 else [1.0]
+                exact = TWO_PI * float(np.dot(vals, omegas))
+                assert rkt_functional(mu, lam, cfg) == pytest.approx(exact, rel=1e-12), (bp, lam)
+
+    @pytest.mark.parametrize("p", P_SWEEP)
+    def test_atoms_against_scalar_loop(self, p):
+        cfg = hardy_config(p)
+        rng = np.random.default_rng(5)
+        zs = [0j, 1j] + list(0.99 * np.sqrt(rng.uniform(0, 1, 6)) * np.exp(1j * rng.uniform(0, TWO_PI, 6)))
+        mu = Measure(atoms=tuple((complex(z), m) for z, m in zip(zs, rng.uniform(0.1, 2.0, len(zs)))))
+        for lam in (0j, 0.5 - 0.2j, 0.999 * np.exp(2.5j)):
+            lam = complex(lam)
+            want = kernel_loop(mu, lam, p) / kernel_norm(lam, cfg) ** p
+            assert rkt_functional(mu, lam, cfg) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("mu", [normalized_arclength(), Measure(atoms=((0.5 + 0j, 1.0),))], ids=["inf-inf", "finite-inf"])
+    def test_overflow_raises(self, mu):
+        # |k_lam|^300 overflows in the normaliser, and on the circle in the integral
+        # too: the ratio would be NaN, or 0 for the atom that stays finite
+        with pytest.raises(EvaluationError):
+            rkt_functional(mu, 1.0 - 2.0**-16, hardy_config(300.0))
+
 
 class TestRktScan:
     def test_normalization_constant_over_grid(self):
@@ -199,6 +251,22 @@ class TestReverseEmbedding:
         f = HardyFunction(np.poly(pts)[::-1])  # prod (z - xi), ascending
         cfg = hardy_config(2.0)
         assert reverse_embedding_ratio(mu, f, cfg) <= 1e-25
+
+    def test_atoms_against_scalar_loop(self):
+        rng = np.random.default_rng(9)
+        zs = 0.95 * np.sqrt(rng.uniform(0, 1, 7)) * np.exp(1j * rng.uniform(0, TWO_PI, 7))
+        masses = rng.uniform(0.1, 2.0, 7)
+        mu = Measure(atoms=tuple(zip(zs.tolist(), masses.tolist())))
+        for p in P_SWEEP:
+            cfg = hardy_config(p)
+            for f in random_polynomials(5, 12, seed=3):
+                want = sum(m * abs(f(z)) ** p for z, m in mu.atoms) / hp_norm(f, cfg) ** p
+                assert reverse_embedding_ratio(mu, f, cfg) == pytest.approx(want, rel=1e-13)
+
+    def test_overflow_raises(self):
+        # |f|^300 overflows on the circle: the ratio would be inf/inf
+        with pytest.raises(EvaluationError):
+            reverse_embedding_ratio(normalized_arclength(), random_polynomials(1, 32, seed=1)[0], hardy_config(300.0))
 
     def test_zero_function_rejected(self):
         with pytest.raises(DomainError):

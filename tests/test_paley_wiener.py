@@ -5,7 +5,7 @@ import pytest
 
 from rktlab import _kernels
 from rktlab._kernels import kadets_points, pw_norm_factor, pw_rkt_grid, pw_sinc_mass
-from rktlab.errors import DomainError
+from rktlab.errors import DomainError, PrecisionError
 from rktlab.paley_wiener import (
     _tail_bound,
     _tail_constants,
@@ -332,6 +332,29 @@ class TestWitness:
         seq = SamplingSequence.kadets(512)
         with pytest.raises(DomainError):
             generating_witness(seq, np.array([200.0]))
+
+    @pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
+    def test_against_closed_form(self, n):
+        # the Kadets generating function in closed form: sinc((x - 1/8)/2) vanishes
+        # at 2m + 1/8 (m != 0), cos(pi (x + 1/8)/2) at the odd-index points
+        def closed_form(x):
+            return (np.sinc((x - 0.125) / 2.0) / np.sinc(1.0 / 16.0)) * (
+                np.cos(math.pi * (x + 0.125) / 2.0) / math.cos(math.pi / 16.0)
+            )
+
+        seq = SamplingSequence.kadets(n)
+        m = min(256, n // 4) * 8  # the witness grid of length 256 at rate 8, inside |x| <= n/8
+        xs = (np.arange(m) - m // 2) / 8.0
+        wit = generating_witness(seq, xs)
+        off = wit.values != 0.0
+        dev = np.abs(wit.values - closed_form(xs))[off] / np.maximum(np.abs(wit.values[off]), 1e-12)
+        assert np.max(dev) <= wit.extrapolation_spread
+        assert np.max(np.abs(closed_form(seq.points[np.abs(seq.points) <= n / 8.0]))) <= 1e-15
+
+    def test_overflowing_products_refused(self):
+        # near |x| = 1000 the partial products pass 1e308 and the values turn NaN
+        with pytest.raises(PrecisionError):
+            generating_witness(SamplingSequence.kadets(8192), np.array([1000.0]))
 
 
 class TestTailConstants:
