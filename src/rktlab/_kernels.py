@@ -59,10 +59,11 @@ def kernel_pow_circle_sum(thetas, weights, r, phi, p):
 
 
 def kernel_pow_disk_sum(rhos, thetas, weights, r, phi, p):
+    """A column of radii against a row of angles sums over their product grid."""
     s = np.sin(0.5 * (thetas - phi))
     rr = r * rhos
     d2 = (1.0 - rr) ** 2 + 4.0 * rr * s * s
-    return float(np.dot(weights, d2 ** (-0.5 * p)))
+    return float(np.dot(np.ravel(weights), np.ravel(d2 ** (-0.5 * p))))
 
 
 def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):

@@ -35,7 +35,7 @@ from .hardy import (
     phi_h,
     phi_h_limit_profile,
     random_polynomials,
-    reverse_embedding_ratio,
+    reverse_embedding_ratios,
     rkt_infimum_scan,
 )
 from .measures import (
@@ -190,9 +190,15 @@ def _measure_spec(v, path) -> Measure:
             raise ConfigError(f"{path}.builtin", f"unknown builtin measure {name!r}")
         return _BUILTIN_MEASURES[name](got.get("scale", 1.0))
     try:
-        return measure_from_dict(v)
+        mu = measure_from_dict(v)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(path, f"invalid measure document: {exc}") from exc
+    # at every rkt-hardy cap together a run takes about 31 s (each area cell about 2.4 s)
+    cells = mu.area.values.size if mu.area is not None else 0
+    for name, size, cap in (("atoms", len(mu.atoms), 256), ("boundary_density.breakpoints", mu.boundary.breakpoints.size, 256), ("area_density", cells, 8)):
+        if size > cap:
+            raise ConfigError(f"{path}.{name}", f"expected at most {cap} entries, got {size}")
+    return mu
 
 
 def load_config(path: str) -> dict:
@@ -304,7 +310,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
             **_COMMON_FIELDS,
             "measure": (True, _measure_spec),
             "p": (True, _number),
-            # the largest grid with the largest family runs in about 22 s and 45 MiB
+            # the largest grid and family with the largest measure run in about 31 s and 46 MiB
             "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1, 512))})),
             "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1, 1000)), "max_degree": (True, _int_in(0, 256))})),
         },
@@ -331,7 +337,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
     if poly_spec is not None:
         count = min(poly_spec["count"], 50) if quick else poly_spec["count"]
         fam = random_polynomials(count, poly_spec["max_degree"], seed)
-        ratios = [reverse_embedding_ratio(mu, f, cfg) for f in fam]
+        ratios = reverse_embedding_ratios(mu, fam, cfg)
         summary["c1_min_ratio"] = float(min(ratios))
         summary["polynomial_count"] = count
     checks = []
@@ -548,6 +554,9 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
             "delta_list": (True, _number_list),
         },
     )
+    # each delta is one pass over the grid (about 2 ms on the largest)
+    if len(got["delta_list"]) > 64:
+        raise ConfigError("config.delta_list", "expected at most 64 entries")
     zeros_doc = got["zeros"]
     if not isinstance(zeros_doc, list) or not 1 <= len(zeros_doc) <= 32:
         raise ConfigError("config.zeros", "expected a nonempty list of at most 32 zeros")

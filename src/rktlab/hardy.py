@@ -8,6 +8,10 @@ Conventions (stated wherever constants are reported):
 Hence for a measure with boundary density c (radians convention) the
 reverse-embedding ratio is bounded below by 2*pi*c, while window ratios
 mu(S_I)/|I| are bounded below by c with no extra factor.
+
+The scans batch their work with bit-identical values: one ``circle_rules``
+call builds the rules of consecutive kernel points, and a polynomial family
+is evaluated on a measure's nodes built once.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,6 +33,7 @@ from .numerics import (
     CircleQuadrature,
     DiskGrid,
     circle_quadrature,
+    circle_rules,
     ensure_point,
     gauss_legendre_panel,
     wrap_angle,
@@ -41,6 +47,9 @@ MIN_WINDOW_DEPTH = 2.0**-16
 #: Panels and Gauss nodes per panel of every H^p circle rule.
 BASE_PANELS = 64
 NODES_PER_PANEL = 16
+
+#: Circle nodes per batch of kernel points in a scan.
+BATCH_NODES = 2**14
 
 
 @dataclass(frozen=True)
@@ -100,23 +109,6 @@ def hp_norm(f: HardyFunction, cfg: HardyConfig) -> float:
     return mean ** (1.0 / cfg.p)
 
 
-def _kernel_rule(lam: complex, breakpoints=()) -> CircleQuadrature:
-    r = abs(lam)
-    scale = max(0.5 * (1.0 - r), 2.0**-24)
-    phi = math.atan2(lam.imag, lam.real)
-    return circle_quadrature(
-        breakpoints=breakpoints,
-        peaks=[(phi, scale)],
-        base_panels=BASE_PANELS,
-        nodes_per_panel=NODES_PER_PANEL,
-    )
-
-
-def _kernel_pth_mean(rule: CircleQuadrature, r: float, phi: float, p: float) -> float:
-    """integral of |k_lam|^p d(theta)/(2*pi) by a peak-refined rule of lam."""
-    return _kernels.kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI
-
-
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
     """||k_lam||_p by quadrature; for p = 2 this matches (1-|lam|^2)^(-1/2)."""
     lam = ensure_point(lam)
@@ -130,7 +122,8 @@ def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
             PrecisionWarning,
         )
     phi = math.atan2(lam.imag, lam.real)
-    return _kernel_pth_mean(_kernel_rule(lam), r, phi, cfg.p) ** (1.0 / cfg.p)
+    rule = circle_quadrature(peaks=[(phi, max(0.5 * (1.0 - r), 2.0**-24))], base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
+    return (_kernels.kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, cfg.p) / TWO_PI) ** (1.0 / cfg.p)
 
 
 def _nearest_on_arc(angle: float, lo: float, hi: float) -> float:
@@ -142,18 +135,23 @@ def _nearest_on_arc(angle: float, lo: float, hi: float) -> float:
     return hi if (off - width) < (TWO_PI - off) else lo
 
 
-def _polar_cell_nodes(r0, r1, a0, a1, peak_angle, scale, nodes=8):
-    """Product Gauss-Legendre nodes on the polar cell [r0,r1] x [a0,a1],
-    graded angularly toward peak_angle and radially toward the outer edge."""
-    r_edges = _graded_edges(r0, r1, r1, max(scale, (r1 - r0) / 32.0))
+def _cell_axes(r0, r1, a0, a1, peak_angle, scale, nodes=8):
+    """Radial and angular Gauss-Legendre rules of the polar cell [r0,r1] x [a0,a1],
+    graded angularly toward peak_angle and radially toward the outer edge, as the
+    factors (rs, wr * rs, ts, wt) of the product rule (dA = r dr dtheta)."""
+    rs, wr = _graded_rule(r0, r1, r1, max(scale, (r1 - r0) / 32.0), nodes)
     attract = _nearest_on_arc(peak_angle, a0, a1)
-    a_edges = _graded_edges(a0, a1, attract, max(scale, min(a1 - a0, math.pi / 16)))
-    rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], nodes)
-    ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], nodes)
-    rho = np.repeat(rs, ts.size)
-    ang = np.tile(ts, rs.size)
-    wts = np.repeat(wr * rs, ts.size) * np.tile(wt, rs.size)  # dA = r dr dtheta
-    return rho, ang, wts
+    ts, wt = _graded_rule(a0, a1, attract, max(scale, min(a1 - a0, math.pi / 16)), nodes)
+    return rs, wr * rs, ts, wt
+
+
+@lru_cache(maxsize=64)
+def _graded_rule(lo: float, hi: float, attract: float, scale: float, nodes: int):
+    """Gauss-Legendre rule on the panels of ``_graded_edges`` (shared, read-only)."""
+    edges = _graded_edges(lo, hi, attract, scale)
+    rule = gauss_legendre_panel(edges[:-1], edges[1:], nodes)
+    rule[0].flags.writeable = rule[1].flags.writeable = False
+    return rule
 
 
 def _graded_edges(lo: float, hi: float, attract: float, scale: float) -> np.ndarray:
@@ -162,46 +160,65 @@ def _graded_edges(lo: float, hi: float, attract: float, scale: float) -> np.ndar
     if width <= scale:
         return np.array([lo, hi])
     a = min(max(attract, lo), hi)
-    edges = {lo, hi, a}
-    d = width
-    while d > scale:
-        for e in (a - d, a + d):
-            if lo < e < hi:
-                edges.add(e)
+    edges, d = {lo, hi, a}, width
+    while True:  # a +- d for d = width, width/2, ... down to the first d <= scale
+        edges.update(e for e in (a - d, a + d) if lo < e < hi)
+        if d <= scale:
+            return np.array(sorted(edges))
         d *= 0.5
-    for e in (a - d, a + d):
-        if lo < e < hi:
-            edges.add(e)
-    return np.array(sorted(edges))
+
+
+def _rkt_batch(mu: Measure, lams, cfg: HardyConfig):
+    """``rkt_functional`` at consecutive kernel points, and their circle nodes'
+    count: one rule build, one |k_lam|^p over all nodes, a dot per point."""
+    p = cfg.p
+    pts = []  # r, phi, scale, (1 - r)^2 and 4 r as the scalar kernel forms them
+    for lam in lams:
+        lam = ensure_point(lam)
+        r = abs(lam)
+        if r >= 1.0:
+            raise DomainError(f"kernel point must lie in the open disk, got |lam|={r}")
+        pts.append((r, math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - r), 2.0**-24), (1.0 - r) ** 2, 4.0 * r))
+    _, phis, scales, c, f = (np.array(col) for col in zip(*pts))
+    nodes, weights, offsets, _ = circle_rules(mu.boundary.breakpoints, phis[:, None], scales[:, None], BASE_PANELS, NODES_PER_PANEL)
+    boundary = mu.boundary.total() > 0.0
+    if boundary:
+        dens_weights = weights * mu.boundary.value_at(nodes)
+    # (1 - r)^2 + 4 r sin((theta - phi)/2)^2, panel by panel
+    panels = np.diff(offsets) // NODES_PER_PANEL
+    s = nodes.reshape(-1, NODES_PER_PANEL) - np.repeat(phis, panels)[:, None]
+    del nodes  # in place from here: a batch holds at most four node-sized arrays
+    s = np.sin(np.multiply(s, 0.5, out=s), out=s)
+    kern = np.repeat(f, panels)[:, None] * s
+    kern *= s
+    kern += np.repeat(c, panels)[:, None]
+    kern **= -0.5 * p
+    kern = kern.ravel()
+    if mu.atoms:
+        zs, masses = (np.array(part) for part in zip(*mu.atoms))
+    cells = list(mu.area.cells()) if mu.area is not None else []
+    vals = np.empty(len(pts))
+    for i, (r, phi, scale, _, _) in enumerate(pts):
+        sl = slice(offsets[i], offsets[i + 1])
+        num = 0.0
+        if mu.atoms:  # an atom at the origin has angle 0 and radius 0, hence d^2 = 1
+            num += _kernels.kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, r, phi, p)
+        if boundary:
+            num += float(np.dot(dens_weights[sl], kern[sl]))
+        for r0, r1, a0, a1, val in cells:
+            rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, phi, scale)
+            num += val * _kernels.kernel_pow_disk_sum(rs[:, None], ts, wrr[:, None] * wt, r, phi, p)
+        norm = float(np.dot(weights[sl], kern[sl])) / TWO_PI
+        if not (math.isfinite(num) and math.isfinite(norm)):
+            raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
+        vals[i] = num / norm
+    return vals, int(offsets[-1])
 
 
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
     """integral of |K_lam|^p d(mu) for the normalized kernel K_lam; one rule through
     the density's breakpoints gives the boundary integral and ||k_lam||_p^p."""
-    lam = ensure_point(lam)
-    r = abs(lam)
-    if r >= 1.0:
-        raise DomainError(f"kernel point must lie in the open disk, got |lam|={r}")
-    phi = math.atan2(lam.imag, lam.real)
-    p = cfg.p
-    rule = _kernel_rule(lam, mu.boundary.breakpoints)
-    num = 0.0
-    if mu.atoms:
-        zs, masses = (np.array(part) for part in zip(*mu.atoms))
-        # an atom at the origin has angle 0 and radius 0, hence d^2 = 1
-        num += _kernels.kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, r, phi, p)
-    if mu.boundary.total() > 0.0:
-        dens = mu.boundary.value_at(rule.nodes)
-        num += _kernels.kernel_pow_circle_sum(rule.nodes, rule.weights * dens, r, phi, p)
-    if mu.area is not None:
-        scale = max(0.5 * (1.0 - r), 2.0**-24)
-        for r0, r1, a0, a1, val in mu.area.cells():
-            rho, ang, wts = _polar_cell_nodes(r0, r1, a0, a1, phi, scale)
-            num += val * _kernels.kernel_pow_disk_sum(rho, ang, wts, r, phi, p)
-    norm = _kernel_pth_mean(rule, r, phi, p)
-    if not (math.isfinite(num) and math.isfinite(norm)):
-        raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
-    return num / norm
+    return float(_rkt_batch(mu, [lam], cfg)[0][0])
 
 
 class RktScan(NamedTuple):
@@ -212,47 +229,56 @@ class RktScan(NamedTuple):
 
 def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     """Minimum of the kernel functional over the origin and the grid;
-    estimates the best uniform lower constant over all kernel points."""
+    estimates the best uniform lower constant over all kernel points.
+    Batches are sized to BATCH_NODES at the last batch's nodes per point."""
     lams = np.concatenate([[0.0 + 0.0j], grid.points()])
-    vals = np.array([rkt_functional(mu, lam, cfg) for lam in lams])
+    vals = np.empty(lams.size)
+    start, size = 0, 1
+    while start < lams.size:
+        stop = min(start + size, lams.size)
+        vals[start:stop], nodes = _rkt_batch(mu, lams[start:stop].tolist(), cfg)
+        size = max(1, BATCH_NODES * (stop - start) // nodes)
+        start = stop
     i = int(np.argmin(vals))  # the first minimum, as a strict-< loop finds it
     return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]))
 
 
-def _measure_pth_integral_poly(mu: Measure, f: HardyFunction, cfg: HardyConfig) -> float:
+def reverse_embedding_ratios(mu: Measure, fs: Sequence[HardyFunction], cfg: HardyConfig) -> list[float]:
+    """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family, on the
+    measure's nodes and the H^p circle's e^{i theta}, built once."""
     p = cfg.p
-    total = 0.0
+    parts = []  # (points, weights, density factor) in the order the integral sums them
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
-        total += float(np.dot(masses, np.abs(f(zs)) ** p))
+        parts.append((zs, masses, 1.0))
     if mu.boundary.total() > 0.0:
-        rule = circle_quadrature(
-            breakpoints=mu.boundary.breakpoints,
-            base_panels=BASE_PANELS,
-            nodes_per_panel=NODES_PER_PANEL,
-        )
-        dens = mu.boundary.value_at(rule.nodes)
-        vals = np.abs(f(np.exp(1j * rule.nodes))) ** p
-        total += float(np.dot(rule.weights * dens, vals))
+        rule = circle_quadrature(breakpoints=mu.boundary.breakpoints, base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
+        parts.append((np.exp(1j * rule.nodes), rule.weights * mu.boundary.value_at(rule.nodes), 1.0))
     if mu.area is not None:
         for r0, r1, a0, a1, val in mu.area.cells():
-            rho, ang, wts = _polar_cell_nodes(r0, r1, a0, a1, 0.0, scale=(r1 - r0) / 8.0, nodes=12)
-            vals = np.abs(f(rho * np.exp(1j * ang))) ** p
-            total += val * float(np.dot(wts, vals))
-    return total
+            rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
+            parts.append(((rs[:, None] * np.exp(1j * ts)).ravel(), (wrr[:, None] * wt).ravel(), val))
+    circle = np.exp(1j * cfg.quadrature.nodes)
+    ratios = []
+    for f in fs:
+        if f.is_zero():
+            raise DomainError("reverse embedding ratio is undefined for the zero function")
+        mean = float(np.dot(cfg.quadrature.weights, np.abs(f(circle)) ** p)) / TWO_PI
+        norm_p = (mean ** (1.0 / p)) ** p  # hp_norm(f, cfg) ** p
+        if norm_p == 0.0:
+            raise DomainError("function has zero H^p norm")
+        num = 0.0
+        for zs, weights, factor in parts:
+            num += factor * float(np.dot(weights, np.abs(f(zs)) ** p))
+        if not (math.isfinite(num) and math.isfinite(norm_p)):
+            raise EvaluationError(f"|f|^p overflows at p = {p!r}: integral {num!r}, ||f||_p^p {norm_p!r}")
+        ratios.append(num / norm_p)
+    return ratios
 
 
 def reverse_embedding_ratio(mu: Measure, f: HardyFunction, cfg: HardyConfig) -> float:
     """integral |f|^p d(mu) divided by ||f||_p^p."""
-    if f.is_zero():
-        raise DomainError("reverse embedding ratio is undefined for the zero function")
-    norm_p = hp_norm(f, cfg) ** cfg.p
-    if norm_p == 0.0:
-        raise DomainError("function has zero H^p norm")
-    num = _measure_pth_integral_poly(mu, f, cfg)
-    if not (math.isfinite(num) and math.isfinite(norm_p)):
-        raise EvaluationError(f"|f|^p overflows at p = {cfg.p!r}: integral {num!r}, ||f||_p^p {norm_p!r}")
-    return num / norm_p
+    return reverse_embedding_ratios(mu, [f], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +298,11 @@ def phi_h(z: complex, arc: Arc, h: float, cfg: HardyConfig, nodes: int = 8) -> f
     if not MIN_WINDOW_DEPTH * (1.0 - 1e-12) <= h <= min(arc.length, 1.0) * (1.0 + 1e-12):
         raise DomainError(f"depth h={h} must lie in [2^-16, min(|I|, 1)]")
     psi = math.atan2(z.imag, z.real) if rho > 0.0 else 0.0
-    t_edges = _graded_edges(0.0, h, 0.0, max(h * 2.0**-20, 2.0**-30))
+    ts, wts = _graded_rule(0.0, h, 0.0, max(h * 2.0**-20, 2.0**-30), nodes)
     start = arc.start
     end = start + arc.length
     ang_scale = max(0.25 * (1.0 - rho), 2.0**-26)
-    a_edges = _graded_edges(start, end, _nearest_on_arc(psi, start, end), ang_scale)
-    ts, wts = gauss_legendre_panel(t_edges[:-1], t_edges[1:], nodes)
-    angs, wangs = gauss_legendre_panel(a_edges[:-1], a_edges[1:], nodes)
+    angs, wangs = _graded_rule(start, end, _nearest_on_arc(psi, start, end), ang_scale, nodes)
     return _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p) / h
 
 

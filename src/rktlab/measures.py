@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import TWO_PI, ensure_point, wrap_angle
+from .numerics import TWO_PI, _wrap_angles as _wrap, ensure_point, wrap_angle
 
 _BOUNDARY_ATOM_TOL = 1e-12
 
@@ -69,13 +69,6 @@ def carleson_window(arc: Arc) -> CarlesonWindow:
     return CarlesonWindow(arc, min(arc.length, 1.0))
 
 
-def _wrap(t: np.ndarray) -> np.ndarray:
-    """``wrap_angle`` over an array, with the same float operations."""
-    t = np.fmod(t, TWO_PI)
-    t = np.where(t < 0.0, t + TWO_PI, t)
-    return np.where(t == TWO_PI, 0.0, t)
-
-
 @dataclass(frozen=True)
 class BoundaryDensity:
     """Piecewise-constant density with respect to arclength d(theta).
@@ -112,6 +105,8 @@ class BoundaryDensity:
         return np.concatenate([bp, [bp[0] + TWO_PI]])
 
     def value_at(self, thetas: np.ndarray) -> np.ndarray:
+        if self.values.size == 1:  # one piece covers the circle
+            return np.full(np.shape(thetas), self.values[0])
         bp = self.breakpoints
         t = np.mod(np.asarray(thetas, dtype=float) - bp[0], TWO_PI) + bp[0]
         idx = np.searchsorted(self._extended(), t, side="right") - 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,13 @@ def wrap_angle(theta: float) -> float:
         t += TWO_PI
     # a tiny negative angle rounds up to 2*pi itself, which is 0 on the circle
     return 0.0 if t == TWO_PI else t
+
+
+def _wrap_angles(t: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` over an array, with the same float operations."""
+    t = np.fmod(t, TWO_PI)
+    t = np.where(t < 0.0, t + TWO_PI, t)
+    return np.where(t == TWO_PI, 0.0, t)
 
 
 @lru_cache(maxsize=64)
@@ -80,62 +87,84 @@ class CircleQuadrature:
     weights: np.ndarray
     panel_edges: np.ndarray
 
-    def __post_init__(self):
-        if np.any(self.weights <= 0.0):
-            raise DomainError("quadrature weights must be positive")
+
+class CircleRules(NamedTuple):
+    """Rule k: nodes and weights [offsets[k]:offsets[k + 1]], left panel edges
+    panel_lo[offsets[k] // n:offsets[k + 1] // n] with n nodes per panel."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    panel_lo: np.ndarray
 
 
-def circle_quadrature(
-    breakpoints: Sequence[float] = (),
-    peaks: Sequence[tuple[float, float]] = (),
-    base_panels: int = 16,
-    nodes_per_panel: int = 12,
-    min_width: float = 2.0**-26,
-) -> CircleQuadrature:
-    """Build a circle rule.
+def _next_edges(lo: np.ndarray, rule: np.ndarray) -> np.ndarray:
+    """Right panel edges: the next left edge of the rule, or its first plus 2*pi."""
+    first = np.flatnonzero(np.diff(rule, prepend=-1))
+    hi = np.append(lo[1:], 0.0)
+    hi[np.append(first[1:], lo.size) - 1] = lo[first] + TWO_PI
+    return hi
 
-    ``breakpoints`` are angles the panels must not cross (piecewise
-    integrands); ``peaks`` are (angle, scale) pairs toward which panels
-    are graded dyadically until the local panel width is at most
-    max(scale, distance-to-peak, min_width).
-    """
+
+def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12, min_width=2.0**-26) -> CircleRules:
+    """One circle rule per row of the (rules x peaks) arrays ``angles`` and
+    ``scales``, all through the shared ``breakpoints`` (angles the panels must
+    not cross).  Each rule's panels are graded dyadically toward its peaks
+    until the local panel width is at most max(scale, distance-to-peak,
+    min_width).  All panels of all rules are bisected level by level with
+    the float operations of a depth-first bisection of one rule, so every
+    rule is bit-identical to one built alone."""
     if base_panels < 1 or nodes_per_panel < 2:
         raise DomainError("base_panels >= 1 and nodes_per_panel >= 2 required")
-    edges = set((np.arange(base_panels) * TWO_PI / base_panels).tolist())
-    edges.update(wrap_angle(b) for b in breakpoints)
-    peak_list = [(wrap_angle(a), max(float(s), min_width)) for a, s in peaks]
-    edges.update(a for a, _ in peak_list)
-    sorted_edges = sorted(edges)
-    # collapse near-duplicates
-    cleaned = [sorted_edges[0]]
-    for e in sorted_edges[1:]:
-        if e - cleaned[-1] > 1e-14:
-            cleaned.append(e)
-    end = cleaned[0] + TWO_PI
-    # Bisect depth first, left half first, so panels come out in order.
+    angles = _wrap_angles(np.asarray(angles, dtype=float))
+    scales = np.maximum(np.asarray(scales, dtype=float), min_width)
+    rules = angles.shape[0]
+    shared = np.concatenate([np.arange(base_panels) * TWO_PI / base_panels, _wrap_angles(np.asarray(breakpoints, dtype=float))])
+    edges = np.sort(np.concatenate([np.broadcast_to(shared, (rules, shared.size)), angles], axis=1), axis=1)
+    gap = np.diff(edges, axis=1)
+    keep = np.concatenate([np.ones((rules, 1), dtype=bool), gap > 1e-14], axis=1)
+    # a gap in (0, 1e-14] needs the sequential collapse: each edge against the last kept
+    for k in np.flatnonzero(np.any((gap > 0.0) & (gap <= 1e-14), axis=1)):
+        last = edges[k, 0]
+        for j, e in enumerate(edges[k, 1:].tolist(), 1):
+            keep[k, j] = e - last > 1e-14
+            last = e if keep[k, j] else last
+    lo, rule = edges[keep], np.nonzero(keep)[0]
+    hi = _next_edges(lo, rule)
     base_width = TWO_PI / base_panels
-    out = []
-    stack = list(zip(cleaned, cleaned[1:] + [end]))[::-1]
-    while stack:
-        lo, hi = stack.pop()
+    done = []
+    while lo.size:
         width = hi - lo
         cap = base_width
-        for angle, scale in peak_list:
-            off = math.fmod(angle - lo, TWO_PI)
-            if off < 0.0:
-                off += TWO_PI
-            d = 0.0 if off <= width else min(off - width, TWO_PI - off)
-            cap = min(cap, max(scale, d))
-        if width > cap * (1.0 + 1e-12) and width > 2.0 * min_width:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-        else:
-            out.append(lo)
-    out.append(end)
-    edges = np.array(out)
-    nodes, weights = gauss_legendre_panel(edges[:-1], edges[1:], nodes_per_panel)
-    return CircleQuadrature(nodes=nodes, weights=weights, panel_edges=edges)
+        for angle, scale in zip(angles[rule].T, scales[rule].T):
+            # both angles lie in [0, 2*pi), so fmod(angle - lo, 2*pi) is angle - lo
+            off = angle - lo
+            off = np.where(off < 0.0, off + TWO_PI, off)
+            # a peak inside the panel has distance 0; min(off - width, .) <= 0 < scale then
+            cap = np.minimum(cap, np.maximum(scale, np.minimum(off - width, TWO_PI - off)))
+        split = (width > cap * (1.0 + 1e-12)) & (width > 2.0 * min_width)
+        stay = ~split
+        done.append((lo[stay], rule[stay]))
+        lo, hi, rule = lo[split], hi[split], rule[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi, rule = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([rule, rule])
+    lo, rule = (np.concatenate(part) for part in zip(*done))
+    order = np.lexsort((lo, rule))  # panels in order along each rule, rule by rule
+    lo, rule = lo[order], rule[order]
+    hi = _next_edges(lo, rule)
+    nodes, weights = gauss_legendre_panel(lo, hi, nodes_per_panel)
+    if np.any(weights <= 0.0):
+        raise DomainError("quadrature weights must be positive")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rule, minlength=rules))]) * nodes_per_panel
+    return CircleRules(nodes, weights, offsets, lo)
+
+
+def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12, min_width=2.0**-26) -> CircleQuadrature:
+    """One circle rule (see ``circle_rules``); ``peaks`` are (angle, scale) pairs."""
+    peaks = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
+    rule = circle_rules(breakpoints, peaks[..., 0], peaks[..., 1], base_panels, nodes_per_panel, min_width)
+    # the first edge is 0, a base edge, so the last panel ends at 2*pi
+    return CircleQuadrature(nodes=rule.nodes, weights=rule.weights, panel_edges=np.append(rule.panel_lo, TWO_PI))
 
 
 def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleQuadrature) -> float:

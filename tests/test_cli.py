@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,31 @@ T2_DOC = {
 }
 
 
+def capped_measure(atoms=256, breakpoints=256, cells=(2, 4)):
+    """An inline measure document with the given numbers of atoms, boundary
+    breakpoints and (radial, angular) area cells; no atom sits on an endpoint
+    of the window-additivity partition."""
+    nr, na = cells
+    return {
+        "atoms": [{"re": 0.9 * math.cos(k + 0.05), "im": 0.9 * math.sin(k + 0.05), "mass": 0.01} for k in range(atoms)],
+        "boundary_density": {
+            "breakpoints": [6.0 * k / breakpoints for k in range(breakpoints)],
+            "values": [0.1] * breakpoints,
+        },
+        "area_density": {
+            "radial_breaks": [k / nr for k in range(nr + 1)],
+            "angular_breaks": [6.0 * k / na for k in range(na + 1)],
+            "values": [[0.2] * na for _ in range(nr)],
+        },
+    }
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("doc", [WINDOWS_DOC, dict(RKT_DOC, grid={"levels": 2, "angles": 4})], ids=["windows", "rkt-hardy"])
+    def test_measure_at_every_cap_runs(self, tmp_path, doc):
+        cfg = write_config(tmp_path, "c.json", dict(doc, measure=capped_measure()))
+        assert run(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not valid")
@@ -249,6 +274,13 @@ class TestExitCodes:
             (dict(RKT_DOC, grid={"levels": 8, "angles": 513}), "config.grid.angles"),
             (dict(RKT_DOC, polynomials={"count": 1001, "max_degree": 12}), "config.polynomials.count"),
             (dict(RKT_DOC, polynomials={"count": 10, "max_degree": 257}), "config.polynomials.max_degree"),
+            (dict(RKT_DOC, measure=capped_measure(atoms=257)), "config.measure.atoms"),
+            (dict(RKT_DOC, measure=capped_measure(breakpoints=257)), "config.measure.boundary_density.breakpoints"),
+            (dict(RKT_DOC, measure=capped_measure(cells=(3, 3))), "config.measure.area_density"),
+            (dict(WINDOWS_DOC, measure=capped_measure(atoms=257)), "config.measure.atoms"),
+            (dict(WINDOWS_DOC, measure=capped_measure(breakpoints=257)), "config.measure.boundary_density.breakpoints"),
+            (dict(WINDOWS_DOC, measure=capped_measure(cells=(9, 1))), "config.measure.area_density"),
+            (dict(T2_DOC, delta_list=[0.1] * 65), "config.delta_list"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):

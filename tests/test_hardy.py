@@ -1,11 +1,18 @@
+import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rktlab import hardy
+from rktlab._kernels import kernel_pow_circle_sum, kernel_pow_disk_sum
 from rktlab.errors import DomainError, EvaluationError, PrecisionWarning
 from rktlab.hardy import (
+    BASE_PANELS,
+    NODES_PER_PANEL,
     HardyFunction,
     classify_against_arc,
     hardy_config,
@@ -13,8 +20,11 @@ from rktlab.hardy import (
     kernel_norm,
     phi_h,
     phi_h_limit_profile,
+    _graded_edges,
+    _nearest_on_arc,
     random_polynomials,
     reverse_embedding_ratio,
+    reverse_embedding_ratios,
     rkt_functional,
     rkt_infimum_scan,
 )
@@ -26,7 +36,7 @@ from rktlab.measures import (
     normalized_arclength,
     upper_half_arclength,
 )
-from rktlab.numerics import TWO_PI, DiskGrid
+from rktlab.numerics import TWO_PI, DiskGrid, circle_quadrature, gauss_legendre_panel
 
 P_SWEEP = [1.5, 2.0, 3.0, 4.0]
 
@@ -46,6 +56,42 @@ def kernel_loop(mu, lam, p):
         s = math.sin(0.5 * (math.atan2(z.imag, z.real) - phi)) if z else 0.0
         total += mass * ((1.0 - r * abs(z)) ** 2 + 4.0 * r * abs(z) * s * s) ** (-0.5 * p)
     return total
+
+
+def reference_rkt(mu, lam, cfg):
+    """rkt_functional one point at a time: a circle rule of its own through the
+    breakpoints, flat polar-cell nodes and one kernel sum per part of mu."""
+    r, phi, p = abs(lam), math.atan2(lam.imag, lam.real), cfg.p
+    scale = max(0.5 * (1.0 - r), 2.0**-24)
+    rule = circle_quadrature(mu.boundary.breakpoints, [(phi, scale)], BASE_PANELS, NODES_PER_PANEL)
+    num = 0.0
+    if mu.atoms:
+        zs, masses = (np.array(part) for part in zip(*mu.atoms))
+        num += kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, r, phi, p)
+    if mu.boundary.total() > 0.0:
+        num += kernel_pow_circle_sum(rule.nodes, rule.weights * mu.boundary.value_at(rule.nodes), r, phi, p)
+    for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
+        r_edges = _graded_edges(r0, r1, r1, max(scale, (r1 - r0) / 32.0))
+        a_edges = _graded_edges(a0, a1, _nearest_on_arc(phi, a0, a1), max(scale, min(a1 - a0, math.pi / 16)))
+        rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], 8)
+        ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], 8)
+        wts = np.repeat(wr * rs, ts.size) * np.tile(wt, rs.size)
+        num += val * kernel_pow_disk_sum(np.repeat(rs, ts.size), np.tile(ts, rs.size), wts, r, phi, p)
+    norm = kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI
+    if not (math.isfinite(num) and math.isfinite(norm)):
+        raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
+    return num / norm
+
+
+def mixed_measure():
+    """Atoms (one at the origin), 5 boundary pieces and 2 x 2 area cells."""
+    rng = np.random.default_rng(12)
+    zs = [0j] + list(0.95 * np.sqrt(rng.uniform(0, 1, 2)) * np.exp(1j * rng.uniform(0, TWO_PI, 2)))
+    return Measure(
+        atoms=tuple((complex(z), m) for z, m in zip(zs, rng.uniform(0.05, 0.5, 3))),
+        boundary=BoundaryDensity(np.sort(rng.uniform(0.0, TWO_PI, 5)), rng.uniform(0.02, 0.3, 5)),
+        area=AreaDensity(np.array([0.0, 0.55, 1.0]), np.array([0.0, 2.2, TWO_PI]), rng.uniform(0.05, 0.5, (2, 2))),
+    )
 
 
 def phi_h_riemann(z, arc, h, p, nr=600, na=3000):
@@ -227,6 +273,45 @@ class TestRktScan:
             assert math.pi < math.atan2(scan.witness.imag, scan.witness.real) % TWO_PI < TWO_PI
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 0.01
+
+
+class TestRktBatches:
+    # 7 angles per ring: no batch size divides the rings
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_scan_bit_identical_to_point_by_point(self, p):
+        cfg, mu = hardy_config(p), mixed_measure()
+        scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(7, 7))
+        lams = [complex(re, im) for re, im in scan.rows[:, :2]]
+        assert scan.rows[:, 2].tolist() == [rkt_functional(mu, lam, cfg) for lam in lams]
+        assert scan.rows[:, 2].tolist() == [reference_rkt(mu, lam, cfg) for lam in lams]
+
+    def test_overflow_names_first_point_in_scan_order(self):
+        cfg, mu, grid = hardy_config(300.0), mixed_measure(), DiskGrid.dyadic(8, 7)
+        lams = [0j] + [complex(z) for z in grid.points()]
+        with pytest.raises(EvaluationError) as want:
+            for lam in lams:
+                reference_rkt(mu, lam, cfg)
+        first = re.search(r"\|lam\| = (\S+),", str(want.value)).group(1)
+        assert float(first) > 0.5  # not the origin or the first ring
+        with pytest.raises(EvaluationError, match=re.escape(f"|lam| = {first},")):
+            rkt_infimum_scan(mu, cfg, grid)
+
+    def test_work_counts(self, monkeypatch):
+        # the shipped C2 scan builds one rule set per batch, and the C1 family
+        # builds the breakpoint rule once
+        doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json").read_text())
+        cfg, mu = hardy_config(doc["p"]), normalized_arclength()
+        grid = DiskGrid.dyadic(doc["grid"]["levels"], doc["grid"]["angles"])
+        sets, rules = [], []
+        build = hardy.circle_rules
+        monkeypatch.setattr(hardy, "circle_rules", lambda bp, angles, *a: sets.append(len(angles)) or build(bp, angles, *a))
+        quadrature = hardy.circle_quadrature
+        monkeypatch.setattr(hardy, "circle_quadrature", lambda *a, **k: rules.append(1) or quadrature(*a, **k))
+        rkt_infimum_scan(mu, cfg, grid)
+        assert sum(sets) == 1281 and len(sets) <= 1281 // 8 and not rules
+        family = random_polynomials(doc["polynomials"]["count"], doc["polynomials"]["max_degree"])
+        reverse_embedding_ratios(mu, family, cfg)
+        assert len(rules) == 1
 
 
 class TestReverseEmbedding:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError
@@ -12,6 +12,7 @@ from rktlab.numerics import (
     TWO_PI,
     DiskGrid,
     circle_quadrature,
+    circle_rules,
     eigen_hermitian,
     gauss_legendre_panel,
     hermitian_part,
@@ -188,6 +189,50 @@ class TestRuleBuildersBitIdentical:
         assert np.array_equal(rule.panel_edges, edges)
         assert np.array_equal(rule.nodes, nodes)
         assert np.array_equal(rule.weights, weights)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_circle_rules_match_reference_rule_by_rule(self, data):
+        base_panels = data.draw(st.sampled_from([1, 16, 64]))
+        nodes_per_panel = data.draw(st.sampled_from([2, 12, 16]))
+        rules = data.draw(st.integers(1, 40))
+        peaks = data.draw(st.integers(0, 3))
+        # angles outside [0, 2*pi) and scales below min_width = 2^-26
+        angles = data.draw(st.lists(_angles, min_size=rules * peaks, max_size=rules * peaks))
+        scales = data.draw(st.lists(st.one_of(_scales, st.floats(2.0**-40, 2.0**-26)), min_size=rules * peaks, max_size=rules * peaks))
+        near_edge = st.builds(
+            lambda k, eps: k * TWO_PI / base_panels + eps,
+            st.integers(0, base_panels),
+            st.sampled_from([0.0, 1e-14, -1e-14, 5e-15, -5e-15]),
+        )
+        breakpoints = data.draw(st.lists(st.one_of(_angles, near_edge), max_size=4))
+        angles = np.reshape(angles, (rules, peaks))
+        scales = np.reshape(scales, (rules, peaks))
+        refs = [
+            _reference_circle_rule(breakpoints, list(zip(a, s)), base_panels, nodes_per_panel)
+            for a, s in zip(angles.tolist(), scales.tolist())
+        ]
+        assume(all(np.all(ref[2] > 0.0) for ref in refs))  # an empty panel is refused
+        got = circle_rules(breakpoints, angles, scales, base_panels, nodes_per_panel)
+        assert got.offsets.size == rules + 1
+        for k, (edges, nodes, weights) in enumerate(refs):
+            sl = slice(got.offsets[k], got.offsets[k + 1])
+            assert np.array_equal(got.nodes[sl], nodes)
+            assert np.array_equal(got.weights[sl], weights)
+            panels = slice(got.offsets[k] // nodes_per_panel, got.offsets[k + 1] // nodes_per_panel)
+            assert np.array_equal(got.panel_lo[panels], edges[:-1])
+
+    def test_near_duplicates_collapse_against_the_last_kept_edge(self):
+        # 1 - 1e-14 is kept, 1 is within 1e-14 of it and dropped, 1 + 5e-15 is
+        # 1.5e-14 from the kept edge and stays (though within 1e-14 of 1)
+        breakpoints = [1.0 - 1e-14, 1.0, 1.0 + 5e-15]
+        angles, scales = np.array([[0.3], [1.0], [4.0]]), np.full((3, 1), 0.01)
+        got = circle_rules(breakpoints, angles, scales, 16, 12)
+        for k in range(3):
+            edges, nodes, weights = _reference_circle_rule(breakpoints, [(angles[k, 0], 0.01)], 16, 12)
+            assert np.any(edges == 1.0 + 5e-15) and not np.any(edges == 1.0)
+            assert np.array_equal(got.nodes[got.offsets[k]:got.offsets[k + 1]], nodes)
+            assert np.array_equal(got.weights[got.offsets[k]:got.offsets[k + 1]], weights)
 
     @given(
         lo=st.floats(-4.0, 4.0),
