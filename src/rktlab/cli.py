@@ -179,7 +179,7 @@ _BUILTIN_MEASURES = {
 }
 
 
-def _measure_spec(v, path) -> Measure:
+def _measure_spec(v, path, max_cells: int) -> Measure:
     _require_mapping(v, path)
     if "builtin" in v:
         got = _check_fields(
@@ -193,9 +193,8 @@ def _measure_spec(v, path) -> Measure:
         mu = measure_from_dict(v)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(path, f"invalid measure document: {exc}") from exc
-    # at every rkt-hardy cap together a run takes about 31 s (each area cell about 2.4 s)
     cells = mu.area.values.size if mu.area is not None else 0
-    for name, size, cap in (("atoms", len(mu.atoms), 256), ("boundary_density.breakpoints", mu.boundary.breakpoints.size, 256), ("area_density", cells, 8)):
+    for name, size, cap in (("atoms", len(mu.atoms), 256), ("boundary_density.breakpoints", mu.boundary.breakpoints.size, 256), ("area_density", cells, max_cells)):
         if size > cap:
             raise ConfigError(f"{path}.{name}", f"expected at most {cap} entries, got {size}")
     return mu
@@ -249,7 +248,8 @@ def run_windows(doc: dict, quick: bool, seed: int):
         "config",
         {
             **_COMMON_FIELDS,
-            "measure": (True, _measure_spec),
+            # at every cap (256 atoms, 256 breakpoints, 64 x 64 cells, depth 16) a run takes about 34 s
+            "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=4096)),
             "max_depth": (True, _int_in(1, 16)),
             "refine_arc": (False, _arc_spec),
             "refine_depths": (False, _number_list),
@@ -308,9 +308,10 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         "config",
         {
             **_COMMON_FIELDS,
-            "measure": (True, _measure_spec),
+            # each area cell costs a graded polar rule per kernel point, about 2 s at the largest grid
+            "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=16)),
             "p": (True, _number),
-            # the largest grid and family with the largest measure run in about 31 s and 46 MiB
+            # the largest grid and family with the largest measure run in about 47 s and 46 MiB
             "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1, 512))})),
             "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1, 1000)), "max_degree": (True, _int_in(0, 256))})),
         },

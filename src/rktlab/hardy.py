@@ -245,7 +245,7 @@ def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
 
 def reverse_embedding_ratios(mu: Measure, fs: Sequence[HardyFunction], cfg: HardyConfig) -> list[float]:
     """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family, on the
-    measure's nodes and the H^p circle's e^{i theta}, built once."""
+    measure's nodes, built once."""
     p = cfg.p
     parts = []  # (points, weights, density factor) in the order the integral sums them
     if mu.atoms:
@@ -258,13 +258,11 @@ def reverse_embedding_ratios(mu: Measure, fs: Sequence[HardyFunction], cfg: Hard
         for r0, r1, a0, a1, val in mu.area.cells():
             rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
             parts.append(((rs[:, None] * np.exp(1j * ts)).ravel(), (wrr[:, None] * wt).ravel(), val))
-    circle = np.exp(1j * cfg.quadrature.nodes)
     ratios = []
     for f in fs:
         if f.is_zero():
             raise DomainError("reverse embedding ratio is undefined for the zero function")
-        mean = float(np.dot(cfg.quadrature.weights, np.abs(f(circle)) ** p)) / TWO_PI
-        norm_p = (mean ** (1.0 / p)) ** p  # hp_norm(f, cfg) ** p
+        norm_p = hp_norm(f, cfg) ** p
         if norm_p == 0.0:
             raise DomainError("function has zero H^p norm")
         num = 0.0

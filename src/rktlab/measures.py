@@ -105,8 +105,6 @@ class BoundaryDensity:
         return np.concatenate([bp, [bp[0] + TWO_PI]])
 
     def value_at(self, thetas: np.ndarray) -> np.ndarray:
-        if self.values.size == 1:  # one piece covers the circle
-            return np.full(np.shape(thetas), self.values[0])
         bp = self.breakpoints
         t = np.mod(np.asarray(thetas, dtype=float) - bp[0], TWO_PI) + bp[0]
         idx = np.searchsorted(self._extended(), t, side="right") - 1

@@ -68,9 +68,11 @@ def capped_measure(atoms=256, breakpoints=256, cells=(2, 4)):
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("doc", [WINDOWS_DOC, dict(RKT_DOC, grid={"levels": 2, "angles": 4})], ids=["windows", "rkt-hardy"])
-    def test_measure_at_every_cap_runs(self, tmp_path, doc):
-        cfg = write_config(tmp_path, "c.json", dict(doc, measure=capped_measure()))
+    @pytest.mark.parametrize(
+        "doc,cells", [(WINDOWS_DOC, (64, 64)), (dict(RKT_DOC, grid={"levels": 2, "angles": 4}), (4, 4))], ids=["windows", "rkt-hardy"]
+    )
+    def test_measure_at_every_cap_runs(self, tmp_path, doc, cells):
+        cfg = write_config(tmp_path, "c.json", dict(doc, measure=capped_measure(cells=cells)))
         assert run(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_malformed_json(self, tmp_path):
@@ -276,10 +278,10 @@ class TestExitCodes:
             (dict(RKT_DOC, polynomials={"count": 10, "max_degree": 257}), "config.polynomials.max_degree"),
             (dict(RKT_DOC, measure=capped_measure(atoms=257)), "config.measure.atoms"),
             (dict(RKT_DOC, measure=capped_measure(breakpoints=257)), "config.measure.boundary_density.breakpoints"),
-            (dict(RKT_DOC, measure=capped_measure(cells=(3, 3))), "config.measure.area_density"),
+            (dict(RKT_DOC, measure=capped_measure(cells=(17, 1))), "config.measure.area_density"),
             (dict(WINDOWS_DOC, measure=capped_measure(atoms=257)), "config.measure.atoms"),
             (dict(WINDOWS_DOC, measure=capped_measure(breakpoints=257)), "config.measure.boundary_density.breakpoints"),
-            (dict(WINDOWS_DOC, measure=capped_measure(cells=(9, 1))), "config.measure.area_density"),
+            (dict(WINDOWS_DOC, measure=capped_measure(cells=(1, 4097))), "config.measure.area_density"),
             (dict(T2_DOC, delta_list=[0.1] * 65), "config.delta_list"),
         ],
     )
