@@ -308,7 +308,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         "config",
         {
             **_COMMON_FIELDS,
-            # each area cell costs a graded polar rule per kernel point, about 2 s at the largest grid
+            # each area cell adds about 2 s at the largest grid and family
             "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=16)),
             "p": (True, _number),
             # the largest grid and family with the largest measure run in about 47 s and 46 MiB
