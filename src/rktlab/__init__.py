@@ -10,7 +10,13 @@ Subpackages by subject:
   cli           batch experiment runner and report generator
 """
 
-from ._kernels import ACTIVE_BACKEND
+import os
+
+# One BLAS thread unless the caller sets one: the matrices are small, and a
+# cold OpenBLAS thread pool stalls the first products and eigensolves.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from ._kernels import ACTIVE_BACKEND  # noqa: E402  (numpy loads after the setting)
 
 __version__ = "0.1.0"
 

@@ -389,15 +389,15 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     rings, angs = (4, 12) if quick else (sup_spec["rings"], sup_spec["angles"])
     sup_grid = DiskGrid.geometric(rings, angs, min_gap=2.0**-12)
     sup_zs = list(sup_grid.points()) + [complex(np.exp(1j * t)) for t in np.linspace(0, TWO_PI, 17)[:-1]]
+    off_rec, mid_rec = records[0], records[1]
     rows = []
     sup_val = 0.0
-    for z in [z_off, z_mid] + sup_zs:
-        for h in hs:
-            v = phi_h(z, arc, float(h), cfg)
+    for z, vals in [(z_off, off_rec.values), (z_mid, mid_rec.values)] + [(z, ()) for z in sup_zs]:
+        if len(vals) == 0:  # off the profile, or z_off at an endpoint of a full-circle arc
+            vals = [phi_h(z, arc, float(h), cfg) for h in hs]
+        for h, v in zip(hs, vals):
             rows.append((float(z.real), float(z.imag), float(h), float(v)))
-            sup_val = max(sup_val, v)
-    off_rec = records[0]
-    mid_rec = records[1]
+            sup_val = max(sup_val, float(v))
     summary = {
         "kind": "phi-h",
         "p": p,
@@ -408,9 +408,8 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
         "endpoint_classification": records[2].kind,
         "grid_sup": sup_val,
     }
-    h0 = float(hs[0])
-    v8 = phi_h(z_mid, arc, h0, cfg)
-    v12 = phi_h(z_mid, arc, h0, cfg, nodes=12)
+    v8 = float(mid_rec.values[0])
+    v12 = phi_h(z_mid, arc, float(hs[0]), cfg, nodes=12)
     checks = [
         Check(
             "phi-h-quadrature-stability",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EvaluationError, PrecisionWarning
-from .measures import Arc, Measure
+from .measures import Arc, BoundaryDensity, Measure
 from .numerics import (
     RADIAL_CAP,
     TWO_PI,
@@ -81,16 +81,6 @@ class HardyFunction:
             raise DomainError("coefficients must be a finite 1-d array")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def degree(self) -> int:
-        return int(self.coeffs.size - 1)
-
-    def __call__(self, z):
-        return np.polyval(self.coeffs[::-1], z)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0.0))
-
 
 def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEED):
     """Seeded family of random polynomials with complex Gaussian coefficients."""
@@ -102,11 +92,39 @@ def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEE
     return out
 
 
+def _coefficient_matrix(fs: Sequence[HardyFunction]) -> np.ndarray:
+    """The family's ascending coefficients as columns, padded with zero
+    high-order coefficients to the largest degree."""
+    coeffs = np.zeros((max((f.coeffs.size for f in fs), default=1), len(fs)), dtype=np.complex128)
+    for j, f in enumerate(fs):
+        coeffs[: f.coeffs.size, j] = f.coeffs
+    return coeffs
+
+
+def _abs_pow_sums(zs: np.ndarray, weights: np.ndarray, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """weights @ |f(zs)|^p for every column f of ``coeffs``: Vandermonde
+    products in node and column blocks of about BATCH_NODES values."""
+    rows = max(1, BATCH_NODES // coeffs.shape[0])
+    cols = max(1, BATCH_NODES // min(rows, zs.size))
+    sums = np.zeros(coeffs.shape[1])
+    for i in range(0, zs.size, rows):
+        powers = np.vander(zs[i : i + rows], coeffs.shape[0], increasing=True)
+        for j in range(0, coeffs.shape[1], cols):
+            vals = np.abs(powers @ coeffs[:, j : j + cols])
+            vals **= p
+            sums[j : j + cols] += weights[i : i + rows] @ vals
+    return sums
+
+
+def _hp_norms_p(coeffs: np.ndarray, cfg: HardyConfig) -> np.ndarray:
+    """||f||_p^p, the integral of |f|^p d(theta)/(2*pi), for every column f."""
+    quad = cfg.quadrature
+    return _abs_pow_sums(np.exp(1j * quad.nodes), quad.weights, coeffs, cfg.p) / TWO_PI
+
+
 def hp_norm(f: HardyFunction, cfg: HardyConfig) -> float:
     """(integral of |f|^p d(theta)/(2*pi))^(1/p) over the boundary circle."""
-    vals = np.abs(f(np.exp(1j * cfg.quadrature.nodes))) ** cfg.p
-    mean = float(np.dot(cfg.quadrature.weights, vals)) / TWO_PI
-    return mean ** (1.0 / cfg.p)
+    return float(_hp_norms_p(f.coeffs[:, None], cfg)[0]) ** (1.0 / cfg.p)
 
 
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
@@ -168,6 +186,14 @@ def _graded_edges(lo: float, hi: float, attract: float, scale: float) -> np.ndar
         d *= 0.5
 
 
+def _panel_density(density: BoundaryDensity, nodes: np.ndarray) -> np.ndarray:
+    """The density at every node of circle rules whose panels cross no
+    breakpoint: one lookup per panel, repeated.  The lookup is at the first
+    node, as the right end of a panel only ulps wide is where its later nodes
+    round to, and that end may be the next piece's breakpoint or 2*pi."""
+    return np.repeat(density.value_at(nodes[::NODES_PER_PANEL]), NODES_PER_PANEL)
+
+
 def _rkt_batch(mu: Measure, lams, cfg: HardyConfig):
     """``rkt_functional`` at consecutive kernel points, and their circle nodes'
     count: one rule build, one |k_lam|^p over all nodes, a dot per point."""
@@ -183,7 +209,7 @@ def _rkt_batch(mu: Measure, lams, cfg: HardyConfig):
     nodes, weights, offsets, _ = circle_rules(mu.boundary.breakpoints, phis[:, None], scales[:, None], BASE_PANELS, NODES_PER_PANEL)
     boundary = mu.boundary.total() > 0.0
     if boundary:
-        dens_weights = weights * mu.boundary.value_at(nodes)
+        dens_weights = weights * _panel_density(mu.boundary, nodes)
     # (1 - r)^2 + 4 r sin((theta - phi)/2)^2, panel by panel
     panels = np.diff(offsets) // NODES_PER_PANEL
     s = nodes.reshape(-1, NODES_PER_PANEL) - np.repeat(phis, panels)[:, None]
@@ -244,34 +270,32 @@ def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
 
 
 def reverse_embedding_ratios(mu: Measure, fs: Sequence[HardyFunction], cfg: HardyConfig) -> list[float]:
-    """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family, on the
-    measure's nodes, built once."""
+    """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family: one
+    Vandermonde product per node set of the measure, each set built once."""
     p = cfg.p
-    parts = []  # (points, weights, density factor) in the order the integral sums them
+    coeffs = _coefficient_matrix(fs)
+    norms = _hp_norms_p(coeffs, cfg)
+    nums = np.zeros(len(fs))  # summed atoms, boundary, area cells, as the integral sums them
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
-        parts.append((zs, masses, 1.0))
+        nums += _abs_pow_sums(zs, masses, coeffs, p)
     if mu.boundary.total() > 0.0:
         rule = circle_quadrature(breakpoints=mu.boundary.breakpoints, base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
-        parts.append((np.exp(1j * rule.nodes), rule.weights * mu.boundary.value_at(rule.nodes), 1.0))
+        nums += _abs_pow_sums(np.exp(1j * rule.nodes), rule.weights * _panel_density(mu.boundary, rule.nodes), coeffs, p)
     if mu.area is not None:
         for r0, r1, a0, a1, val in mu.area.cells():
             rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
-            parts.append(((rs[:, None] * np.exp(1j * ts)).ravel(), (wrr[:, None] * wt).ravel(), val))
-    ratios = []
-    for f in fs:
-        if f.is_zero():
+            nums += val * _abs_pow_sums((rs[:, None] * np.exp(1j * ts)).ravel(), (wrr[:, None] * wt).ravel(), coeffs, p)
+    zero = ~coeffs.any(axis=0)
+    bad = zero | (norms == 0.0) | ~np.isfinite(nums) | ~np.isfinite(norms)
+    if bad.any():  # the first failing function in family order
+        i = int(np.argmax(bad))
+        if zero[i]:
             raise DomainError("reverse embedding ratio is undefined for the zero function")
-        norm_p = hp_norm(f, cfg) ** p
-        if norm_p == 0.0:
+        if norms[i] == 0.0:
             raise DomainError("function has zero H^p norm")
-        num = 0.0
-        for zs, weights, factor in parts:
-            num += factor * float(np.dot(weights, np.abs(f(zs)) ** p))
-        if not (math.isfinite(num) and math.isfinite(norm_p)):
-            raise EvaluationError(f"|f|^p overflows at p = {p!r}: integral {num!r}, ||f||_p^p {norm_p!r}")
-        ratios.append(num / norm_p)
-    return ratios
+        raise EvaluationError(f"|f|^p overflows at p = {p!r}: integral {float(nums[i])!r}, ||f||_p^p {float(norms[i])!r}")
+    return (nums / norms).tolist()
 
 
 def reverse_embedding_ratio(mu: Measure, f: HardyFunction, cfg: HardyConfig) -> float:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -347,6 +350,33 @@ class TestShippedConfigs:
         # every cell is a plain number: repr of a numpy scalar would read np.float64(...)
         lines = (out / f"{summary['kind']}.csv").read_text().splitlines()[1:]
         assert lines and [float(x) for line in lines for x in line.split(",")]
+
+
+class TestBlasThreads:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def env(self, threads=None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        return env
+
+    def test_import_sets_one_thread_unless_set(self):
+        code = "import os, rktlab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        for threads, want in ((None, "1"), ("2", "2")):
+            done = subprocess.run([sys.executable, "-c", code], env=self.env(threads), check=True, capture_output=True, text=True)
+            assert done.stdout.strip() == want
+
+    @pytest.mark.parametrize("config,kind", [("rkt_hardy", "rkt-hardy"), ("pw_counterexample", "pw-counterexample")])
+    def test_csv_byte_identical_under_one_and_two_threads(self, tmp_path, config, kind):
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            argv = ["run", "--config", str(self.ROOT / "configs" / f"{config}.json"), "--out", str(out), "--quick"]
+            subprocess.run([sys.executable, "-m", "rktlab", *argv], env=self.env(threads), check=True, capture_output=True)
+            csvs.append((out / f"{kind}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
 
 class TestReport:

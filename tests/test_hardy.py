@@ -14,6 +14,8 @@ from rktlab.hardy import (
     BASE_PANELS,
     NODES_PER_PANEL,
     HardyFunction,
+    _cell_axes,
+    _panel_density,
     classify_against_arc,
     hardy_config,
     hp_norm,
@@ -36,7 +38,7 @@ from rktlab.measures import (
     normalized_arclength,
     upper_half_arclength,
 )
-from rktlab.numerics import TWO_PI, DiskGrid, circle_quadrature, gauss_legendre_panel
+from rktlab.numerics import TWO_PI, DiskGrid, circle_quadrature, circle_rules, gauss_legendre_panel
 
 P_SWEEP = [1.5, 2.0, 3.0, 4.0]
 
@@ -92,6 +94,55 @@ def mixed_measure():
         boundary=BoundaryDensity(np.sort(rng.uniform(0.0, TWO_PI, 5)), rng.uniform(0.02, 0.3, 5)),
         area=AreaDensity(np.array([0.0, 0.55, 1.0]), np.array([0.0, 2.2, TWO_PI]), rng.uniform(0.05, 0.5, (2, 2))),
     )
+
+
+def reference_ratios(mu, fs, cfg):
+    """The family's reverse-embedding ratios one polynomial at a time, each
+    node set evaluated by Horner's rule (np.polyval)."""
+    p, quad = cfg.p, cfg.quadrature
+    parts = []
+    if mu.atoms:
+        zs, masses = (np.array(part) for part in zip(*mu.atoms))
+        parts.append((zs, masses, 1.0))
+    if mu.boundary.total() > 0.0:
+        rule = circle_quadrature(mu.boundary.breakpoints, (), BASE_PANELS, NODES_PER_PANEL)
+        parts.append((np.exp(1j * rule.nodes), rule.weights * mu.boundary.value_at(rule.nodes), 1.0))
+    for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
+        rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
+        parts.append((np.outer(rs, np.exp(1j * ts)).ravel(), np.outer(wrr, wt).ravel(), val))
+    ratios = []
+    for f in fs:
+        c = f.coeffs[::-1]
+        norm = float(np.dot(quad.weights, np.abs(np.polyval(c, np.exp(1j * quad.nodes))) ** p)) / TWO_PI
+        num = sum(factor * float(np.dot(w, np.abs(np.polyval(c, zs)) ** p)) for zs, w, factor in parts)
+        ratios.append(num / norm)
+    return ratios
+
+
+def phi_h_p2_oracle(z, arc, h):
+    """phi_h at p = 2 with the angular integral in closed form,
+    integral dtheta / (1 - 2x cos(theta - psi) + x^2) = 2/(1 - x^2) * atan2((1 + x) sin u, (1 - x) cos u)
+    with u = (theta - psi)/2, on pieces of the arc cut where theta - psi = pi mod 2 pi, and the
+    radial integral of (1 - r^2) r (angular part at x = r|z|) by adaptive quadrature."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    rho, psi = abs(z), math.atan2(z.imag, z.real)
+    a, b = arc.start, arc.start + arc.length
+    cuts = psi + math.pi + TWO_PI * np.arange(math.floor((a - psi - math.pi) / TWO_PI), math.ceil((b - psi - math.pi) / TWO_PI) + 1)
+    edges = [a] + [c for c in cuts if a < c < b] + [b]
+    pieces = [(lo, hi, psi + TWO_PI * round((0.5 * (lo + hi) - psi) / TWO_PI)) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def radial(r):
+        x = r * rho
+        ang = sum(
+            math.atan2((1.0 + x) * math.sin(0.5 * (hi - c)), (1.0 - x) * math.cos(0.5 * (hi - c)))
+            - math.atan2((1.0 + x) * math.sin(0.5 * (lo - c)), (1.0 - x) * math.cos(0.5 * (lo - c)))
+            for lo, hi, c in pieces
+        )
+        return (1.0 - r * r) * r * 2.0 / (1.0 - x * x) * ang
+
+    val, err = quad(radial, 1.0 - h, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert err <= 1e-12 * abs(val)
+    return val / h
 
 
 def phi_h_riemann(z, arc, h, p, nr=600, na=3000):
@@ -296,6 +347,44 @@ class TestRktBatches:
         with pytest.raises(EvaluationError, match=re.escape(f"|lam| = {first},")):
             rkt_infimum_scan(mu, cfg, grid)
 
+    EDGE_BREAKPOINTS = [
+        [0.0, 1.0, 3.0],
+        [0.0, 2.0, TWO_PI - 1e-9],
+        [0.5, TWO_PI - 1e-15],
+        [float(np.nextafter(TWO_PI, 0.0))],
+        [1e-16, 3.0],
+        [0.0, TWO_PI / BASE_PANELS + 1e-15, 2.0, TWO_PI - TWO_PI / BASE_PANELS - 5e-15],
+    ]
+
+    @pytest.mark.parametrize("bp", EDGE_BREAKPOINTS)
+    def test_panel_density_equals_value_at_every_node(self, bp):
+        # peaks on, beside and between the breakpoints, at 0 and just below it,
+        # at scales down to below min_width
+        density = BoundaryDensity(np.array(bp), np.arange(1.0, len(bp) + 1.0))
+        rng = np.random.default_rng(len(bp))
+        angles = np.concatenate([bp, np.add(bp, 1e-12), np.subtract(bp, 1e-9), [0.0, -1e-17, TWO_PI - 1e-12], rng.uniform(0.0, TWO_PI, 8)])
+        scales = np.geomspace(2.0**-30, 0.5, angles.size)
+        nodes = circle_rules(density.breakpoints, angles[:, None], scales[:, None], BASE_PANELS, NODES_PER_PANEL).nodes
+        assert np.array_equal(_panel_density(density, nodes), density.value_at(nodes))
+
+    def test_panel_density_in_a_panel_one_ulp_wide(self):
+        # a breakpoint one ulp below 2*pi leaves the panel [2*pi - ulp, 2*pi]; its later
+        # nodes round to 2*pi, where a lookup per node wraps to the first piece
+        density = BoundaryDensity(np.array([0.0, 1.0, TWO_PI - 1e-15]), np.array([1.0, 2.0, 3.0]))
+        rules = circle_rules(density.breakpoints, np.zeros((1, 0)), np.zeros((1, 0)), BASE_PANELS, NODES_PER_PANEL)
+        last = slice(-NODES_PER_PANEL, None)
+        assert rules.panel_lo[-1] == np.nextafter(TWO_PI, 0.0)
+        assert 1.0 in density.value_at(rules.nodes[last])
+        assert np.array_equal(_panel_density(density, rules.nodes), np.repeat(density.value_at(rules.panel_lo), NODES_PER_PANEL))
+
+    @pytest.mark.parametrize("bp", EDGE_BREAKPOINTS)
+    def test_scan_bit_identical_with_edge_breakpoints(self, bp):
+        cfg = hardy_config(2.0)
+        mu = Measure(boundary=BoundaryDensity(np.array(bp), np.linspace(0.1, 0.9, len(bp))))
+        scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(5, 7))
+        lams = [complex(re, im) for re, im in scan.rows[:, :2]]
+        assert scan.rows[:, 2].tolist() == [reference_rkt(mu, lam, cfg) for lam in lams]
+
     def test_work_counts(self, monkeypatch):
         # the shipped C2 scan builds one rule set per batch, and the C1 family
         # builds the breakpoint rule once
@@ -345,8 +434,39 @@ class TestReverseEmbedding:
         for p in P_SWEEP:
             cfg = hardy_config(p)
             for f in random_polynomials(5, 12, seed=3):
-                want = sum(m * abs(f(z)) ** p for z, m in mu.atoms) / hp_norm(f, cfg) ** p
+                want = sum(m * abs(np.polyval(f.coeffs[::-1], z)) ** p for z, m in mu.atoms) / hp_norm(f, cfg) ** p
                 assert reverse_embedding_ratio(mu, f, cfg) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", P_SWEEP)
+    def test_family_against_polyval_loop(self, p):
+        # atoms (one at the origin), 5 breakpoints and 2 x 2 area cells
+        mu, cfg = mixed_measure(), hardy_config(p)
+        family = random_polynomials(40, 32, seed=int(10 * p))
+        assert reverse_embedding_ratios(mu, family, cfg) == pytest.approx(reference_ratios(mu, family, cfg), rel=1e-13)
+
+    @pytest.mark.parametrize("batch", [hardy.BATCH_NODES, 600])
+    def test_mixed_degrees_across_blocks(self, monkeypatch, batch):
+        # degrees 0..40 in one family, zero-padded to degree 40; at BATCH_NODES = 2^14
+        # a column block of the circle holds 41 functions, at 600 it holds 42 and a
+        # node block 14 nodes, so the 120 functions span several blocks either way
+        monkeypatch.setattr(hardy, "BATCH_NODES", batch)
+        rng = np.random.default_rng(17)
+        family = [HardyFunction(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) for d in (7 * np.arange(120)) % 41]
+        mu, cfg = mixed_measure(), hardy_config(3.0)
+        assert reverse_embedding_ratios(mu, family, cfg) == pytest.approx(reference_ratios(mu, family, cfg), rel=1e-13)
+
+    def test_first_failure_in_family_order(self):
+        # good is finite at p = 2, and |good|^300 overflows on the circle
+        mu, good = normalized_arclength(), random_polynomials(1, 32, seed=1)[0]
+        with pytest.raises(DomainError, match="zero function"):
+            reverse_embedding_ratios(mu, [good, HardyFunction([0.0, 0.0])], hardy_config(2.0))
+        # |1e-300|^2 underflows at every node
+        with pytest.raises(DomainError, match="zero H\\^p norm"):
+            reverse_embedding_ratios(mu, [good, HardyFunction([1e-300])], hardy_config(2.0))
+        with pytest.raises(EvaluationError, match="integral inf, "):
+            reverse_embedding_ratios(mu, [good, HardyFunction([0.0])], hardy_config(300.0))
+        with pytest.raises(DomainError, match="zero function"):
+            reverse_embedding_ratios(mu, [HardyFunction([0.0]), good], hardy_config(300.0))
 
     def test_overflow_raises(self):
         # |f|^300 overflows on the circle: the ratio would be inf/inf
@@ -371,6 +491,17 @@ class TestPhiH:
             mine = phi_h(z, arc, h, cfg)
             ref = phi_h_riemann(z, arc, h, p)
             assert mine == pytest.approx(ref, rel=2e-4)
+
+    @pytest.mark.parametrize("exponent", [3, 6, 10])
+    def test_p2_closed_form_oracle(self, exponent):
+        # interior points and boundary points on and off the arc, on arcs through
+        # angle 0 and the whole circle; the largest deviation, 3.3e-7, is at -0.9j on
+        # the whole circle, and on the arc at z = 1 it is 8.5e-8 at h = 2^-10
+        cfg, h = hardy_config(2.0), 2.0**-exponent
+        for arc in (Arc(0.0, 0.5), Arc(3.0, 2.5), Arc(1.0, TWO_PI)):
+            for z in (0.0, 0.4 + 0.2j, -0.9j, 1.0, complex(np.exp(0.3j)), complex(np.exp(-0.2j)), complex(np.exp(2.5j))):
+                z = complex(z)
+                assert phi_h(z, arc, h, cfg) == pytest.approx(phi_h_p2_oracle(z, arc, h), rel=1e-6), (arc, z)
 
     def test_on_arc_against_refined_riemann(self):
         # corner-singular case: the graded rule must beat the midpoint sum
