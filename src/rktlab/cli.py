@@ -221,10 +221,20 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: Rows the CSV writer formats at once, so a table is never held as text whole.
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    """rows hold Python ints and floats (repr of a numpy scalar differs)."""
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """rows: a 2-d float array, or a sequence of tuples of Python ints and
+    floats (repr of a numpy scalar differs; ``tolist`` gives Python floats)."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[i : i + CSV_BLOCK_ROWS]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
 
 
 class Check:
@@ -351,8 +361,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
         Check("kernel-norm-closed-form", dev <= 1e-8, f"max relative deviation {dev:.3e} at p=2")
     )
     header = ("re_lambda", "im_lambda", "rkt_value")
-    rows = scan.rows.tolist()
-    return summary, header, rows, checks
+    return summary, header, scan.rows, checks
 
 
 def run_phi_h(doc: dict, quick: bool, seed: int):
@@ -390,14 +399,13 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     sup_grid = DiskGrid.geometric(rings, angs, min_gap=2.0**-12)
     sup_zs = list(sup_grid.points()) + [complex(np.exp(1j * t)) for t in np.linspace(0, TWO_PI, 17)[:-1]]
     off_rec, mid_rec = records[0], records[1]
-    rows = []
-    sup_val = 0.0
+    blocks = []
     for z, vals in [(z_off, off_rec.values), (z_mid, mid_rec.values)] + [(z, ()) for z in sup_zs]:
         if len(vals) == 0:  # off the profile, or z_off at an endpoint of a full-circle arc
             vals = [phi_h(z, arc, float(h), cfg) for h in hs]
-        for h, v in zip(hs, vals):
-            rows.append((float(z.real), float(z.imag), float(h), float(v)))
-            sup_val = max(sup_val, float(v))
+        blocks.append(np.column_stack([np.full(hs.size, z.real), np.full(hs.size, z.imag), hs, vals]))
+    rows = np.vstack(blocks)
+    sup_val = max([0.0] + rows[:, 3].tolist())
     summary = {
         "kind": "phi-h",
         "p": p,
@@ -535,7 +543,7 @@ def run_pw(doc: dict, quick: bool, seed: int):
     nim, nre = scan.low.shape
     rows = np.column_stack(
         [np.tile(scan.re_grid, nim), np.repeat(scan.im_grid, nre), scan.low.ravel(), scan.high.ravel()]
-    ).tolist()
+    )
     header = ("re_lambda", "im_lambda", "rkt_sum_low", "rkt_sum_high")
     return summary, header, rows, checks
 
@@ -648,7 +656,7 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
     via_basis = (e_z @ e_lam)[:, 0, 0]  # one row dot product per pair
     kdev = float(np.max(np.abs(kernel_value(theta, lam, zpts) - via_basis)))
     checks.append(Check("kernel-formula-consistency", kdev <= 1e-9, f"max deviation {kdev:.3e}"))
-    rows = np.column_stack([scan.zs.real, scan.zs.imag, scan.phi_vals, scan.mu_norm_sq]).tolist()
+    rows = np.column_stack([scan.zs.real, scan.zs.imag, scan.phi_vals, scan.mu_norm_sq])
     header = ("re_z", "im_z", "phi", "norm_mu_sq")
     return summary, header, rows, checks
 

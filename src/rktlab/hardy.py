@@ -153,37 +153,54 @@ def _nearest_on_arc(angle: float, lo: float, hi: float) -> float:
     return hi if (off - width) < (TWO_PI - off) else lo
 
 
+def _peak_attractors(angle: float, lo: float, hi: float, finest: float) -> tuple:
+    """The (point, finest panel) pairs toward which a rule on the arc [lo, hi]
+    grades for a 2*pi-periodic peak at angle: the arc point nearest the peak,
+    down to finest, and each end that the peak's lift just outside it reaches,
+    down to half that lift's distance.  The lift reaches the end when it lies
+    nearer to it than the first point does, as the graded panels at the end
+    are about as wide as their distance to that point (only on arcs longer
+    than 2*pi/3)."""
+    near = _nearest_on_arc(angle, lo, hi)
+    ends = ((lo, wrap_angle(lo - angle)), (hi, wrap_angle(angle - hi)))
+    return ((near, finest), *((e, max(finest, 0.5 * out)) for e, out in ends if out < abs(e - near)))
+
+
 def _cell_axes(r0, r1, a0, a1, peak_angle, scale, nodes=8):
     """Radial and angular Gauss-Legendre rules of the polar cell [r0,r1] x [a0,a1],
     graded angularly toward peak_angle and radially toward the outer edge, as the
     factors (rs, wr * rs, ts, wt) of the product rule (dA = r dr dtheta)."""
-    rs, wr = _graded_rule(r0, r1, r1, max(scale, (r1 - r0) / 32.0), nodes)
+    rs, wr = _graded_rule(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),), nodes)
     attract = _nearest_on_arc(peak_angle, a0, a1)
-    ts, wt = _graded_rule(a0, a1, attract, max(scale, min(a1 - a0, math.pi / 16)), nodes)
+    ts, wt = _graded_rule(a0, a1, ((attract, max(scale, min(a1 - a0, math.pi / 16))),), nodes)
     return rs, wr * rs, ts, wt
 
 
 @lru_cache(maxsize=64)
-def _graded_rule(lo: float, hi: float, attract: float, scale: float, nodes: int):
+def _graded_rule(lo: float, hi: float, attracts: tuple, nodes: int):
     """Gauss-Legendre rule on the panels of ``_graded_edges`` (shared, read-only)."""
-    edges = _graded_edges(lo, hi, attract, scale)
+    edges = _graded_edges(lo, hi, attracts)
     rule = gauss_legendre_panel(edges[:-1], edges[1:], nodes)
     rule[0].flags.writeable = rule[1].flags.writeable = False
     return rule
 
 
-def _graded_edges(lo: float, hi: float, attract: float, scale: float) -> np.ndarray:
-    """1-d edges on [lo, hi], dyadically graded toward the attract point."""
+def _graded_edges(lo: float, hi: float, attracts: tuple) -> np.ndarray:
+    """1-d edges on [lo, hi], dyadically graded toward each (point, finest)
+    pair of attracts whose finest panel is narrower than the interval."""
     width = hi - lo
-    if width <= scale:
-        return np.array([lo, hi])
-    a = min(max(attract, lo), hi)
-    edges, d = {lo, hi, a}, width
-    while True:  # a +- d for d = width, width/2, ... down to the first d <= scale
-        edges.update(e for e in (a - d, a + d) if lo < e < hi)
-        if d <= scale:
-            return np.array(sorted(edges))
-        d *= 0.5
+    edges = {lo, hi}
+    for a, finest in attracts:
+        if width <= finest:
+            continue
+        a, d = min(max(a, lo), hi), width
+        edges.add(a)
+        while True:  # a +- d for d = width, width/2, ... down to the first d <= finest
+            edges.update(e for e in (a - d, a + d) if lo < e < hi)
+            if d <= finest:
+                break
+            d *= 0.5
+    return np.array(sorted(edges))
 
 
 def _panel_density(density: BoundaryDensity, nodes: np.ndarray) -> np.ndarray:
@@ -320,11 +337,11 @@ def phi_h(z: complex, arc: Arc, h: float, cfg: HardyConfig, nodes: int = 8) -> f
     if not MIN_WINDOW_DEPTH * (1.0 - 1e-12) <= h <= min(arc.length, 1.0) * (1.0 + 1e-12):
         raise DomainError(f"depth h={h} must lie in [2^-16, min(|I|, 1)]")
     psi = math.atan2(z.imag, z.real) if rho > 0.0 else 0.0
-    ts, wts = _graded_rule(0.0, h, 0.0, max(h * 2.0**-20, 2.0**-30), nodes)
+    ts, wts = _graded_rule(0.0, h, ((0.0, max(h * 2.0**-20, 2.0**-30)),), nodes)
     start = arc.start
     end = start + arc.length
     ang_scale = max(0.25 * (1.0 - rho), 2.0**-26)
-    angs, wangs = _graded_rule(start, end, _nearest_on_arc(psi, start, end), ang_scale, nodes)
+    angs, wangs = _graded_rule(start, end, _peak_attractors(psi, start, end, ang_scale), nodes)
     return _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p) / h
 
 

@@ -371,16 +371,30 @@ class ModelScan(NamedTuple):
     mu_norm_sq: np.ndarray
 
 
+#: Most grid points ``rkt_model_scan`` evaluates at once: its temporaries are
+#: a few (block x zeros) complex arrays, whatever the grid size.
+SCAN_BLOCK_ROWS = 4096
+
+
 def rkt_model_scan(sys: PerturbedSystem, grid: DiskGrid) -> ModelScan:
     """Grid minimum of ||K_z||^2_{L2(mu)} = sum_{n>=1} |<K_z, K_xi_n>|^2 over
     the origin and the grid, with the phi profile alongside for the
-    decomposition identity and for psi (``psi_from_values``)."""
+    decomposition identity and for psi (``psi_from_values``).
+
+    Rows are evaluated in blocks of nearly equal size, at most
+    SCAN_BLOCK_ROWS each.  Every value is the one a single pass over all
+    rows gives, as long as no block has one row: BLAS would take its
+    matrix-vector path for that row and round it differently."""
     zs = np.concatenate([[0.0 + 0.0j], grid.points()])
-    coords = clark_kernel_coords(sys.basis, zs)
-    u = sys.xi_coords()
-    inner = coords @ u.conj().T
-    mu_norm_sq = np.sum(np.abs(inner) ** 2, axis=1)
-    phi_vals = np.asarray(phi(sys, zs))
+    uh = sys.xi_coords().conj().T
+    mu_norm_sq = np.empty(zs.size)
+    phi_vals = np.empty(zs.size)
+    blocks = -(-zs.size // SCAN_BLOCK_ROWS)
+    bounds = [zs.size * k // blocks for k in range(blocks + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        inner = clark_kernel_coords(sys.basis, zs[lo:hi]) @ uh
+        mu_norm_sq[lo:hi] = np.sum(np.abs(inner) ** 2, axis=1)
+        phi_vals[lo:hi] = phi(sys, zs[lo:hi])
     i = int(np.argmin(mu_norm_sq))
     return ModelScan(float(mu_norm_sq[i]), complex(zs[i]), zs, phi_vals, mu_norm_sq)
 

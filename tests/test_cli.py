@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rktlab.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, main, render_report
+from rktlab.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, _write_csv, main, render_report
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError, PrecisionError
 
 
@@ -208,6 +210,38 @@ class TestDeterminism:
             assert run(["run", "--config", cfg, "--out", str(out), "--quick"]) == EXIT_OK
             outs.append((out / f"{kind}.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def one_join_csv(path: Path, header, rows) -> None:
+    """The writer that joined the whole table into one string: the reference."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_same_bytes_as_one_join(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
+        table[:1] = [-0.0, float("nan"), -float("inf"), 5e-324]
+        tuples = [(i, x, y) for i, (x, y) in enumerate(table[:, :2].tolist())]  # an int column, as windows writes
+        for header, rows, ref_rows in ((("a", "b", "c", "d"), table, table.tolist()), (("g", "x", "y"), tuples, tuples)):
+            _write_csv(tmp_path / "blocks.csv", header, rows)
+            one_join_csv(tmp_path / "one.csv", header, ref_rows)
+            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_memory_bounded_on_the_cap_grid(self, tmp_path):
+        # the table of a theorem2 run on its largest grid, 128 x 2,048 points and
+        # the origin.  Taking tolist and joining the whole table peaked at 122 MiB
+        # of Python objects; one block of rows at a time holds under 2 MiB
+        table = np.random.default_rng(0).uniform(-1.0, 1.0, (128 * 2048 + 1, 4))
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", ("re_z", "im_z", "phi", "norm_mu_sq"), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestExitCodes:

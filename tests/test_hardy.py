@@ -24,6 +24,7 @@ from rktlab.hardy import (
     phi_h_limit_profile,
     _graded_edges,
     _nearest_on_arc,
+    _peak_attractors,
     random_polynomials,
     reverse_embedding_ratio,
     reverse_embedding_ratios,
@@ -73,8 +74,8 @@ def reference_rkt(mu, lam, cfg):
     if mu.boundary.total() > 0.0:
         num += kernel_pow_circle_sum(rule.nodes, rule.weights * mu.boundary.value_at(rule.nodes), r, phi, p)
     for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
-        r_edges = _graded_edges(r0, r1, r1, max(scale, (r1 - r0) / 32.0))
-        a_edges = _graded_edges(a0, a1, _nearest_on_arc(phi, a0, a1), max(scale, min(a1 - a0, math.pi / 16)))
+        r_edges = _graded_edges(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),))
+        a_edges = _graded_edges(a0, a1, ((_nearest_on_arc(phi, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),))
         rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], 8)
         ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], 8)
         wts = np.repeat(wr * rs, ts.size) * np.tile(wt, rs.size)
@@ -502,6 +503,25 @@ class TestPhiH:
             for z in (0.0, 0.4 + 0.2j, -0.9j, 1.0, complex(np.exp(0.3j)), complex(np.exp(-0.2j)), complex(np.exp(2.5j))):
                 z = complex(z)
                 assert phi_h(z, arc, h, cfg) == pytest.approx(phi_h_p2_oracle(z, arc, h), rel=1e-6), (arc, z)
+
+    @pytest.mark.parametrize("exponent,rel", [(3, 1e-8), (6, 1e-8), (10, 1e-7)])
+    def test_periodic_image_of_the_peak(self, exponent, rel):
+        # e^{4i} lies 0.14 rad inside the end of Arc(1, 2*pi) that faces its other
+        # lift; graded toward one lift only, the rule was off by 6.4e-4 at h = 2^-3.
+        # What is left at 2^-10 (6.7e-8) is the on-arc error at the peak itself,
+        # 8.5e-8 at z = 1 on Arc(0, 0.5)
+        arc, z, h = Arc(1.0, TWO_PI), complex(np.exp(4j)), 2.0**-exponent
+        assert phi_h(z, arc, h, hardy_config(2.0)) == pytest.approx(phi_h_p2_oracle(z, arc, h), rel=rel)
+
+    def test_short_arcs_grade_toward_one_point(self):
+        # an image of the peak reaches an end only on arcs longer than 2*pi/3
+        for length in (0.5, 2.0):
+            lo = Arc(0.0, length).start
+            for psi in np.linspace(-math.pi, math.pi, 721):
+                assert _peak_attractors(psi, lo, lo + length, 1e-6) == ((_nearest_on_arc(psi, lo, lo + length), 1e-6),)
+        lo = Arc(1.0, TWO_PI).start
+        got = [x for pair in _peak_attractors(4.0 - TWO_PI, lo, lo + TWO_PI, 1e-6) for x in pair]
+        assert got == pytest.approx([4.0 + TWO_PI, 1e-6, lo, 0.5 * (lo - 4.0)], rel=1e-12)
 
     def test_on_arc_against_refined_riemann(self):
         # corner-singular case: the graded rule must beat the midpoint sum

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import rktlab
 from rktlab.cli import run_theorem2
 from rktlab.errors import DomainError, PrecisionError
 from rktlab.model_space import (
+    SCAN_BLOCK_ROWS,
     BlaschkeProduct,
     ModelSpaceBasis,
     build_theorem2_measure,
@@ -527,6 +529,33 @@ class TestScan:
         assert scan.delta > 0.0
         wit = witness_function(sys_)
         assert witness_ratio(sys_, wit.function) <= 1e-12
+
+    @pytest.mark.parametrize("zeros", [2, 8, 32])
+    @pytest.mark.parametrize("points", [SCAN_BLOCK_ROWS - 1, SCAN_BLOCK_ROWS, SCAN_BLOCK_ROWS + 1, 2 * SCAN_BLOCK_ROWS + 1])
+    def test_row_blocks_match_one_pass(self, zeros, points):
+        # the scan's formula over every row at once is the reference; two zeros
+        # leave one retained point, so every product is a matrix-vector product
+        sys_ = build_theorem2_measure(random_blaschke(np.random.default_rng(zeros), zeros), 1.0)
+        grid = DiskGrid(np.array([0.3, 0.999]), np.array([points // 2, points - 1 - points // 2]))
+        scan = rkt_model_scan(sys_, grid)
+        inner = clark_kernel_coords(sys_.basis, scan.zs) @ sys_.xi_coords().conj().T
+        assert scan.zs.size == points
+        assert np.array_equal(scan.mu_norm_sq, np.sum(np.abs(inner) ** 2, axis=1))
+        assert np.array_equal(scan.phi_vals, phi(sys_, scan.zs))
+
+    def test_memory_bounded_on_the_cap_grid(self):
+        # the largest theorem2 scan: 128 x 2,048 grid points and 32 zeros.  Over
+        # every row at once the scan peaked at 642 MiB of arrays; in row blocks it
+        # holds its outputs (about 8 MiB) and a few block-sized temporaries
+        sys_ = build_theorem2_measure(random_blaschke(np.random.default_rng(13), 32, rmax=0.7), 1.0)
+        grid = DiskGrid.geometric(128, 2048)
+        tracemalloc.start()
+        try:
+            rkt_model_scan(sys_, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _pixel_component_count(theta, eps=0.5, resolution=512):

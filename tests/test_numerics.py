@@ -243,7 +243,7 @@ class TestRuleBuildersBitIdentical:
     )
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_panel_map_matches_scalar_loop_on_graded_edges(self, lo, width, attract, scale, n):
-        edges = _graded_edges(lo, lo + width, lo + attract * width, scale * width)
+        edges = _graded_edges(lo, lo + width, ((lo + attract * width, scale * width),))
         nodes, weights = gauss_legendre_panel(edges[:-1], edges[1:], n)
         ref_nodes, ref_weights = _reference_panels(edges, n)
         assert np.array_equal(nodes, ref_nodes)
