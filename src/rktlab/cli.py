@@ -321,7 +321,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
             # each area cell adds about 2 s at the largest grid and family
             "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=16)),
             "p": (True, _number),
-            # the largest grid and family with the largest measure run in about 47 s and 46 MiB
+            # the largest grid and family with the largest measure run in about 17 s and 49 MiB
             "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1, 512))})),
             "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1, 1000)), "max_degree": (True, _int_in(0, 256))})),
         },
@@ -373,7 +373,7 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
             "arc": (True, _arc_spec),
             "p": (True, _number),
             "h_exponents": (True, _list_of(_int_in(1, 16), "integers")),
-            # 16 depths on the largest grid run in about 25 s and 95 MiB
+            # 16 depths on the largest grid run in about 15 s and 49 MiB (30 s on a full-circle arc)
             "sup_grid": (False, lambda v, p: _check_fields(v, p, {"rings": (True, _int_in(1, 32)), "angles": (True, _int_in(1, 256))})),
         },
     )
@@ -435,7 +435,7 @@ def run_pw(doc: dict, quick: bool, seed: int):
         "config",
         {
             **_COMMON_FIELDS,
-            # at every cap together (8 Gram solves of size 2,049) a run takes about 18 s and 250 MiB
+            # at every cap together (8 Gram solves of size 2,049) a run takes about 20 s and 248 MiB
             "truncation": (True, _int_in(1, 16384)),
             "scan": (
                 False,
@@ -557,7 +557,7 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
             "zeros": (True, lambda v, p: v),
             "alpha_angle": (True, _number),
             "epsilon": (False, lambda v, p: None if v is None else _number(v, p)),
-            # with at most 32 zeros the largest grid runs in about 4 s and 0.7 GiB
+            # with at most 32 zeros the largest grid runs in about 3 s and 64 MiB
             "grid": (True, lambda v, p: _check_fields(v, p, {"rings": (True, _int_in(1, 128)), "angles": (True, _int_in(1, 2048))})),
             "delta_list": (True, _number_list),
         },
