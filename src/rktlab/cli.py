@@ -134,16 +134,23 @@ def _integer(v, path):
     return v
 
 
-def _int_in(lo, hi=None):
-    """Checker for an integer in lo..hi, or at least lo when hi is None."""
+def _int_in(lo, hi):
+    """Checker for an integer in lo..hi."""
 
     def check(v, path):
         _integer(v, path)
-        if v < lo or (hi is not None and v > hi):
-            raise ConfigError(path, f"must be >= {lo}" if hi is None else f"must lie in {lo}..{hi}")
+        if not lo <= v <= hi:
+            raise ConfigError(path, f"must lie in {lo}..{hi}")
         return v
 
     return check
+
+
+def _exponent(v, path):
+    p = _number(v, path)
+    if not p > 1.0:
+        raise ConfigError(path, "p must lie in (1, inf)")
+    return p
 
 
 def _list_of(item, what):
@@ -186,9 +193,12 @@ def _measure_spec(v, path, max_cells: int) -> Measure:
             v, path, {"builtin": (True, lambda x, p: x), "scale": (False, _number)}
         )
         name = got["builtin"]
-        if name not in _BUILTIN_MEASURES:
+        if not isinstance(name, str) or name not in _BUILTIN_MEASURES:
             raise ConfigError(f"{path}.builtin", f"unknown builtin measure {name!r}")
-        return _BUILTIN_MEASURES[name](got.get("scale", 1.0))
+        try:
+            return _BUILTIN_MEASURES[name](got.get("scale", 1.0))
+        except DomainError as exc:
+            raise ConfigError(f"{path}.scale", str(exc)) from exc
     try:
         mu = measure_from_dict(v)
     except (DomainError, KeyError, TypeError, ValueError) as exc:
@@ -225,16 +235,13 @@ def load_config(path: str) -> dict:
 CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """rows: a 2-d float array, or a sequence of tuples of Python ints and
-    floats (repr of a numpy scalar differs; ``tolist`` gives Python floats)."""
+def _write_csv(path: Path, header, rows: np.ndarray) -> None:
+    """rows: a 2-d array, each cell written as the repr of its ``tolist``
+    value (a Python float, or the Python int an object array holds)."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[i : i + CSV_BLOCK_ROWS]
-            if isinstance(block, np.ndarray):
-                block = block.tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows[i : i + CSV_BLOCK_ROWS].tolist()]))
 
 
 class Check:
@@ -272,7 +279,6 @@ def run_windows(doc: dict, quick: bool, seed: int):
     scan = window_infimum_scan(mu, depth)
     rn = boundary_rn_lower_bound(mu)
     summary = {
-        "kind": "windows",
         "max_depth": depth,
         "c3_estimate": scan.ratio,
         "c3_witness_center": scan.witness.center,
@@ -288,12 +294,12 @@ def run_windows(doc: dict, quick: bool, seed: int):
             raise ConfigError("config.refine_depths", str(exc)) from exc
         summary["refine_depths"] = list(map(float, depths))
         summary["refine_masses"] = [float(m) for m in masses]
-    rows = [(g, float(ratio), arc.center, arc.length) for g, ratio, arc in scan.table]
+    rows = np.array([(g, float(ratio), arc.center, arc.length) for g, ratio, arc in scan.table], dtype=object)
     checks = []
     checks.append(
         Check(
             "window-ratio-dominates-boundary-minimum",
-            scan.ratio >= rn.value - 1e-9,
+            scan.ratio >= rn.value - 1e-9 * max(1.0, rn.value),
             f"scan ratio {scan.ratio:.6e} vs boundary minimum {rn.value:.6e}",
         )
     )
@@ -320,7 +326,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
             **_COMMON_FIELDS,
             # each area cell adds about 2 s at the largest grid and family
             "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=16)),
-            "p": (True, _number),
+            "p": (True, _exponent),
             # the largest grid and family with the largest measure run in about 17 s and 49 MiB
             "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1, 512))})),
             "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1, 1000)), "max_degree": (True, _int_in(0, 256))})),
@@ -328,8 +334,6 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
     )
     mu = got["measure"]
     p = got["p"]
-    if not 1.0 < p < math.inf:
-        raise ConfigError("config.p", "p must lie in (1, inf)")
     grid_spec = got.get("grid", {"levels": 16, "angles": 64})
     levels, angles = grid_spec["levels"], grid_spec["angles"]
     poly_spec = got.get("polynomials")
@@ -339,7 +343,6 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
     grid = DiskGrid.dyadic(levels, angles)
     scan = rkt_infimum_scan(mu, cfg, grid)
     summary = {
-        "kind": "rkt-hardy",
         "p": p,
         "c2_estimate": scan.value,
         "c2_witness_re": scan.witness.real,
@@ -371,7 +374,7 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
         {
             **_COMMON_FIELDS,
             "arc": (True, _arc_spec),
-            "p": (True, _number),
+            "p": (True, _exponent),
             "h_exponents": (True, _list_of(_int_in(1, 16), "integers")),
             # 16 depths on the largest grid run in about 15 s and 49 MiB (30 s on a full-circle arc)
             "sup_grid": (False, lambda v, p: _check_fields(v, p, {"rings": (True, _int_in(1, 32)), "angles": (True, _int_in(1, 256))})),
@@ -379,8 +382,6 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     )
     arc = got["arc"]
     p = got["p"]
-    if not 1.0 < p < math.inf:
-        raise ConfigError("config.p", "p must lie in (1, inf)")
     exps = sorted(got["h_exponents"])
     if len(exps) < 2 or len(set(exps)) < len(exps):
         raise ConfigError("config.h_exponents", "expected at least 2 exponents, all distinct")
@@ -407,7 +408,6 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     rows = np.vstack(blocks)
     sup_val = max([0.0] + rows[:, 3].tolist())
     summary = {
-        "kind": "phi-h",
         "p": p,
         "h_list": [float(h) for h in hs],
         "off_arc_exponent": off_rec.exponent,
@@ -500,7 +500,6 @@ def run_pw(doc: dict, quick: bool, seed: int):
     for t in gram_truncations:
         grams[str(t)] = gram_min_eigenvalue(seq, t)
     summary = {
-        "kind": "pw-counterexample",
         "truncation": n,
         "delta": scan.delta,
         "delta_witness_re": scan.witness.real,
@@ -608,7 +607,6 @@ def run_theorem2(doc: dict, quick: bool, seed: int):
     margin = sublevel.margin if math.isfinite(sublevel.margin) else None
     logger.info("{|Theta| < 0.5} has %d component(s), critical-value margin %s", sublevel.count, margin)
     summary = {
-        "kind": "theorem2",
         "dimension": theta.degree,
         "epsilon": sys_.epsilon,
         "eta": rb.eta,
@@ -719,7 +717,6 @@ def render_report(summary: dict) -> str:
         "| quantity | computed value | claim under test | status |",
         "|---|---|---|---|",
     ]
-    status_by_name = {c["name"]: c["passed"] for c in summary.get("checks", [])}
     for key, claim in _CLAIM_ROWS.get(kind, []):
         if key not in summary:
             continue
@@ -766,11 +763,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "report":
         try:
-            summary = json.loads(Path(args.summary).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            logger.error("cannot load summary: %s", exc)
+            text = render_report(json.loads(Path(args.summary).read_text()))
+        except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:  # unreadable, bad JSON or a malformed summary
+            logger.error("cannot load summary: %s: %s", type(exc).__name__, exc)
             return EXIT_CONFIG
-        text = render_report(summary)
         if args.out == "-":
             sys.stdout.write(text)
         else:
@@ -798,6 +794,7 @@ def main(argv=None) -> int:
     except (PrecisionError, EvaluationError) as exc:
         logger.error("numerical precision failure: %s", exc)
         return EXIT_PRECISION
+    summary["kind"] = kind
     summary["seed"] = seed
     summary["quick"] = bool(args.quick)
     summary["backend"] = _kernels.ACTIVE_BACKEND

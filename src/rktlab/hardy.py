@@ -30,7 +30,6 @@ from .measures import Arc, BoundaryDensity, Measure
 from .numerics import (
     RADIAL_CAP,
     TWO_PI,
-    CircleQuadrature,
     DiskGrid,
     circle_quadrature,
     circle_rules,
@@ -54,10 +53,9 @@ BATCH_NODES = 2**14
 
 @dataclass(frozen=True)
 class HardyConfig:
-    """Exponent and the uniform circle rule for one H^p session."""
+    """Exponent of one H^p session."""
 
     p: float
-    quadrature: CircleQuadrature
 
     def __post_init__(self):
         if not 1.0 < self.p < math.inf:
@@ -65,8 +63,11 @@ class HardyConfig:
 
 
 def hardy_config(p: float) -> HardyConfig:
-    quad = circle_quadrature(base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
-    return HardyConfig(p=float(p), quadrature=quad)
+    return HardyConfig(p=float(p))
+
+
+#: The circle rule of every ||f||_p: BASE_PANELS uniform panels.
+UNIFORM_RULE = circle_quadrature(base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,7 @@ def _abs_pow_sums(zs: np.ndarray, weights: np.ndarray, coeffs: np.ndarray, p: fl
 
 def _hp_norms_p(coeffs: np.ndarray, cfg: HardyConfig) -> np.ndarray:
     """||f||_p^p, the integral of |f|^p d(theta)/(2*pi), for every column f."""
-    quad = cfg.quadrature
-    return _abs_pow_sums(np.exp(1j * quad.nodes), quad.weights, coeffs, cfg.p) / TWO_PI
+    return _abs_pow_sums(np.exp(1j * UNIFORM_RULE.nodes), UNIFORM_RULE.weights, coeffs, cfg.p) / TWO_PI
 
 
 def hp_norm(f: HardyFunction, cfg: HardyConfig) -> float:
@@ -342,7 +342,10 @@ def phi_h(z: complex, arc: Arc, h: float, cfg: HardyConfig, nodes: int = 8) -> f
     end = start + arc.length
     ang_scale = max(0.25 * (1.0 - rho), 2.0**-26)
     angs, wangs = _graded_rule(start, end, _peak_attractors(psi, start, end, ang_scale), nodes)
-    return _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p) / h
+    val = _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p) / h
+    if not math.isfinite(val):
+        raise EvaluationError(f"phi_h overflows at |z| = {rho!r}, p = {cfg.p!r}")
+    return val
 
 
 class PhiHRecord(NamedTuple):
@@ -353,15 +356,16 @@ class PhiHRecord(NamedTuple):
     bracket: tuple | None
 
 
-def classify_against_arc(z: complex, arc: Arc, angle_tol: float = 1e-9) -> str:
+def classify_against_arc(z: complex, arc: Arc) -> str:
     """Locate z relative to the closed arc: on its interior, at an endpoint,
-    or off the closed arc (which includes every interior point of the disk)."""
+    or off the closed arc (which includes every interior point of the disk),
+    each to within 1e-9."""
     if abs(z) < 1.0 - 1e-9:
         return "off_arc"
     theta = math.atan2(z.imag, z.real)
     d = abs(wrap_angle(theta - arc.center + math.pi) - math.pi)
     half = 0.5 * arc.length
-    if abs(d - half) <= angle_tol:
+    if abs(d - half) <= 1e-9:
         return "endpoint"
     return "interior" if d < half else "off_arc"
 

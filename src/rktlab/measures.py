@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .numerics import TWO_PI, _wrap_angles as _wrap, ensure_point, wrap_angle
 
 _BOUNDARY_ATOM_TOL = 1e-12
@@ -85,7 +85,7 @@ class BoundaryDensity:
         v = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or bp.size == 0 or v.shape != bp.shape:
             raise DomainError("breakpoints and values must be matching 1-d arrays")
-        if np.any(bp < 0.0) or np.any(bp >= TWO_PI) or np.any(np.diff(bp) <= 0.0):
+        if not np.all((bp >= 0.0) & (bp < TWO_PI)) or np.any(np.diff(bp) <= 0.0):  # NaN fails too
             raise DomainError("breakpoints must be strictly increasing within [0, 2*pi)")
         if np.any(v < 0.0) or not np.all(np.isfinite(v)):
             raise DomainError("density values must be finite and nonnegative")
@@ -151,11 +151,11 @@ class AreaDensity:
         rb = np.asarray(self.radial_breaks, dtype=float)
         ab = np.asarray(self.angular_breaks, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if rb.ndim != 1 or rb.size < 2 or np.any(np.diff(rb) <= 0):
+        if rb.ndim != 1 or rb.size < 2 or not np.all(np.diff(rb) > 0):
             raise DomainError("radial_breaks must be increasing with >= 2 entries")
         if rb[0] < 0.0 or rb[-1] > 1.0 + 1e-12:
             raise DomainError("radial_breaks must lie within [0, 1]")
-        if ab.ndim != 1 or ab.size < 2 or np.any(np.diff(ab) <= 0):
+        if ab.ndim != 1 or ab.size < 2 or not np.all(np.diff(ab) > 0):
             raise DomainError("angular_breaks must be increasing with >= 2 entries")
         if ab[-1] - ab[0] > TWO_PI + 1e-12:
             raise DomainError("angular_breaks must span at most 2*pi")
@@ -278,6 +278,8 @@ def window_infimum_scan(mu: Measure, max_depth: int) -> WindowScan:
         length = TWO_PI * 2.0**-g
         centers = 0.5 * length * (1.0 + np.arange(2 ** (g + 1)))
         ratios = window_masses(mu, centers, length, carleson_window(Arc(0.0, length)).depth) / length
+        if not np.all(np.isfinite(ratios)):
+            raise EvaluationError(f"window masses overflow at generation {g}")
         i = int(np.argmin(ratios))  # the first minimum, as a strict-< loop finds it
         gen_best, gen_witness = float(ratios[i]), Arc(float(centers[i]), length)
         table.append((g, gen_best, gen_witness))

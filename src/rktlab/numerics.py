@@ -74,20 +74,6 @@ def gauss_legendre_panel(lo, hi, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CircleQuadrature:
-    """Composite Gauss-Legendre rule over a panel partition of [0, 2*pi).
-
-    Panels are dyadically graded toward requested peak angles, so the
-    rule stays accurate for integrands such as |1 - conj(lam) e^{i t}|^{-p}
-    that spike near arg(lam) when |lam| -> 1.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    panel_edges: np.ndarray
-
-
 class CircleRules(NamedTuple):
     """Rule k: nodes and weights [offsets[k]:offsets[k + 1]], left panel edges
     panel_lo[offsets[k] // n:offsets[k + 1] // n] with n nodes per panel."""
@@ -98,6 +84,10 @@ class CircleRules(NamedTuple):
     panel_lo: np.ndarray
 
 
+#: Panels are never bisected below this width.
+MIN_PANEL_WIDTH = 2.0**-26
+
+
 def _next_edges(lo: np.ndarray, rule: np.ndarray) -> np.ndarray:
     """Right panel edges: the next left edge of the rule, or its first plus 2*pi."""
     first = np.flatnonzero(np.diff(rule, prepend=-1))
@@ -106,18 +96,18 @@ def _next_edges(lo: np.ndarray, rule: np.ndarray) -> np.ndarray:
     return hi
 
 
-def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12, min_width=2.0**-26) -> CircleRules:
+def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12) -> CircleRules:
     """One circle rule per row of the (rules x peaks) arrays ``angles`` and
     ``scales``, all through the shared ``breakpoints`` (angles the panels must
     not cross).  Each rule's panels are graded dyadically toward its peaks
     until the local panel width is at most max(scale, distance-to-peak,
-    min_width).  All panels of all rules are bisected level by level with
+    MIN_PANEL_WIDTH).  All panels of all rules are bisected level by level with
     the float operations of a depth-first bisection of one rule, so every
     rule is bit-identical to one built alone."""
     if base_panels < 1 or nodes_per_panel < 2:
         raise DomainError("base_panels >= 1 and nodes_per_panel >= 2 required")
     angles = _wrap_angles(np.asarray(angles, dtype=float))
-    scales = np.maximum(np.asarray(scales, dtype=float), min_width)
+    scales = np.maximum(np.asarray(scales, dtype=float), MIN_PANEL_WIDTH)
     rules = angles.shape[0]
     shared = np.concatenate([np.arange(base_panels) * TWO_PI / base_panels, _wrap_angles(np.asarray(breakpoints, dtype=float))])
     edges = np.sort(np.concatenate([np.broadcast_to(shared, (rules, shared.size)), angles], axis=1), axis=1)
@@ -142,7 +132,7 @@ def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12
             off = np.where(off < 0.0, off + TWO_PI, off)
             # a peak inside the panel has distance 0; min(off - width, .) <= 0 < scale then
             cap = np.minimum(cap, np.maximum(scale, np.minimum(off - width, TWO_PI - off)))
-        split = (width > cap * (1.0 + 1e-12)) & (width > 2.0 * min_width)
+        split = (width > cap * (1.0 + 1e-12)) & (width > 2.0 * MIN_PANEL_WIDTH)
         stay = ~split
         done.append((lo[stay], rule[stay]))
         lo, hi, rule = lo[split], hi[split], rule[split]
@@ -159,15 +149,13 @@ def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12
     return CircleRules(nodes, weights, offsets, lo)
 
 
-def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12, min_width=2.0**-26) -> CircleQuadrature:
+def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12) -> CircleRules:
     """One circle rule (see ``circle_rules``); ``peaks`` are (angle, scale) pairs."""
     peaks = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
-    rule = circle_rules(breakpoints, peaks[..., 0], peaks[..., 1], base_panels, nodes_per_panel, min_width)
-    # the first edge is 0, a base edge, so the last panel ends at 2*pi
-    return CircleQuadrature(nodes=rule.nodes, weights=rule.weights, panel_edges=np.append(rule.panel_lo, TWO_PI))
+    return circle_rules(breakpoints, peaks[..., 0], peaks[..., 1], base_panels, nodes_per_panel)
 
 
-def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleQuadrature) -> float:
+def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleRules) -> float:
     """Integrate f(theta) over [0, 2*pi) with the given rule.
 
     Raises EvaluationError naming the offending node if f is non-finite
@@ -235,18 +223,9 @@ class DiskGrid:
         gaps = min_gap ** (np.arange(1, rings + 1, dtype=float) / rings)
         return cls(1.0 - gaps, np.full(rings, angles_per_ring))
 
-    def ring_angles(self, j: int) -> np.ndarray:
-        m = int(self.angles_per_ring[j])
-        return (np.arange(m) + 0.5) * (TWO_PI / m)
-
-    def iter_rings(self):
-        for j, r in enumerate(self.radii):
-            yield float(r), self.ring_angles(j)
-
     def points(self) -> np.ndarray:
-        """All grid points as a flat complex array."""
-        parts = [r * np.exp(1j * th) for r, th in self.iter_rings()]
-        return np.concatenate(parts)
+        """All grid points as a flat complex array, ring by ring."""
+        return np.concatenate([r * np.exp(1j * ((np.arange(m) + 0.5) * (TWO_PI / m))) for r, m in zip(self.radii.tolist(), self.angles_per_ring.tolist())])
 
 
 # ---------------------------------------------------------------------------

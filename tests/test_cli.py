@@ -225,7 +225,7 @@ class TestCsvWriter:
         table = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
         table[:1] = [-0.0, float("nan"), -float("inf"), 5e-324]
         tuples = [(i, x, y) for i, (x, y) in enumerate(table[:, :2].tolist())]  # an int column, as windows writes
-        for header, rows, ref_rows in ((("a", "b", "c", "d"), table, table.tolist()), (("g", "x", "y"), tuples, tuples)):
+        for header, rows, ref_rows in ((("a", "b", "c", "d"), table, table.tolist()), (("g", "x", "y"), np.array(tuples, dtype=object).reshape(n, 3), tuples)):
             _write_csv(tmp_path / "blocks.csv", header, rows)
             one_join_csv(tmp_path / "one.csv", header, ref_rows)
             assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
@@ -320,6 +320,8 @@ class TestExitCodes:
             (dict(WINDOWS_DOC, measure=capped_measure(breakpoints=257)), "config.measure.boundary_density.breakpoints"),
             (dict(WINDOWS_DOC, measure=capped_measure(cells=(1, 4097))), "config.measure.area_density"),
             (dict(T2_DOC, delta_list=[0.1] * 65), "config.delta_list"),
+            (dict(WINDOWS_DOC, measure={"builtin": "arclength", "scale": -1.0}), "config.measure.scale"),
+            (dict(WINDOWS_DOC, measure={"builtin": ["arclength"]}), "config.measure.builtin"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
@@ -342,6 +344,22 @@ class TestExitCodes:
         assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert message in caplog.text
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [(dict(PHIH_DOC, p=1e300), "phi_h overflows"), (dict(WINDOWS_DOC, measure={"builtin": "arclength", "scale": 1e308}), "window masses overflow")],
+        ids=["phi-h", "windows"],
+    )
+    def test_overflow_exits_three(self, tmp_path, caplog, doc, message):
+        out = tmp_path / "o"
+        assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
+        assert message in caplog.text
+        assert not (out / "summary.json").exists()
+
+    def test_window_check_scales_with_the_measure(self, tmp_path):
+        # at density 1e15 the scan ratio and the boundary minimum differ by rounding, about 0.1
+        doc = dict(WINDOWS_DOC, measure={"builtin": "arclength", "scale": 1e15})
+        assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_precision_error_exits_three(self, tmp_path, monkeypatch):
         from rktlab import cli
@@ -434,6 +452,17 @@ class TestReport:
         }
         text = render_report(summary)
         assert "FAIL" in text
+
+    @pytest.mark.parametrize(
+        "summary,error",
+        [([], "AttributeError"), ({"kind": "windows", "checks": [{"name": "window-additivity", "detail": "ok"}]}, "KeyError: 'passed'")],
+        ids=["not-an-object", "check-without-passed"],
+    )
+    def test_malformed_summary_exits_two(self, tmp_path, caplog, summary, error):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        assert run(["report", "--summary", str(path)]) == EXIT_CONFIG
+        assert f"cannot load summary: {error}" in caplog.text
 
     def test_theorem2_report_names_the_sublevel_margin(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", dict(T2_DOC, zeros=[{"re": 0.35, "im": 0.1}, {"re": -0.2, "im": 0.45}]))

@@ -100,7 +100,7 @@ def mixed_measure():
 def reference_ratios(mu, fs, cfg):
     """The family's reverse-embedding ratios one polynomial at a time, each
     node set evaluated by Horner's rule (np.polyval)."""
-    p, quad = cfg.p, cfg.quadrature
+    p, quad = cfg.p, hardy.UNIFORM_RULE
     parts = []
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
@@ -360,7 +360,7 @@ class TestRktBatches:
     @pytest.mark.parametrize("bp", EDGE_BREAKPOINTS)
     def test_panel_density_equals_value_at_every_node(self, bp):
         # peaks on, beside and between the breakpoints, at 0 and just below it,
-        # at scales down to below min_width
+        # at scales down to below MIN_PANEL_WIDTH
         density = BoundaryDensity(np.array(bp), np.arange(1.0, len(bp) + 1.0))
         rng = np.random.default_rng(len(bp))
         angles = np.concatenate([bp, np.add(bp, 1e-12), np.subtract(bp, 1e-9), [0.0, -1e-17, TWO_PI - 1e-12], rng.uniform(0.0, TWO_PI, 8)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rktlab.errors import DomainError
+from rktlab.errors import DomainError, EvaluationError
 from rktlab.measures import (
     Arc,
     AreaDensity,
@@ -321,6 +321,10 @@ class TestWindowScan:
             scan = window_infimum_scan(mu, depth)
             assert scan.ratio >= rn.value - 1e-12
 
+    def test_overflowing_masses_raise(self):
+        with pytest.raises(EvaluationError, match="overflow at generation 1"):
+            window_infimum_scan(arclength(1e308), 2)
+
 
 class TestBoundaryRN:
     def test_constant(self):
@@ -426,3 +430,12 @@ class TestSerialization:
             Measure(atoms=((0.5 + 0.0j, -1.0),))
         with pytest.raises(DomainError):
             BoundaryDensity(np.array([0.0, 1.0]), np.array([-0.5, 1.0]))
+
+    @pytest.mark.parametrize("breaks", [[math.nan], [math.nan, 2.0], [0.0, math.nan]])
+    def test_nan_breakpoints_refused(self, breaks):
+        with pytest.raises(DomainError, match="breakpoints"):
+            BoundaryDensity(np.array(breaks), np.ones(len(breaks)))
+        with pytest.raises(DomainError, match="radial_breaks"):
+            AreaDensity(np.array(breaks + [1.0]), np.array([0.0, 1.0]), np.ones((len(breaks), 1)))
+        with pytest.raises(DomainError, match="angular_breaks"):
+            AreaDensity(np.array([0.0, 1.0]), np.array(breaks + [6.0]), np.ones((1, len(breaks))))
