@@ -211,6 +211,7 @@ def _panel_density(density: BoundaryDensity, nodes: np.ndarray) -> np.ndarray:
     return np.repeat(density.value_at(nodes[::NODES_PER_PANEL]), NODES_PER_PANEL)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below
 def _rkt_batch(mu: Measure, lams, cfg: HardyConfig):
     """``rkt_functional`` at consecutive kernel points, and their circle nodes'
     count: one rule build, one |k_lam|^p over all nodes, a dot per point."""
@@ -252,8 +253,10 @@ def _rkt_batch(mu: Measure, lams, cfg: HardyConfig):
             rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, phi, scale)
             num += val * _kernels.kernel_pow_disk_sum(rs[:, None], ts, wrr[:, None] * wt, r, phi, p)
         norm = float(np.dot(weights[sl], kern[sl])) / TWO_PI
-        if not (math.isfinite(num) and math.isfinite(norm)):
+        if not math.isfinite(norm):
             raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
+        if not math.isfinite(num):
+            raise EvaluationError(f"the measure integral of |k_lam|^p overflows at |lam| = {r!r}, p = {p!r} (||k_lam||_p^p = {norm!r})")
         vals[i] = num / norm
     return vals, int(offsets[-1])
 

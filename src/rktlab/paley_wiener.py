@@ -135,15 +135,29 @@ class GeneratingWitness(NamedTuple):
     extrapolation_spread: float
 
 
+#: Pair indices k whose factors one block of _pair_products multiplies.
+PRODUCT_BLOCK_PAIRS = 16
+
+
 def _pair_products(xs, n):
     """The symmetric products prod (1 - x/x_k)(1 - x/x_{-k}) over k <= n//2
     and over k <= n.
 
-    Multiplying factor-by-factor keeps the zero at x = x_k exact."""
+    Multiplying factor-by-factor keeps the zero at x = x_k exact.  A block's
+    row 0 holds the running product and the factors of x_k, x_{-k}, x_{k+1}, ...
+    follow; reducing it row by row multiplies in the order of a loop over k."""
+    pts = _kernels.kadets_points(n)
+    order = np.column_stack([pts[n:], pts[n - 1 :: -1]]).ravel()[:, None]  # x_1, x_-1, x_2, x_-2, ...
+    block = np.empty((2 * PRODUCT_BLOCK_PAIRS + 1, xs.size))
     prod = np.ones_like(xs)
-    for k in range(1, n + 1):
-        prod = prod * (1.0 - xs / kadets_point(k)) * (1.0 - xs / kadets_point(-k))
-        if k == n // 2:
+    for lo, hi in ((0, n // 2), (n // 2, n)):
+        for k in range(lo, hi, PRODUCT_BLOCK_PAIRS):
+            rows = block[: 2 * (min(k + PRODUCT_BLOCK_PAIRS, hi) - k) + 1]
+            rows[0] = prod
+            np.divide(xs, order[2 * k : 2 * k + len(rows) - 1], out=rows[1:])
+            np.subtract(1.0, rows[1:], out=rows[1:])
+            prod = np.multiply.reduce(rows, axis=0)
+        if lo == 0:
             half = prod
     return half, prod
 

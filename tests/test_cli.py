@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,25 @@ def one_join_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def repeated_value_tables(n):
+    """name -> (header, rows) of n float rows whose columns take the writer's
+    one-repr-per-value path, or sit just beside it."""
+    rng = np.random.default_rng(n)
+    other = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    grid = np.linspace(-2.0, 2.0, 64)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    half = np.arange(max(n // 2, 1), dtype=float) / 3.0  # n // 2 distinct values: on the threshold
+    return {
+        # a pw-counterexample table: Re lambda tiled, Im lambda repeated
+        "pw-shaped": (("re", "im", "low", "high"), np.column_stack([np.tile(grid, n // 64 + 1)[:n], np.repeat(grid, n // 64 + 1)[:n], other, -other])),
+        "signed-zeros": (("z", "x"), np.column_stack([rng.choice([0.0, -0.0, 1.5], n), other])),
+        "nan-payloads": (("n", "m"), np.column_stack([rng.choice(nans, n), np.where(rng.random(n) < 0.25, rng.choice(nans, n), other)])),
+        "constant": (("c", "x"), np.column_stack([np.full(n, 0.1), other])),
+        "half-distinct": (("h", "h1"), np.column_stack([np.resize(half, n), np.resize(np.append(half, 7.0), n)])),
+        "one-column": (("x",), rng.choice(grid, (n, 1))),
+    }
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
     def test_same_bytes_as_one_join(self, tmp_path, n):
@@ -230,6 +250,14 @@ class TestCsvWriter:
             one_join_csv(tmp_path / "one.csv", header, ref_rows)
             assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", list(repeated_value_tables(0)))
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_repeated_values_same_bytes_as_one_join(self, tmp_path, n, name):
+        header, rows = repeated_value_tables(n)[name]
+        _write_csv(tmp_path / "blocks.csv", header, rows)
+        one_join_csv(tmp_path / "one.csv", header, rows.tolist())
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
     def test_memory_bounded_on_the_cap_grid(self, tmp_path):
         # the table of a theorem2 run on its largest grid, 128 x 2,048 points and
         # the origin.  Taking tolist and joining the whole table peaked at 122 MiB
@@ -238,6 +266,20 @@ class TestCsvWriter:
         tracemalloc.start()
         try:
             _write_csv(tmp_path / "t.csv", ("re_z", "im_z", "phi", "norm_mu_sq"), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_memory_bounded_with_a_tiled_axis(self, tmp_path):
+        # a pw-counterexample table on its largest scan grid, 512 x 512 points,
+        # whose grid axes take the writer's one-repr-per-value path
+        axis = np.linspace(0.0, 4.0, 512)
+        low = np.random.default_rng(0).uniform(0.0, 1.0, 512 * 512)
+        table = np.column_stack([np.tile(axis, 512), np.repeat(axis, 512), low, low + 1e-3])
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", ("re_lambda", "im_lambda", "rkt_sum_low", "rkt_sum_high"), table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,6 +396,18 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert message in caplog.text
+        assert not (out / "summary.json").exists()
+
+    def test_overflowing_measure_integral_exits_three(self, tmp_path, caplog):
+        # ||k_lam||_2^2 stays finite, but against a density of 1.7e308 / (2*pi) the
+        # integral of |k_lam|^2 overflows at |lam| = 0.5: the message blames the
+        # measure integral, not the kernel, and numpy warns of nothing
+        doc = dict(RKT_DOC, measure={"builtin": "normalized_arclength", "scale": 1.7e308})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
+        assert "the measure integral of |k_lam|^p overflows at |lam| = 0.5," in caplog.text
         assert not (out / "summary.json").exists()
 
     def test_window_check_scales_with_the_measure(self, tmp_path):

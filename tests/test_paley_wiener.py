@@ -7,6 +7,7 @@ from rktlab import _kernels
 from rktlab._kernels import kadets_points, pw_norm_factor, pw_rkt_grid, pw_sinc_mass
 from rktlab.errors import DomainError, PrecisionError
 from rktlab.paley_wiener import (
+    _pair_products,
     _tail_bound,
     _tail_constants,
     SamplingSequence,
@@ -350,6 +351,23 @@ class TestWitness:
         dev = np.abs(wit.values - closed_form(xs))[off] / np.maximum(np.abs(wit.values[off]), 1e-12)
         assert np.max(dev) <= wit.extrapolation_spread
         assert np.max(np.abs(closed_form(seq.points[np.abs(seq.points) <= n / 8.0]))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [512, 1025, 4096])  # at 1,025 half stops at k = 512
+    def test_blocked_products_equal_the_loop(self, n):
+        def loop(xs, n):  # factor by factor, as the products were first written
+            prod = np.ones_like(xs)
+            for k in range(1, n + 1):
+                prod = prod * (1.0 - xs / kadets_point(k)) * (1.0 - xs / kadets_point(-k))
+                if k == n // 2:
+                    half = prod
+            return half, prod
+
+        seq = SamplingSequence.kadets(n)
+        on_seq = seq.points[np.abs(seq.points) <= 128.0]
+        xs = np.concatenate([(np.arange(2048) - 1024) / 8.0, on_seq])
+        for got, want in zip(_pair_products(xs, n), loop(xs, n)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.all(got[-on_seq.size :] == 0.0)  # exact zeros at the sequence points
 
     def test_overflowing_products_refused(self):
         # near |x| = 1000 the partial products pass 1e308 and the values turn NaN
