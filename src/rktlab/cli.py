@@ -236,7 +236,7 @@ def load_config(path: str) -> dict:
 CSV_BLOCK_ROWS = 4096
 
 
-def _format_column(col: np.ndarray) -> list:
+def _format_column(col: np.ndarray):
     """repr of each cell's ``tolist`` value.  A float column with at most half as
     many distinct bit patterns as rows (a grid axis) formats each pattern once;
     keying on bits, not values, keeps -0.0 and 0.0 apart."""
@@ -244,7 +244,7 @@ def _format_column(col: np.ndarray) -> list:
         bits, where = np.unique(col.view(np.int64), return_inverse=True)
         if 2 * bits.size <= col.size:
             return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where].tolist()
-    return list(map(repr, col.tolist()))
+    return map(repr, col.tolist())
 
 
 def _write_csv(path: Path, header, rows: np.ndarray) -> None:
