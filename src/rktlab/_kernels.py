@@ -67,12 +67,13 @@ def kernel_pow_disk_sum(rhos, thetas, weights, r, phi, p):
 
 
 def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):
+    """The integrand of phi_h at each radial node, integrated over the angles."""
     r = 1.0 - ts
     radial = wts * (ts * (2.0 - ts)) ** (p - 1.0) * r
     s = np.sin(0.5 * (angs - psi))
     rr = r * rho
     d2 = (1.0 - rr)[:, None] ** 2 + 4.0 * rr[:, None] * (s * s)[None, :]
-    return float(radial @ d2 ** (-0.5 * p) @ wangs)
+    return radial * (d2 ** (-0.5 * p) @ wangs)
 
 
 def kadets_points(n):

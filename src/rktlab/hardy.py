@@ -11,7 +11,9 @@ mu(S_I)/|I| are bounded below by c with no extra factor.
 
 The scans batch their work with bit-identical values: one ``circle_rules``
 call builds the rules of consecutive kernel points, and a polynomial family
-is evaluated on a measure's nodes built once.
+is evaluated on a measure's nodes built once.  A phi_h depth sequence takes
+one kernel matrix per z on the union of its depths' radial panels, which
+dyadic depths share.
 """
 
 from __future__ import annotations
@@ -289,6 +291,7 @@ def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan integral raises EvaluationError below
 def reverse_embedding_ratios(mu: Measure, fs: Sequence[HardyFunction], cfg: HardyConfig) -> list[float]:
     """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family: one
     Vandermonde product per node set of the measure, each set built once."""
@@ -328,27 +331,50 @@ def reverse_embedding_ratio(mu: Measure, f: HardyFunction, cfg: HardyConfig) -> 
 # ---------------------------------------------------------------------------
 
 
-def phi_h(z: complex, arc: Arc, h: float, cfg: HardyConfig, nodes: int = 8) -> float:
-    """Window average (1/h) * integral over S_{I,h} of
-    (1-|lam|^2)^(p-1) / |1 - conj(lam) z|^p dA(lam)."""
+@lru_cache(maxsize=64)
+def _depth_rule(hs: tuple, nodes: int):
+    """Gauss-Legendre rule on the union of the radial panels of the depths hs,
+    each graded toward t = 0, and the 0/1 matrix of the union panels that make
+    up each depth (shared, read-only).  Dyadic depths share panels exactly:
+    2^-3 ... 2^-10 take 35, not 8 x 21."""
+    panels = [set(zip(e[:-1], e[1:])) for e in (_graded_edges(0.0, h, ((0.0, max(h * 2.0**-20, 2.0**-30)),)) for h in hs)]
+    union = sorted(set().union(*panels))
+    member = np.array([[pair in own for pair in union] for own in panels], dtype=float)
+    ts, wts = gauss_legendre_panel(*np.array(union).T, nodes)
+    ts.flags.writeable = wts.flags.writeable = member.flags.writeable = False
+    return ts, wts, member
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan value raises EvaluationError below
+def phi_h_depths(z: complex, arc: Arc, hs: Sequence[float], cfg: HardyConfig, nodes: int = 8) -> np.ndarray:
+    """phi_h(z) at every depth of hs: one kernel matrix on the depths' union
+    of radial panels, summed per panel, then over each depth's panels / h."""
     z = ensure_point(z)
     rho = abs(z)
     if rho > 1.0 + 1e-12:
         raise DomainError("z must lie in the closed disk")
     rho = min(rho, 1.0)
-    h = float(h)
-    if not MIN_WINDOW_DEPTH * (1.0 - 1e-12) <= h <= min(arc.length, 1.0) * (1.0 + 1e-12):
-        raise DomainError(f"depth h={h} must lie in [2^-16, min(|I|, 1)]")
+    hs = tuple(float(h) for h in hs)
+    for h in hs:
+        if not MIN_WINDOW_DEPTH * (1.0 - 1e-12) <= h <= min(arc.length, 1.0) * (1.0 + 1e-12):
+            raise DomainError(f"depth h={h} must lie in [2^-16, min(|I|, 1)]")
     psi = math.atan2(z.imag, z.real) if rho > 0.0 else 0.0
-    ts, wts = _graded_rule(0.0, h, ((0.0, max(h * 2.0**-20, 2.0**-30)),), nodes)
+    ts, wts, member = _depth_rule(hs, nodes)
     start = arc.start
     end = start + arc.length
     ang_scale = max(0.25 * (1.0 - rho), 2.0**-26)
     angs, wangs = _graded_rule(start, end, _peak_attractors(psi, start, end, ang_scale), nodes)
-    val = _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p) / h
-    if not math.isfinite(val):
+    sums = _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, cfg.p)
+    vals = member @ sums.reshape(-1, nodes).sum(axis=1) / np.array(hs)
+    if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"phi_h overflows at |z| = {rho!r}, p = {cfg.p!r}")
-    return val
+    return vals
+
+
+def phi_h(z: complex, arc: Arc, h: float, cfg: HardyConfig, nodes: int = 8) -> float:
+    """Window average (1/h) * integral over S_{I,h} of
+    (1-|lam|^2)^(p-1) / |1 - conj(lam) z|^p dA(lam)."""
+    return float(phi_h_depths(z, arc, (h,), cfg, nodes)[0])
 
 
 class PhiHRecord(NamedTuple):
@@ -390,7 +416,7 @@ def phi_h_limit_profile(arc: Arc, hs: Sequence[float], zs: Sequence[complex], cf
         if kind == "endpoint":
             records.append(PhiHRecord(z, kind, np.array([]), None, None))
             continue
-        vals = np.array([phi_h(z, arc, float(h), cfg) for h in hs])
+        vals = phi_h_depths(z, arc, hs, cfg)
         exponent = None
         bracket = None
         if kind == "off_arc":

@@ -262,6 +262,7 @@ class WindowScan(NamedTuple):
     table: tuple  # per-generation rows (generation, min_ratio, witness)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan ratio raises EvaluationError below
 def window_infimum_scan(mu: Measure, max_depth: int) -> WindowScan:
     """Minimum of mu(S_I)/|I| over dyadic arcs of generations 1..max_depth.
 

@@ -196,6 +196,7 @@ def _log_tail(xs: np.ndarray, n: int) -> np.ndarray:
     return t1 - 0.5 * t2 + t3 / 3.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowed products give a NaN spread, refused below
 def generating_witness(seq: SamplingSequence, xs: Sequence[float]) -> GeneratingWitness:
     """f(x) = lim_N prod_{0<|n|<=N} (1 - x/x_n) on the grid.
 

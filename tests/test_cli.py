@@ -24,6 +24,14 @@ def run(args):
     return main(args)
 
 
+def run_without_warnings(args):
+    """main with every warning raised as an error: an exit-3 path names its
+    cause in its own message, and numpy warns of nothing on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(args)
+
+
 WINDOWS_DOC = {"kind": "windows", "measure": {"builtin": "arclength"}, "max_depth": 6}
 RKT_DOC = {
     "kind": "rkt-hardy",
@@ -383,7 +391,7 @@ class TestExitCodes:
         # either ratio would be inf/inf, so the run writes nothing
         doc = dict(RKT_DOC, p=300.0, grid=grid, polynomials={"count": 10, "max_degree": 32})
         out = tmp_path / "o"
-        assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
+        assert run_without_warnings(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert message in caplog.text
         assert not (out / "summary.json").exists()
 
@@ -394,7 +402,7 @@ class TestExitCodes:
     )
     def test_overflow_exits_three(self, tmp_path, caplog, doc, message):
         out = tmp_path / "o"
-        assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
+        assert run_without_warnings(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert message in caplog.text
         assert not (out / "summary.json").exists()
 
@@ -404,9 +412,7 @@ class TestExitCodes:
         # measure integral, not the kernel, and numpy warns of nothing
         doc = dict(RKT_DOC, measure={"builtin": "normalized_arclength", "scale": 1.7e308})
         out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
+        assert run_without_warnings(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert "the measure integral of |k_lam|^p overflows at |lam| = 0.5," in caplog.text
         assert not (out / "summary.json").exists()
 
@@ -423,7 +429,7 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._RUNNERS, "windows", fake_runner)
         cfg = write_config(tmp_path, "w.json", WINDOWS_DOC)
-        assert run(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PRECISION
+        assert run_without_warnings(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_PRECISION
 
     @pytest.mark.parametrize(
         "error,code",
@@ -438,7 +444,7 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "windows", fake_runner)
         cfg = write_config(tmp_path, "w.json", WINDOWS_DOC)
         out = tmp_path / "o"
-        assert run(["run", "--config", cfg, "--out", str(out)]) == code
+        assert run_without_warnings(["run", "--config", cfg, "--out", str(out)]) == code
         assert "forced failure" in caplog.text
         assert not (out / "summary.json").exists()
 

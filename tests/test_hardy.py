@@ -15,12 +15,14 @@ from rktlab.hardy import (
     NODES_PER_PANEL,
     HardyFunction,
     _cell_axes,
+    _depth_rule,
     _panel_density,
     classify_against_arc,
     hardy_config,
     hp_norm,
     kernel_norm,
     phi_h,
+    phi_h_depths,
     phi_h_limit_profile,
     _graded_edges,
     _nearest_on_arc,
@@ -61,6 +63,7 @@ def kernel_loop(mu, lam, p):
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below, as in _rkt_batch
 def reference_rkt(mu, lam, cfg):
     """rkt_functional one point at a time: a circle rule of its own through the
     breakpoints, flat polar-cell nodes and one kernel sum per part of mu."""
@@ -582,3 +585,56 @@ class TestPhiH:
             phi_h(0.0, arc, 0.6, cfg)  # h > |I|
         with pytest.raises(DomainError):
             phi_h(0.0, arc, 2.0**-20, cfg)  # below resolution cap
+
+
+class TestPhiHDepths:
+    # interior, on-arc, off-arc (on the circle), the origin and just inside the arc
+    ZS = [0.4 + 0.2j, 1.0 + 0.0j, complex(np.exp(0.2j)), complex(np.exp(1j * math.pi)), 0.0j, 0.999 * np.exp(0.1j)]
+    DYADIC = [2.0**-e for e in range(3, 11)]
+
+    @pytest.mark.parametrize(
+        "hs",
+        [DYADIC, [0.3, 0.07, 0.011, 0.0009], [2.0**-e for e in range(9, 17)], [2.0**-5, 2.0**-3, 2.0**-5, 2.0**-4, 2.0**-3]],
+        ids=["dyadic", "non-dyadic", "below-2^-10", "unsorted-repeated"],
+    )
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_equals_one_depth_at_a_time(self, hs, p):
+        arc, cfg = Arc(0.0, 0.5), hardy_config(p)
+        for z in self.ZS:
+            got = phi_h_depths(complex(z), arc, hs, cfg)
+            assert got == pytest.approx([phi_h(complex(z), arc, h, cfg) for h in hs], rel=1e-14, abs=0.0), z
+            assert [got[hs.index(h)] for h in hs] == got.tolist()  # repeated depths, the same bits
+
+    def test_dyadic_depths_share_panels(self):
+        # 2^-3 ... 2^-10: 27 dyadic panels down to 2^-30 and one [0, h 2^-20] per depth
+        ts, wts, member = _depth_rule(tuple(self.DYADIC), 8)
+        assert member.shape == (8, 35) and ts.size == wts.size == 35 * 8
+        assert member.sum(axis=1).tolist() == [21.0] * 8
+
+    def test_non_dyadic_depths_share_none(self):
+        _, _, member = _depth_rule((0.3, 0.07, 0.011), 8)
+        assert member.shape == (3, 63) and member.sum(axis=0).tolist() == [1.0] * 63
+
+    def test_radial_floor_below_2_to_the_minus_10(self):
+        # below 2^-10 the finest panel is 2^-30, not h 2^-20: h = 2^-e has 31 - e panels
+        hs = tuple(2.0**-e for e in range(10, 17))
+        ts, _, member = _depth_rule(hs, 8)
+        assert member.sum(axis=1).tolist() == [31.0 - e for e in range(10, 17)]
+        assert ts.min() < 2.0**-30 < np.sort(ts)[8]  # one panel [0, 2^-30] for all seven
+        for h, row in zip(hs, member):
+            assert len(_graded_edges(0.0, h, ((0.0, 2.0**-30),))) - 1 == row.sum()
+
+    @pytest.mark.parametrize("bad", [0.6, 2.0**-20])
+    def test_out_of_range_depth_is_named(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"depth h={bad} ")):
+            phi_h_depths(0.5j, Arc(0.0, 0.5), [2.0**-3, bad, 2.0**-4], hardy_config(2.0))
+
+    def test_outside_closed_disk(self):
+        with pytest.raises(DomainError, match="closed disk"):
+            phi_h_depths(1.1 + 0.0j, Arc(0.0, 0.5), self.DYADIC, hardy_config(2.0))
+
+    def test_overflow_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="phi_h overflows"):
+                phi_h_depths(1.0 + 0.0j, Arc(0.0, 0.5), self.DYADIC, hardy_config(1e300))
