@@ -9,11 +9,12 @@ Hence for a measure with boundary density c (radians convention) the
 reverse-embedding ratio is bounded below by 2*pi*c, while window ratios
 mu(S_I)/|I| are bounded below by c with no extra factor.
 
-The scans batch their work with bit-identical values: one ``circle_rules``
-call builds the rules of consecutive kernel points, and a polynomial family
-is evaluated on a measure's nodes built once.  A phi_h depth sequence takes
-one kernel matrix per z on the union of its depths' radial panels, which
-dyadic depths share.
+The scans batch their work with bit-identical values: one ``circle_panels``
+call bisects the circle rules of a whole ring of kernel points, whose whole
+rules are then mapped and evaluated in blocks of at most BATCH_NODES nodes,
+and a polynomial family is evaluated on a measure's nodes built once.  A
+phi_h depth sequence takes one kernel matrix per z on the union of its
+depths' radial panels, which dyadic depths share.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .numerics import (
     RADIAL_CAP,
     TWO_PI,
     DiskGrid,
+    circle_panels,
     circle_quadrature,
     circle_rules,
     ensure_point,
@@ -49,7 +51,7 @@ MIN_WINDOW_DEPTH = 2.0**-16
 BASE_PANELS = 64
 NODES_PER_PANEL = 16
 
-#: Circle nodes per batch of kernel points in a scan.
+#: Circle nodes per block of whole rules in a scan, and values per Vandermonde block.
 BATCH_NODES = 2**14
 
 
@@ -213,38 +215,41 @@ def _panel_density(density: BoundaryDensity, nodes: np.ndarray) -> np.ndarray:
     return np.repeat(density.value_at(nodes[::NODES_PER_PANEL]), NODES_PER_PANEL)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below
-def _rkt_batch(mu: Measure, lams, cfg: HardyConfig):
-    """``rkt_functional`` at consecutive kernel points, and their circle nodes'
-    count: one rule build, one |k_lam|^p over all nodes, a dot per point."""
-    p = cfg.p
-    pts = []  # r, phi, scale, (1 - r)^2 and 4 r as the scalar kernel forms them
+def _kernel_points(lams) -> np.ndarray:
+    """Rows (r, phi, peak scale, (1 - r)^2, 4 r) of kernel points, as the scalar kernel forms them."""
+    pts = []
     for lam in lams:
         lam = ensure_point(lam)
         r = abs(lam)
         if r >= 1.0:
             raise DomainError(f"kernel point must lie in the open disk, got |lam|={r}")
         pts.append((r, math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - r), 2.0**-24), (1.0 - r) ** 2, 4.0 * r))
-    _, phis, scales, c, f = (np.array(col) for col in zip(*pts))
-    nodes, weights, offsets, _ = circle_rules(mu.boundary.breakpoints, phis[:, None], scales[:, None], BASE_PANELS, NODES_PER_PANEL)
+    return np.array(pts)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below
+def _rkt_batch(mu: Measure, pts: np.ndarray, cfg: HardyConfig, nodes, weights, offsets) -> np.ndarray:
+    """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``)
+    whose circle rules are nodes and weights [offsets[k]:offsets[k + 1]]: one
+    |k_lam|^p over all nodes, a dot per point."""
+    p = cfg.p
     boundary = mu.boundary.total() > 0.0
     if boundary:
         dens_weights = weights * _panel_density(mu.boundary, nodes)
     # (1 - r)^2 + 4 r sin((theta - phi)/2)^2, panel by panel
     panels = np.diff(offsets) // NODES_PER_PANEL
-    s = nodes.reshape(-1, NODES_PER_PANEL) - np.repeat(phis, panels)[:, None]
-    del nodes  # in place from here: a batch holds at most four node-sized arrays
+    s = nodes.reshape(-1, NODES_PER_PANEL) - np.repeat(pts[:, 1], panels)[:, None]
     s = np.sin(np.multiply(s, 0.5, out=s), out=s)
-    kern = np.repeat(f, panels)[:, None] * s
+    kern = np.repeat(pts[:, 4], panels)[:, None] * s
     kern *= s
-    kern += np.repeat(c, panels)[:, None]
+    kern += np.repeat(pts[:, 3], panels)[:, None]
     kern **= -0.5 * p
     kern = kern.ravel()
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
     cells = list(mu.area.cells()) if mu.area is not None else []
     vals = np.empty(len(pts))
-    for i, (r, phi, scale, _, _) in enumerate(pts):
+    for i, (r, phi, scale, _, _) in enumerate(pts.tolist()):
         sl = slice(offsets[i], offsets[i + 1])
         num = 0.0
         if mu.atoms:  # an atom at the origin has angle 0 and radius 0, hence d^2 = 1
@@ -260,35 +265,48 @@ def _rkt_batch(mu: Measure, lams, cfg: HardyConfig):
         if not math.isfinite(num):
             raise EvaluationError(f"the measure integral of |k_lam|^p overflows at |lam| = {r!r}, p = {p!r} (||k_lam||_p^p = {norm!r})")
         vals[i] = num / norm
-    return vals, int(offsets[-1])
+    return vals
 
 
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
     """integral of |K_lam|^p d(mu) for the normalized kernel K_lam; one rule through
     the density's breakpoints gives the boundary integral and ||k_lam||_p^p."""
-    return float(_rkt_batch(mu, [lam], cfg)[0][0])
+    pts = _kernel_points([lam])
+    rule = circle_rules(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS, NODES_PER_PANEL)
+    return float(_rkt_batch(mu, pts, cfg, rule.nodes, rule.weights, rule.offsets)[0])
 
 
 class RktScan(NamedTuple):
     value: float
     witness: complex
     rows: np.ndarray  # columns (re_lambda, im_lambda, rkt_value)
+    rule_builds: int  # circle_panels calls
+    nodes: int  # circle nodes evaluated
 
 
 def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     """Minimum of the kernel functional over the origin and the grid;
     estimates the best uniform lower constant over all kernel points.
-    Batches are sized to BATCH_NODES at the last batch's nodes per point."""
+    One ``circle_panels`` call bisects the rules of the origin, and one those
+    of each ring; whole rules are then mapped and evaluated in blocks of at
+    most BATCH_NODES nodes, a larger rule in a block of its own."""
     lams = np.concatenate([[0.0 + 0.0j], grid.points()])
     vals = np.empty(lams.size)
-    start, size = 0, 1
-    while start < lams.size:
-        stop = min(start + size, lams.size)
-        vals[start:stop], nodes = _rkt_batch(mu, lams[start:stop].tolist(), cfg)
-        size = max(1, BATCH_NODES * (stop - start) // nodes)
-        start = stop
+    rings = np.cumsum([0, 1, *grid.angles_per_ring.tolist()]).tolist()
+    nodes_done = 0
+    for start, stop in zip(rings[:-1], rings[1:]):
+        pts = _kernel_points(lams[start:stop].tolist())
+        lo, hi, panels = circle_panels(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS)
+        i = 0
+        while i < stop - start:  # whole rules of at most BATCH_NODES nodes, or one larger rule
+            j = max(i + 1, int(np.searchsorted(panels, panels[i] + BATCH_NODES // NODES_PER_PANEL, side="right")) - 1)
+            block = slice(panels[i], panels[j])
+            nodes, weights = gauss_legendre_panel(lo[block], hi[block], NODES_PER_PANEL)
+            vals[start + i : start + j] = _rkt_batch(mu, pts[i:j], cfg, nodes, weights, (panels[i : j + 1] - panels[i]) * NODES_PER_PANEL)
+            i = j
+        nodes_done += int(panels[-1]) * NODES_PER_PANEL
     i = int(np.argmin(vals))  # the first minimum, as a strict-< loop finds it
-    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]))
+    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), len(rings) - 1, nodes_done)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan integral raises EvaluationError below

@@ -96,16 +96,18 @@ def _next_edges(lo: np.ndarray, rule: np.ndarray) -> np.ndarray:
     return hi
 
 
-def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12) -> CircleRules:
-    """One circle rule per row of the (rules x peaks) arrays ``angles`` and
-    ``scales``, all through the shared ``breakpoints`` (angles the panels must
-    not cross).  Each rule's panels are graded dyadically toward its peaks
-    until the local panel width is at most max(scale, distance-to-peak,
-    MIN_PANEL_WIDTH).  All panels of all rules are bisected level by level with
-    the float operations of a depth-first bisection of one rule, so every
-    rule is bit-identical to one built alone."""
-    if base_panels < 1 or nodes_per_panel < 2:
-        raise DomainError("base_panels >= 1 and nodes_per_panel >= 2 required")
+def circle_panels(breakpoints, angles, scales, base_panels=16):
+    """The panels of one circle rule per row of the (rules x peaks) arrays
+    ``angles`` and ``scales``, all through the shared ``breakpoints`` (angles
+    the panels must not cross).  Each rule's panels are graded dyadically
+    toward its peaks until the local panel width is at most max(scale,
+    distance-to-peak, MIN_PANEL_WIDTH).  All panels of all rules are bisected
+    level by level with the float operations of a depth-first bisection of one
+    rule, so every rule is bit-identical to one built alone.  Returns the left
+    and right panel edges, in order along each rule, rule by rule, and the
+    panel offsets: rule k has panels [offsets[k]:offsets[k + 1]]."""
+    if base_panels < 1:
+        raise DomainError("base_panels >= 1 required")
     angles = _wrap_angles(np.asarray(angles, dtype=float))
     scales = np.maximum(np.asarray(scales, dtype=float), MIN_PANEL_WIDTH)
     rules = angles.shape[0]
@@ -142,11 +144,18 @@ def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12
     order = np.lexsort((lo, rule))  # panels in order along each rule, rule by rule
     lo, rule = lo[order], rule[order]
     hi = _next_edges(lo, rule)
-    nodes, weights = gauss_legendre_panel(lo, hi, nodes_per_panel)
-    if np.any(weights <= 0.0):
+    # an empty panel, the only kind whose Gauss weights are not positive
+    if np.any(hi <= lo):
         raise DomainError("quadrature weights must be positive")
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(rule, minlength=rules))]) * nodes_per_panel
-    return CircleRules(nodes, weights, offsets, lo)
+    return lo, hi, np.concatenate([[0], np.cumsum(np.bincount(rule, minlength=rules))])
+
+
+def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12) -> CircleRules:
+    """The Gauss-Legendre rules on the panels of ``circle_panels``."""
+    if nodes_per_panel < 2:
+        raise DomainError("nodes_per_panel >= 2 required")
+    lo, hi, offsets = circle_panels(breakpoints, angles, scales, base_panels)
+    return CircleRules(*gauss_legendre_panel(lo, hi, nodes_per_panel), offsets * nodes_per_panel, lo)
 
 
 def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12) -> CircleRules:

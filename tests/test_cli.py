@@ -157,6 +157,15 @@ class TestRunners:
         header = (out / "rkt-hardy.csv").read_text().splitlines()[0]
         assert header == "re_lambda,im_lambda,rkt_value"
 
+    def test_rkt_hardy_work_counts(self, tmp_path):
+        # the shipped scan: one bisection for the origin and one per ring, and the
+        # nodes of all 1,281 circle rules
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json"
+        out = tmp_path / "o"
+        assert run(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["scan_rule_builds"], summary["scan_nodes"]) == (21, 1_720_224)
+
     def test_phi_h(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", PHIH_DOC)
         out = tmp_path / "o"

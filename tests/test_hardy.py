@@ -331,14 +331,20 @@ class TestRktScan:
 
 
 class TestRktBatches:
-    # 7 angles per ring: no batch size divides the rings
+    # rings of 1, 7 and 64 angles; a rule has at least 64 panels of 16 nodes, so at
+    # 600 nodes per block every rule is a block of its own, and at 2^14 a block of
+    # the 64-angle ring ends inside the ring
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    def test_scan_bit_identical_to_point_by_point(self, p):
+    def test_scan_bit_identical_to_point_by_point(self, monkeypatch, p):
         cfg, mu = hardy_config(p), mixed_measure()
-        scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(7, 7))
-        lams = [complex(re, im) for re, im in scan.rows[:, :2]]
-        assert scan.rows[:, 2].tolist() == [rkt_functional(mu, lam, cfg) for lam in lams]
-        assert scan.rows[:, 2].tolist() == [reference_rkt(mu, lam, cfg) for lam in lams]
+        grid = DiskGrid(np.array([0.3, 0.75, 0.97, 1.0 - 2.0**-14]), np.array([7, 1, 64, 7]))
+        lams = [0j, *grid.points()]
+        want = [reference_rkt(mu, lam, cfg) for lam in lams]
+        assert [rkt_functional(mu, lam, cfg) for lam in lams] == want
+        for batch in (hardy.BATCH_NODES, 600):
+            monkeypatch.setattr(hardy, "BATCH_NODES", batch)
+            scan = rkt_infimum_scan(mu, cfg, grid)
+            assert scan.rows[:, 2].tolist() == want and scan.rule_builds == 5
 
     def test_overflow_names_first_point_in_scan_order(self):
         cfg, mu, grid = hardy_config(300.0), mixed_measure(), DiskGrid.dyadic(8, 7)
@@ -390,21 +396,34 @@ class TestRktBatches:
         assert scan.rows[:, 2].tolist() == [reference_rkt(mu, lam, cfg) for lam in lams]
 
     def test_work_counts(self, monkeypatch):
-        # the shipped C2 scan builds one rule set per batch, and the C1 family
-        # builds the breakpoint rule once
+        # the shipped C2 scan bisects the origin's rule and then each ring's rules in
+        # one circle_panels call, and the C1 family builds the breakpoint rule once
         doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json").read_text())
         cfg, mu = hardy_config(doc["p"]), normalized_arclength()
-        grid = DiskGrid.dyadic(doc["grid"]["levels"], doc["grid"]["angles"])
+        levels, angles = doc["grid"]["levels"], doc["grid"]["angles"]
         sets, rules = [], []
-        build = hardy.circle_rules
-        monkeypatch.setattr(hardy, "circle_rules", lambda bp, angles, *a: sets.append(len(angles)) or build(bp, angles, *a))
+        bisect = hardy.circle_panels
+        monkeypatch.setattr(hardy, "circle_panels", lambda bp, a, *args: sets.append(len(a)) or bisect(bp, a, *args))
         quadrature = hardy.circle_quadrature
         monkeypatch.setattr(hardy, "circle_quadrature", lambda *a, **k: rules.append(1) or quadrature(*a, **k))
-        rkt_infimum_scan(mu, cfg, grid)
-        assert sum(sets) == 1281 and len(sets) <= 1281 // 8 and not rules
+        monkeypatch.setattr(hardy, "circle_rules", None)  # the scan maps panels itself
+        scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(levels, angles))
+        assert sets == [1] + [angles] * levels and sum(sets) == 1281 and not rules
+        assert scan.rule_builds == levels + 1 == 21
         family = random_polynomials(doc["polynomials"]["count"], doc["polynomials"]["max_degree"])
         reverse_embedding_ratios(mu, family, cfg)
         assert len(rules) == 1
+
+    def test_scan_nodes_are_the_rules_nodes(self):
+        cfg, mu = hardy_config(2.0), mixed_measure()
+        grid = DiskGrid(np.array([0.5, 0.99]), np.array([1, 7]))
+        scan = rkt_infimum_scan(mu, cfg, grid)
+        lams = [0j, *grid.points()]
+        want = sum(
+            circle_rules(mu.boundary.breakpoints, [[math.atan2(lam.imag, lam.real)]], [[max(0.5 * (1.0 - abs(lam)), 2.0**-24)]], BASE_PANELS, NODES_PER_PANEL).offsets[-1]
+            for lam in lams
+        )
+        assert (scan.rule_builds, scan.nodes) == (3, want)
 
 
 class TestReverseEmbedding:

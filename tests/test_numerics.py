@@ -11,6 +11,7 @@ from rktlab.numerics import (
     RADIAL_CAP,
     TWO_PI,
     DiskGrid,
+    circle_panels,
     circle_quadrature,
     circle_rules,
     eigen_hermitian,
@@ -214,13 +215,16 @@ class TestRuleBuildersBitIdentical:
         ]
         assume(all(np.all(ref[2] > 0.0) for ref in refs))  # an empty panel is refused
         got = circle_rules(breakpoints, angles, scales, base_panels, nodes_per_panel)
-        assert got.offsets.size == rules + 1
+        lo, hi, offsets = circle_panels(breakpoints, angles, scales, base_panels)
+        assert got.offsets.size == offsets.size == rules + 1
         for k, (edges, nodes, weights) in enumerate(refs):
             sl = slice(got.offsets[k], got.offsets[k + 1])
             assert np.array_equal(got.nodes[sl], nodes)
             assert np.array_equal(got.weights[sl], weights)
             panels = slice(got.offsets[k] // nodes_per_panel, got.offsets[k + 1] // nodes_per_panel)
             assert np.array_equal(got.panel_lo[panels], edges[:-1])
+            assert np.array_equal(lo[offsets[k] : offsets[k + 1]], edges[:-1])
+            assert np.array_equal(hi[offsets[k] : offsets[k + 1]], edges[1:])
 
     def test_near_duplicates_collapse_against_the_last_kept_edge(self):
         # 1 - 1e-14 is kept, 1 is within 1e-14 of it and dropped, 1 + 5e-15 is

@@ -6,6 +6,7 @@ import pytest
 from rktlab import _kernels
 from rktlab._kernels import kadets_points, pw_norm_factor, pw_rkt_grid, pw_sinc_mass
 from rktlab.errors import DomainError, PrecisionError
+from rktlab.numerics import eigen_hermitian
 from rktlab.paley_wiener import (
     _pair_products,
     _tail_bound,
@@ -429,3 +430,13 @@ class TestGramCrossCheck:
         # the normalized sinc kernels are orthonormal: the Gram is the identity
         seq = SamplingSequence(points=[float(n) for n in range(-16, 17) if n], n_max=16)
         assert abs(gram_min_eigenvalue(seq, 16) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_kadets_gram_spectrum_closed_form(self, n):
+        # with 1/8 restored the set is (2Z + 1/8) u (2Z - 9/8): the kernels on each
+        # copy of 2Z are orthonormal, and the Gram of every finite section has
+        # extremes 1 -+ sin(pi/8), the Riesz bounds of the whole set
+        x = np.sort(np.append(kadets_points(n), 0.125))
+        evals, _ = eigen_hermitian(np.sinc(x[:, None] - x[None, :]))
+        s = math.sin(math.pi / 8)
+        assert abs(evals[0] - (1.0 - s)) <= 5e-14 and abs(evals[-1] - (1.0 + s)) <= 5e-14
