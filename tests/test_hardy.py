@@ -341,10 +341,14 @@ class TestRktBatches:
         lams = [0j, *grid.points()]
         want = [reference_rkt(mu, lam, cfg) for lam in lams]
         assert [rkt_functional(mu, lam, cfg) for lam in lams] == want
+        nodes = sum(
+            circle_rules(mu.boundary.breakpoints, [[math.atan2(lam.imag, lam.real)]], [[max(0.5 * (1.0 - abs(lam)), 2.0**-24)]], BASE_PANELS, NODES_PER_PANEL).offsets[-1]
+            for lam in lams
+        )
         for batch in (hardy.BATCH_NODES, 600):
             monkeypatch.setattr(hardy, "BATCH_NODES", batch)
             scan = rkt_infimum_scan(mu, cfg, grid)
-            assert scan.rows[:, 2].tolist() == want and scan.rule_builds == 5
+            assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes) == (5, nodes)
 
     def test_overflow_names_first_point_in_scan_order(self):
         cfg, mu, grid = hardy_config(300.0), mixed_measure(), DiskGrid.dyadic(8, 7)
@@ -413,17 +417,6 @@ class TestRktBatches:
         family = random_polynomials(doc["polynomials"]["count"], doc["polynomials"]["max_degree"])
         reverse_embedding_ratios(mu, family, cfg)
         assert len(rules) == 1
-
-    def test_scan_nodes_are_the_rules_nodes(self):
-        cfg, mu = hardy_config(2.0), mixed_measure()
-        grid = DiskGrid(np.array([0.5, 0.99]), np.array([1, 7]))
-        scan = rkt_infimum_scan(mu, cfg, grid)
-        lams = [0j, *grid.points()]
-        want = sum(
-            circle_rules(mu.boundary.breakpoints, [[math.atan2(lam.imag, lam.real)]], [[max(0.5 * (1.0 - abs(lam)), 2.0**-24)]], BASE_PANELS, NODES_PER_PANEL).offsets[-1]
-            for lam in lams
-        )
-        assert (scan.rule_builds, scan.nodes) == (3, want)
 
 
 class TestReverseEmbedding:
