@@ -179,7 +179,12 @@ def _arc_spec(v, path):
 
 
 #: Fields every experiment kind accepts.
-_COMMON_FIELDS = {"kind": (True, lambda v, p: v), "seed": (False, _integer)}
+_COMMON_FIELDS = {"kind": (True, lambda v, p: v), "seed": (False, _int_in(0, 2**64 - 1))}
+
+
+def u64(text: str) -> int:
+    """The argparse type of --seed: an integer in 0..2^64 - 1, like a config's seed."""
+    return _COMMON_FIELDS["seed"][1](int(text), "--seed")
 
 
 _BUILTIN_MEASURES = {
@@ -345,7 +350,7 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
             # each area cell adds about 2 s at the largest grid and family
             "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=16)),
             "p": (True, _exponent),
-            # the largest grid and family with the largest measure run in about 14 s and 56 MiB
+            # the largest grid and family with the largest measure run in about 14 s and 49 MiB
             "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1, 512))})),
             "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1, 1000)), "max_degree": (True, _int_in(0, 256))})),
         },
@@ -770,7 +775,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run one experiment from a JSON config")
     runp.add_argument("--config", required=True, help="path to the experiment config")
     runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the polynomial family")
+    runp.add_argument("--seed", type=u64, default=DEFAULT_SEED, help="seed for the polynomial family")
     runp.add_argument("--quick", action="store_true", help="reduced grids for CI")
     repp = sub.add_parser("report", help="render a Markdown report from a summary")
     repp.add_argument("--summary", required=True, help="path to summary.json")

@@ -10,9 +10,10 @@ reverse-embedding ratio is bounded below by 2*pi*c, while window ratios
 mu(S_I)/|I| are bounded below by c with no extra factor.
 
 The scans batch their work with bit-identical values: one ``circle_panels``
-call bisects the circle rules of a whole ring of kernel points, whose whole
-rules are then mapped and evaluated in blocks of at most BATCH_NODES nodes,
-and a polynomial family is evaluated on a measure's nodes built once.  A
+call bisects the circle rules of a ring of kernel points (at most
+BISECT_POINTS of them), whose whole rules are then mapped and evaluated in
+blocks of at most BATCH_NODES nodes; ``rkt_functional`` is that path on one
+point.  A polynomial family is evaluated on a measure's nodes built once.  A
 phi_h depth sequence takes one kernel matrix per z on the union of its
 depths' radial panels, which dyadic depths share.
 """
@@ -36,7 +37,6 @@ from .numerics import (
     DiskGrid,
     circle_panels,
     circle_quadrature,
-    circle_rules,
     ensure_point,
     gauss_legendre_panel,
     wrap_angle,
@@ -53,6 +53,8 @@ NODES_PER_PANEL = 16
 
 #: Circle nodes per block of whole rules in a scan, and values per Vandermonde block.
 BATCH_NODES = 2**14
+#: Kernel points per ``circle_panels`` call of a scan, which bounds a bisection's temporaries.
+BISECT_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -133,18 +135,14 @@ def hp_norm(f: HardyFunction, cfg: HardyConfig) -> float:
 
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
     """||k_lam||_p by quadrature; for p = 2 this matches (1-|lam|^2)^(-1/2)."""
-    lam = ensure_point(lam)
-    r = abs(lam)
-    if r >= 1.0:
-        raise DomainError(f"kernel point must lie in the open disk, got |lam|={r}")
+    r, phi, scale, _, _ = _kernel_points([lam])[0].tolist()
     if 1.0 - r < (1.0 - RADIAL_CAP) * (1.0 - 1e-9):
         warnings.warn(
             f"1-|lam|={1.0 - r:.3e} is beyond the grid cap {1.0 - RADIAL_CAP:.3e}; "
             "the quadrature is reported at reduced confidence",
             PrecisionWarning,
         )
-    phi = math.atan2(lam.imag, lam.real)
-    rule = circle_quadrature(peaks=[(phi, max(0.5 * (1.0 - r), 2.0**-24))], base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
+    rule = circle_quadrature(peaks=[(phi, scale)], base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
     return (_kernels.kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, cfg.p) / TWO_PI) ** (1.0 / cfg.p)
 
 
@@ -228,16 +226,16 @@ def _kernel_points(lams) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below
-def _rkt_batch(mu: Measure, pts: np.ndarray, cfg: HardyConfig, nodes, weights, offsets) -> np.ndarray:
+def _rkt_batch(mu: Measure, pts: np.ndarray, cfg: HardyConfig, lo, hi, panels) -> np.ndarray:
     """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``)
-    whose circle rules are nodes and weights [offsets[k]:offsets[k + 1]]: one
-    |k_lam|^p over all nodes, a dot per point."""
+    whose circle rules are Gauss-Legendre on the panels [lo, hi], panels[k] of
+    them for point k: one |k_lam|^p over all nodes, a dot per point."""
     p = cfg.p
+    nodes, weights = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)
     boundary = mu.boundary.total() > 0.0
     if boundary:
         dens_weights = weights * _panel_density(mu.boundary, nodes)
     # (1 - r)^2 + 4 r sin((theta - phi)/2)^2, panel by panel
-    panels = np.diff(offsets) // NODES_PER_PANEL
     s = nodes.reshape(-1, NODES_PER_PANEL) - np.repeat(pts[:, 1], panels)[:, None]
     s = np.sin(np.multiply(s, 0.5, out=s), out=s)
     kern = np.repeat(pts[:, 4], panels)[:, None] * s
@@ -249,17 +247,17 @@ def _rkt_batch(mu: Measure, pts: np.ndarray, cfg: HardyConfig, nodes, weights, o
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
     cells = list(mu.area.cells()) if mu.area is not None else []
     vals = np.empty(len(pts))
-    for i, (r, phi, scale, _, _) in enumerate(pts.tolist()):
-        sl = slice(offsets[i], offsets[i + 1])
+    stops = (np.cumsum(panels) * NODES_PER_PANEL).tolist()
+    for i, ((r, phi, scale, _, _), start, stop) in enumerate(zip(pts.tolist(), [0, *stops], stops)):
         num = 0.0
         if mu.atoms:  # an atom at the origin has angle 0 and radius 0, hence d^2 = 1
             num += _kernels.kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, r, phi, p)
         if boundary:
-            num += float(np.dot(dens_weights[sl], kern[sl]))
+            num += float(np.dot(dens_weights[start:stop], kern[start:stop]))
         for r0, r1, a0, a1, val in cells:
             rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, phi, scale)
             num += val * _kernels.kernel_pow_disk_sum(rs[:, None], ts, wrr[:, None] * wt, r, phi, p)
-        norm = float(np.dot(weights[sl], kern[sl])) / TWO_PI
+        norm = float(np.dot(weights[start:stop], kern[start:stop])) / TWO_PI
         if not math.isfinite(norm):
             raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
         if not math.isfinite(num):
@@ -268,12 +266,26 @@ def _rkt_batch(mu: Measure, pts: np.ndarray, cfg: HardyConfig, nodes, weights, o
     return vals
 
 
+def _rkt_points(mu: Measure, lams, cfg: HardyConfig):
+    """``rkt_functional`` at the kernel points lams, and the circle nodes it took:
+    one ``circle_panels`` call bisects all their rules, through the density's
+    breakpoints; whole rules are then evaluated in blocks of at most BATCH_NODES
+    nodes, a larger rule in a block of its own."""
+    pts = _kernel_points(lams)
+    lo, hi, offsets = circle_panels(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS)
+    vals, i = np.empty(len(pts)), 0
+    while i < len(pts):
+        j = max(i + 1, int(np.searchsorted(offsets, offsets[i] + BATCH_NODES // NODES_PER_PANEL, side="right")) - 1)
+        block = slice(offsets[i], offsets[j])
+        vals[i:j] = _rkt_batch(mu, pts[i:j], cfg, lo[block], hi[block], np.diff(offsets[i : j + 1]))
+        i = j
+    return vals, int(offsets[-1]) * NODES_PER_PANEL
+
+
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
     """integral of |K_lam|^p d(mu) for the normalized kernel K_lam; one rule through
     the density's breakpoints gives the boundary integral and ||k_lam||_p^p."""
-    pts = _kernel_points([lam])
-    rule = circle_rules(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS, NODES_PER_PANEL)
-    return float(_rkt_batch(mu, pts, cfg, rule.nodes, rule.weights, rule.offsets)[0])
+    return float(_rkt_points(mu, [lam], cfg)[0][0])
 
 
 class RktScan(NamedTuple):
@@ -287,26 +299,15 @@ class RktScan(NamedTuple):
 def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     """Minimum of the kernel functional over the origin and the grid;
     estimates the best uniform lower constant over all kernel points.
-    One ``circle_panels`` call bisects the rules of the origin, and one those
-    of each ring; whole rules are then mapped and evaluated in blocks of at
-    most BATCH_NODES nodes, a larger rule in a block of its own."""
+    ``_rkt_points`` takes the origin, then each ring in slices of at most
+    BISECT_POINTS points (a whole ring of every shipped config)."""
     lams = np.concatenate([[0.0 + 0.0j], grid.points()])
-    vals = np.empty(lams.size)
-    rings = np.cumsum([0, 1, *grid.angles_per_ring.tolist()]).tolist()
-    nodes_done = 0
-    for start, stop in zip(rings[:-1], rings[1:]):
-        pts = _kernel_points(lams[start:stop].tolist())
-        lo, hi, panels = circle_panels(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS)
-        i = 0
-        while i < stop - start:  # whole rules of at most BATCH_NODES nodes, or one larger rule
-            j = max(i + 1, int(np.searchsorted(panels, panels[i] + BATCH_NODES // NODES_PER_PANEL, side="right")) - 1)
-            block = slice(panels[i], panels[j])
-            nodes, weights = gauss_legendre_panel(lo[block], hi[block], NODES_PER_PANEL)
-            vals[start + i : start + j] = _rkt_batch(mu, pts[i:j], cfg, nodes, weights, (panels[i : j + 1] - panels[i]) * NODES_PER_PANEL)
-            i = j
-        nodes_done += int(panels[-1]) * NODES_PER_PANEL
+    ends = np.cumsum([0, 1, *grid.angles_per_ring.tolist()]).tolist()
+    slices = [slice(i, min(i + BISECT_POINTS, stop)) for start, stop in zip(ends, ends[1:]) for i in range(start, stop, BISECT_POINTS)]
+    vals, nodes = zip(*(_rkt_points(mu, lams[sl].tolist(), cfg) for sl in slices))
+    vals = np.concatenate(vals)
     i = int(np.argmin(vals))  # the first minimum, as a strict-< loop finds it
-    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), len(rings) - 1, nodes_done)
+    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), len(slices), sum(nodes))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan integral raises EvaluationError below

@@ -74,14 +74,9 @@ def gauss_legendre_panel(lo, hi, n: int):
 # ---------------------------------------------------------------------------
 
 
-class CircleRules(NamedTuple):
-    """Rule k: nodes and weights [offsets[k]:offsets[k + 1]], left panel edges
-    panel_lo[offsets[k] // n:offsets[k + 1] // n] with n nodes per panel."""
-
+class CircleRule(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
-    offsets: np.ndarray
-    panel_lo: np.ndarray
 
 
 #: Panels are never bisected below this width.
@@ -150,21 +145,16 @@ def circle_panels(breakpoints, angles, scales, base_panels=16):
     return lo, hi, np.concatenate([[0], np.cumsum(np.bincount(rule, minlength=rules))])
 
 
-def circle_rules(breakpoints, angles, scales, base_panels=16, nodes_per_panel=12) -> CircleRules:
-    """The Gauss-Legendre rules on the panels of ``circle_panels``."""
+def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12) -> CircleRule:
+    """Gauss-Legendre on the panels of one ``circle_panels`` rule; peaks are (angle, scale) pairs."""
     if nodes_per_panel < 2:
         raise DomainError("nodes_per_panel >= 2 required")
-    lo, hi, offsets = circle_panels(breakpoints, angles, scales, base_panels)
-    return CircleRules(*gauss_legendre_panel(lo, hi, nodes_per_panel), offsets * nodes_per_panel, lo)
-
-
-def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12) -> CircleRules:
-    """One circle rule (see ``circle_rules``); ``peaks`` are (angle, scale) pairs."""
     peaks = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
-    return circle_rules(breakpoints, peaks[..., 0], peaks[..., 1], base_panels, nodes_per_panel)
+    lo, hi, _ = circle_panels(breakpoints, peaks[..., 0], peaks[..., 1], base_panels)
+    return CircleRule(*gauss_legendre_panel(lo, hi, nodes_per_panel))
 
 
-def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleRules) -> float:
+def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleRule) -> float:
     """Integrate f(theta) over [0, 2*pi) with the given rule.
 
     Raises EvaluationError naming the offending node if f is non-finite

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -12,6 +13,15 @@ import pytest
 
 from rktlab.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, _write_csv, main, render_report
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError, PrecisionError
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "configs").glob("*.json"))
+
+# the benchmark's correctness gate, loaded read-only from its file
+_spec = importlib.util.spec_from_file_location("perfbench_gate", ROOT / "perfbench" / "gate.py")
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
 
 
 def write_config(tmp_path: Path, name: str, doc: dict) -> str:
@@ -381,6 +391,9 @@ class TestExitCodes:
             (dict(T2_DOC, delta_list=[0.1] * 65), "config.delta_list"),
             (dict(WINDOWS_DOC, measure={"builtin": "arclength", "scale": -1.0}), "config.measure.scale"),
             (dict(WINDOWS_DOC, measure={"builtin": ["arclength"]}), "config.measure.builtin"),
+            (dict(RKT_DOC, seed=-3), "config.seed"),
+            (dict(T2_DOC, seed=-1), "config.seed"),
+            (dict(WINDOWS_DOC, seed=2**64), "config.seed"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
@@ -389,6 +402,21 @@ class TestExitCodes:
         assert run(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert path in caplog.text
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64), "x"])
+    def test_seed_flag_outside_u64_exits_two(self, tmp_path, capsys, seed):
+        # argparse exits 2 before a config is read; numpy never sees the seed
+        cfg = write_config(tmp_path, "c.json", RKT_DOC)
+        with pytest.raises(SystemExit) as exc:
+            run(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", seed])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", dict(T2_DOC, grid={"rings": 2, "angles": 8}))
+        assert run(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", str(2**64 - 1)]) == EXIT_OK
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize(
         "grid,message",
@@ -459,9 +487,7 @@ class TestExitCodes:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "config", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem
-    )
+    @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
     def test_quick_run_passes_every_check(self, tmp_path, config):
         out = tmp_path / "o"
         assert run(["run", "--config", str(config), "--out", str(out), "--quick"]) == EXIT_OK
@@ -471,6 +497,15 @@ class TestShippedConfigs:
         # every cell is a plain number: repr of a numpy scalar would read np.float64(...)
         lines = (out / f"{summary['kind']}.csv").read_text().splitlines()[1:]
         assert lines and [float(x) for line in lines for x in line.split(",")]
+
+    @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
+    def test_full_run_matches_the_benchmark_reference(self, tmp_path, config):
+        # the benchmark gate's checks, so a change that moves a gated value fails here too
+        out = tmp_path / "o"
+        problems, summary, csv_path = gate.check_run(out, run(["run", "--config", str(config), "--out", str(out)]))
+        if csv_path is not None:
+            problems += gate.compare_to_reference(gate.load_reference(config.stem), summary, csv_path)
+        assert not problems, problems
 
 
 class TestBlasThreads:

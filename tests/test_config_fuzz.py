@@ -33,6 +33,7 @@ SMALL_DOCS = [
     },
     {
         "kind": "rkt-hardy",
+        "seed": 2,
         "measure": {"builtin": "normalized_arclength", "scale": 1.0},
         "p": 2.0,
         "grid": {"levels": 1, "angles": 2},
@@ -54,6 +55,7 @@ SMALL_DOCS = [
     },
     {
         "kind": "theorem2",
+        "seed": 3,
         "zeros": [{"re": 0.3, "im": 0.1}, {"re": -0.2, "im": 0.4}],
         "alpha_angle": 0.5,
         "epsilon": None,

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from rktlab.measures import (
     normalized_arclength,
     upper_half_arclength,
 )
-from rktlab.numerics import TWO_PI, DiskGrid, circle_quadrature, circle_rules, gauss_legendre_panel
+from rktlab.numerics import TWO_PI, DiskGrid, circle_panels, circle_quadrature, gauss_legendre_panel
 
 P_SWEEP = [1.5, 2.0, 3.0, 4.0]
 
@@ -329,11 +330,26 @@ class TestRktScan:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 0.01
 
+    @pytest.mark.parametrize("lam", [1.0, -1j, 1.5 * np.exp(2j), 1.0 - 1e-17, complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, math.nan)])
+    @pytest.mark.parametrize("entry", ["kernel_norm", "rkt_functional", "rkt_infimum_scan"])
+    def test_kernel_point_outside_the_open_disk_refused(self, entry, lam):
+        # |lam| >= 1 (1 - 1e-17 rounds to 1) or a non-finite part; the scan gets it
+        # from a grid that skips DiskGrid's radius check
+        cfg, mu = hardy_config(2.0), mixed_measure()
+        with pytest.raises(DomainError):
+            if entry == "kernel_norm":
+                kernel_norm(complex(lam), cfg)
+            elif entry == "rkt_functional":
+                rkt_functional(mu, complex(lam), cfg)
+            else:
+                rkt_infimum_scan(mu, cfg, SimpleNamespace(points=lambda: np.array([lam], dtype=complex), angles_per_ring=np.array([1])))
+
 
 class TestRktBatches:
     # rings of 1, 7 and 64 angles; a rule has at least 64 panels of 16 nodes, so at
     # 600 nodes per block every rule is a block of its own, and at 2^14 a block of
-    # the 64-angle ring ends inside the ring
+    # the 64-angle ring ends inside the ring; at 5 points per bisection the rings
+    # of 7 and 64 angles are cut into 2 and 13 slices
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_scan_bit_identical_to_point_by_point(self, monkeypatch, p):
         cfg, mu = hardy_config(p), mixed_measure()
@@ -342,13 +358,14 @@ class TestRktBatches:
         want = [reference_rkt(mu, lam, cfg) for lam in lams]
         assert [rkt_functional(mu, lam, cfg) for lam in lams] == want
         nodes = sum(
-            circle_rules(mu.boundary.breakpoints, [[math.atan2(lam.imag, lam.real)]], [[max(0.5 * (1.0 - abs(lam)), 2.0**-24)]], BASE_PANELS, NODES_PER_PANEL).offsets[-1]
+            circle_quadrature(mu.boundary.breakpoints, [(math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - abs(lam)), 2.0**-24))], BASE_PANELS, NODES_PER_PANEL).nodes.size
             for lam in lams
         )
-        for batch in (hardy.BATCH_NODES, 600):
+        for batch, bisect, builds in ((hardy.BATCH_NODES, hardy.BISECT_POINTS, 5), (600, hardy.BISECT_POINTS, 5), (hardy.BATCH_NODES, 5, 19)):
             monkeypatch.setattr(hardy, "BATCH_NODES", batch)
+            monkeypatch.setattr(hardy, "BISECT_POINTS", bisect)
             scan = rkt_infimum_scan(mu, cfg, grid)
-            assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes) == (5, nodes)
+            assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes) == (builds, nodes)
 
     def test_overflow_names_first_point_in_scan_order(self):
         cfg, mu, grid = hardy_config(300.0), mixed_measure(), DiskGrid.dyadic(8, 7)
@@ -378,18 +395,19 @@ class TestRktBatches:
         rng = np.random.default_rng(len(bp))
         angles = np.concatenate([bp, np.add(bp, 1e-12), np.subtract(bp, 1e-9), [0.0, -1e-17, TWO_PI - 1e-12], rng.uniform(0.0, TWO_PI, 8)])
         scales = np.geomspace(2.0**-30, 0.5, angles.size)
-        nodes = circle_rules(density.breakpoints, angles[:, None], scales[:, None], BASE_PANELS, NODES_PER_PANEL).nodes
+        lo, hi, _ = circle_panels(density.breakpoints, angles[:, None], scales[:, None], BASE_PANELS)
+        nodes = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0]
         assert np.array_equal(_panel_density(density, nodes), density.value_at(nodes))
 
     def test_panel_density_in_a_panel_one_ulp_wide(self):
         # a breakpoint one ulp below 2*pi leaves the panel [2*pi - ulp, 2*pi]; its later
         # nodes round to 2*pi, where a lookup per node wraps to the first piece
         density = BoundaryDensity(np.array([0.0, 1.0, TWO_PI - 1e-15]), np.array([1.0, 2.0, 3.0]))
-        rules = circle_rules(density.breakpoints, np.zeros((1, 0)), np.zeros((1, 0)), BASE_PANELS, NODES_PER_PANEL)
-        last = slice(-NODES_PER_PANEL, None)
-        assert rules.panel_lo[-1] == np.nextafter(TWO_PI, 0.0)
-        assert 1.0 in density.value_at(rules.nodes[last])
-        assert np.array_equal(_panel_density(density, rules.nodes), np.repeat(density.value_at(rules.panel_lo), NODES_PER_PANEL))
+        lo, hi, _ = circle_panels(density.breakpoints, np.zeros((1, 0)), np.zeros((1, 0)), BASE_PANELS)
+        nodes = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0]
+        assert lo[-1] == np.nextafter(TWO_PI, 0.0)
+        assert 1.0 in density.value_at(nodes[-NODES_PER_PANEL:])
+        assert np.array_equal(_panel_density(density, nodes), np.repeat(density.value_at(lo), NODES_PER_PANEL))
 
     @pytest.mark.parametrize("bp", EDGE_BREAKPOINTS)
     def test_scan_bit_identical_with_edge_breakpoints(self, bp):
@@ -410,7 +428,6 @@ class TestRktBatches:
         monkeypatch.setattr(hardy, "circle_panels", lambda bp, a, *args: sets.append(len(a)) or bisect(bp, a, *args))
         quadrature = hardy.circle_quadrature
         monkeypatch.setattr(hardy, "circle_quadrature", lambda *a, **k: rules.append(1) or quadrature(*a, **k))
-        monkeypatch.setattr(hardy, "circle_rules", None)  # the scan maps panels itself
         scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(levels, angles))
         assert sets == [1] + [angles] * levels and sum(sets) == 1281 and not rules
         assert scan.rule_builds == levels + 1 == 21

@@ -13,7 +13,6 @@ from rktlab.numerics import (
     DiskGrid,
     circle_panels,
     circle_quadrature,
-    circle_rules,
     eigen_hermitian,
     gauss_legendre_panel,
     hermitian_part,
@@ -120,14 +119,18 @@ class TestCircleQuadrature:
         f = lambda t: np.exp(np.cos(t)) * np.sin(3 * t) ** 2
         v1 = integrate_circle(f, q)
         q2 = circle_quadrature(nodes_per_panel=24)  # twice the default, same panel edges
-        assert np.array_equal(q2.panel_lo, q.panel_lo)
+        lo, hi, _ = circle_panels((), np.zeros((1, 0)), np.zeros((1, 0)))
+        assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, 12)[0])
+        assert np.array_equal(q2.nodes, gauss_legendre_panel(lo, hi, 24)[0])
         v2 = integrate_circle(f, q2)
         assert abs(v1 - v2) <= 1e-10 * abs(v2)
 
     def test_breakpoints_are_panel_edges(self):
         q = circle_quadrature(breakpoints=[1.0, 2.5])
-        assert np.any(np.isclose(q.panel_lo, 1.0))
-        assert np.any(np.isclose(q.panel_lo, 2.5))
+        lo, hi, _ = circle_panels([1.0, 2.5], np.zeros((1, 0)), np.zeros((1, 0)))
+        assert np.any(np.isclose(lo, 1.0))
+        assert np.any(np.isclose(lo, 2.5))
+        assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, 12)[0])
 
     def test_tiny_negative_breakpoint(self):
         q = circle_quadrature(breakpoints=[-1e-17])
@@ -137,6 +140,11 @@ class TestCircleQuadrature:
     def test_weights_positive(self):
         q = circle_quadrature(peaks=[(0.3, 1e-6)])
         assert np.all(q.weights > 0.0)
+
+    @pytest.mark.parametrize("args", [dict(nodes_per_panel=1), dict(base_panels=0)])
+    def test_rejects_too_few_nodes_or_panels(self, args):
+        with pytest.raises(DomainError):
+            circle_quadrature(**args)
 
     def test_non_finite_integrand_names_node(self):
         q = circle_quadrature()
@@ -187,13 +195,15 @@ class TestRuleBuildersBitIdentical:
                 circle_quadrature(**args)
             return
         rule = circle_quadrature(**args)
-        assert np.array_equal(rule.panel_lo, edges[:-1]) and edges[-1] == TWO_PI
+        pk = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
+        lo, hi, _ = circle_panels(breakpoints, pk[..., 0], pk[..., 1], base_panels)
+        assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:]) and edges[-1] == TWO_PI
         assert np.array_equal(rule.nodes, nodes)
         assert np.array_equal(rule.weights, weights)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_circle_rules_match_reference_rule_by_rule(self, data):
+    def test_circle_panels_match_reference_rule_by_rule(self, data):
         base_panels = data.draw(st.sampled_from([1, 16, 64]))
         nodes_per_panel = data.draw(st.sampled_from([2, 12, 16]))
         rules = data.draw(st.integers(1, 40))
@@ -214,15 +224,13 @@ class TestRuleBuildersBitIdentical:
             for a, s in zip(angles.tolist(), scales.tolist())
         ]
         assume(all(np.all(ref[2] > 0.0) for ref in refs))  # an empty panel is refused
-        got = circle_rules(breakpoints, angles, scales, base_panels, nodes_per_panel)
         lo, hi, offsets = circle_panels(breakpoints, angles, scales, base_panels)
-        assert got.offsets.size == offsets.size == rules + 1
+        got_nodes, got_weights = gauss_legendre_panel(lo, hi, nodes_per_panel)  # all rules mapped at once
+        assert offsets.size == rules + 1
         for k, (edges, nodes, weights) in enumerate(refs):
-            sl = slice(got.offsets[k], got.offsets[k + 1])
-            assert np.array_equal(got.nodes[sl], nodes)
-            assert np.array_equal(got.weights[sl], weights)
-            panels = slice(got.offsets[k] // nodes_per_panel, got.offsets[k + 1] // nodes_per_panel)
-            assert np.array_equal(got.panel_lo[panels], edges[:-1])
+            sl = slice(offsets[k] * nodes_per_panel, offsets[k + 1] * nodes_per_panel)
+            assert np.array_equal(got_nodes[sl], nodes)
+            assert np.array_equal(got_weights[sl], weights)
             assert np.array_equal(lo[offsets[k] : offsets[k + 1]], edges[:-1])
             assert np.array_equal(hi[offsets[k] : offsets[k + 1]], edges[1:])
 
@@ -231,12 +239,13 @@ class TestRuleBuildersBitIdentical:
         # 1.5e-14 from the kept edge and stays (though within 1e-14 of 1)
         breakpoints = [1.0 - 1e-14, 1.0, 1.0 + 5e-15]
         angles, scales = np.array([[0.3], [1.0], [4.0]]), np.full((3, 1), 0.01)
-        got = circle_rules(breakpoints, angles, scales, 16, 12)
+        lo, hi, offsets = circle_panels(breakpoints, angles, scales, 16)
+        got_nodes, got_weights = gauss_legendre_panel(lo, hi, 12)
         for k in range(3):
             edges, nodes, weights = _reference_circle_rule(breakpoints, [(angles[k, 0], 0.01)], 16, 12)
             assert np.any(edges == 1.0 + 5e-15) and not np.any(edges == 1.0)
-            assert np.array_equal(got.nodes[got.offsets[k]:got.offsets[k + 1]], nodes)
-            assert np.array_equal(got.weights[got.offsets[k]:got.offsets[k + 1]], weights)
+            assert np.array_equal(got_nodes[offsets[k] * 12 : offsets[k + 1] * 12], nodes)
+            assert np.array_equal(got_weights[offsets[k] * 12 : offsets[k + 1] * 12], weights)
 
     @given(
         lo=st.floats(-4.0, 4.0),
