@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,6 @@ EXIT_INVARIANT = 1
 EXIT_CONFIG = 2
 EXIT_PRECISION = 3
 
-KINDS = ("windows", "rkt-hardy", "phi-h", "pw-counterexample", "theorem2")
-
 CONVENTIONS = {
     "arc_and_measure": "arc lengths |I| and measures are in plain radians",
     "hp_norm": "H^p norms use d(theta)/(2*pi) on the circle",
@@ -107,7 +106,8 @@ def _require_mapping(obj, path):
 
 
 def _check_fields(obj, path, fields):
-    """fields: name -> (required, checker). Unknown fields are rejected."""
+    """fields: name -> (required, checker), where a checker takes (value, path)
+    or is the fields dict of a nested object.  Unknown fields are rejected."""
     _require_mapping(obj, path)
     unknown = set(obj) - set(fields)
     if unknown:
@@ -119,7 +119,8 @@ def _check_fields(obj, path, fields):
             if required:
                 raise ConfigError(f"{path}.{name}", "missing required field")
             continue
-        out[name] = checker(obj[name], f"{path}.{name}")
+        sub = f"{path}.{name}"
+        out[name] = _check_fields(obj[name], sub, checker) if isinstance(checker, dict) else checker(obj[name], sub)
     return out
 
 
@@ -137,14 +138,14 @@ def _integer(v, path):
     return v
 
 
-def _int_in(lo, hi):
-    """Checker for an integer in lo..hi."""
+def _in_range(lo, hi, kind=_integer):
+    """Checker for a value of ``kind`` (an integer unless given) in [lo, hi]."""
 
     def check(v, path):
-        _integer(v, path)
-        if not lo <= v <= hi:
-            raise ConfigError(path, f"must lie in {lo}..{hi}")
-        return v
+        x = kind(v, path)
+        if not lo <= x <= hi:
+            raise ConfigError(path, f"must lie in [{lo}, {hi}]")
+        return x
 
     return check
 
@@ -156,18 +157,19 @@ def _exponent(v, path):
     return p
 
 
-def _list_of(item, what):
-    """Checker for a nonempty list whose entries pass ``item``."""
+def _list_of(item, lo=1, hi=math.inf):
+    """Checker for a list of lo..hi entries that pass ``item``.  Entries are
+    checked first, so a bad entry is named even in a list of the wrong length."""
 
     def check(v, path):
-        if not isinstance(v, list) or not v:
-            raise ConfigError(path, f"expected a nonempty list of {what}")
-        return [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        if not isinstance(v, list):
+            raise ConfigError(path, f"expected a list, got {type(v).__name__}")
+        out = [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        if not lo <= len(out) <= hi:
+            raise ConfigError(path, f"expected {lo} to {hi} entries, got {len(out)}")
+        return out
 
     return check
-
-
-_number_list = _list_of(_number, "numbers")
 
 
 def _arc_spec(v, path):
@@ -178,13 +180,9 @@ def _arc_spec(v, path):
         raise ConfigError(path, str(exc)) from exc
 
 
-#: Fields every experiment kind accepts.
-_COMMON_FIELDS = {"kind": (True, lambda v, p: v), "seed": (False, _int_in(0, 2**64 - 1))}
-
-
-def u64(text: str) -> int:
-    """The argparse type of --seed: an integer in 0..2^64 - 1, like a config's seed."""
-    return _COMMON_FIELDS["seed"][1](int(text), "--seed")
+def _zero(v, path):
+    got = _check_fields(v, path, {"re": (True, _number), "im": (True, _number)})
+    return complex(got["re"], got["im"])
 
 
 _BUILTIN_MEASURES = {
@@ -218,20 +216,91 @@ def _measure_spec(v, path, max_cells: int) -> Measure:
     return mu
 
 
-def load_config(path: str) -> dict:
+_seed = _in_range(0, 2**64 - 1)
+
+
+def u64(text: str) -> int:
+    """The argparse type of --seed: an integer in 0..2^64 - 1, like a config's seed."""
+    return _seed(int(text), "--seed")
+
+
+def output_dir(text: str) -> Path:
+    """The argparse type of --out: a path whose nearest existing ancestor, or
+    itself, is a directory, so a finished run can write there."""
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return path
+
+
+#: Each experiment kind's fields besides "kind" and the optional "seed" (an
+#: integer in [0, 2^64 - 1]): name -> (required, checker).  The caps bound a
+#: run's time and memory; the README's config table lists them.
+SCHEMAS = {
+    "windows": {
+        # at every cap (256 atoms, 256 breakpoints, 64 x 64 cells, depth 16) a run takes about 34 s
+        "measure": (True, partial(_measure_spec, max_cells=4096)),
+        "max_depth": (True, _in_range(1, 16)),
+        "refine_arc": (False, _arc_spec),
+        "refine_depths": (False, _list_of(_number)),
+    },
+    "rkt-hardy": {
+        # each area cell adds about 2 s at the largest grid and family
+        "measure": (True, partial(_measure_spec, max_cells=16)),
+        "p": (True, _exponent),
+        # the largest grid and family with the largest measure run in about 14 s and 49 MiB
+        "grid": (False, {"levels": (True, _in_range(1, 20)), "angles": (True, _in_range(1, 512))}),
+        "polynomials": (False, {"count": (True, _in_range(1, 1000)), "max_degree": (True, _in_range(0, 256))}),
+    },
+    "phi-h": {
+        "arc": (True, _arc_spec),
+        "p": (True, _exponent),
+        "h_exponents": (True, _list_of(_in_range(1, 16), 2, 16)),
+        # 16 depths on the largest grid run in about 2.5 s and 49 MiB (4.7 s on a full-circle arc)
+        "sup_grid": (False, {"rings": (True, _in_range(1, 32)), "angles": (True, _in_range(1, 256))}),
+    },
+    "pw-counterexample": {
+        # at every cap together (8 Gram solves of size 2,049) a run takes about 20 s and 248 MiB
+        "truncation": (True, _in_range(1, 16384)),
+        "scan": (False, {"re": (True, _list_of(_number, 2, 2)), "im": (True, _list_of(_number, 2, 2)),
+                         "resolution": (True, _list_of(_in_range(64, 512), 2, 2))}),
+        # past length ~700 the partial products overflow near |x| = length/2
+        "witness": (False, {"length": (True, _in_range(256.0, 512.0, _number)), "rate": (True, _in_range(8, 32))}),
+        "gram_truncations": (False, _list_of(_in_range(1, 1024), 1, 8)),
+    },
+    "theorem2": {
+        "zeros": (True, _list_of(_zero, 2, 32)),
+        "alpha_angle": (True, _number),
+        "epsilon": (False, lambda v, p: None if v is None else _number(v, p)),
+        # with at most 32 zeros the largest grid runs in about 3 s and 64 MiB
+        "grid": (True, {"rings": (True, _in_range(1, 128)), "angles": (True, _in_range(1, 2048))}),
+        # each delta is one pass over the grid (about 2 ms on the largest)
+        "delta_list": (True, _list_of(_number, 1, 64)),
+    },
+}
+KINDS = tuple(SCHEMAS)
+
+
+def load_config(path: str):
+    """The JSON document in the file at ``path``, not yet validated."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"malformed JSON: {exc}") from exc
-    _require_mapping(doc, "config")
-    kind = doc.get("kind")
+
+
+def validate(doc) -> dict:
+    """The checked config: each field of ``doc`` as its ``SCHEMAS`` checker
+    returns it (a measure, an arc, floats, complex zeros, ...)."""
+    kind = _require_mapping(doc, "config").get("kind")
     if kind not in KINDS:
         raise ConfigError("config.kind", f"must be one of {KINDS}, got {kind!r}")
-    return doc
+    return _check_fields(doc, "config", {"kind": (True, lambda v, p: v), "seed": (False, _seed), **SCHEMAS[kind]})
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +350,10 @@ class Check:
 # experiment runners
 # ---------------------------------------------------------------------------
 
+# Each runner takes the config ``validate`` returns.  It checks only the rules
+# that join fields, and re-raises a library DomainError at its field's path.
 
-def run_windows(doc: dict, quick: bool, seed: int):
-    got = _check_fields(
-        doc,
-        "config",
-        {
-            **_COMMON_FIELDS,
-            # at every cap (256 atoms, 256 breakpoints, 64 x 64 cells, depth 16) a run takes about 34 s
-            "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=4096)),
-            "max_depth": (True, _int_in(1, 16)),
-            "refine_arc": (False, _arc_spec),
-            "refine_depths": (False, _number_list),
-        },
-    )
+def run_windows(got: dict, quick: bool, seed: int):
     mu = got["measure"]
     depth = got["max_depth"]
     if quick:
@@ -317,6 +376,8 @@ def run_windows(doc: dict, quick: bool, seed: int):
             raise ConfigError("config.refine_depths", str(exc)) from exc
         summary["refine_depths"] = list(map(float, depths))
         summary["refine_masses"] = [float(m) for m in masses]
+    elif "refine_depths" in got:
+        raise ConfigError("config.refine_depths", "needs refine_arc")
     rows = np.array([(g, float(ratio), arc.center, arc.length) for g, ratio, arc in scan.table], dtype=object)
     checks = []
     checks.append(
@@ -341,20 +402,7 @@ def run_windows(doc: dict, quick: bool, seed: int):
     return summary, header, rows, checks
 
 
-def run_rkt_hardy(doc: dict, quick: bool, seed: int):
-    got = _check_fields(
-        doc,
-        "config",
-        {
-            **_COMMON_FIELDS,
-            # each area cell adds about 2 s at the largest grid and family
-            "measure": (True, lambda v, p: _measure_spec(v, p, max_cells=16)),
-            "p": (True, _exponent),
-            # the largest grid and family with the largest measure run in about 14 s and 49 MiB
-            "grid": (False, lambda v, p: _check_fields(v, p, {"levels": (True, _int_in(1, 20)), "angles": (True, _int_in(1, 512))})),
-            "polynomials": (False, lambda v, p: _check_fields(v, p, {"count": (True, _int_in(1, 1000)), "max_degree": (True, _int_in(0, 256))})),
-        },
-    )
+def run_rkt_hardy(got: dict, quick: bool, seed: int):
     mu = got["measure"]
     p = got["p"]
     grid_spec = got.get("grid", {"levels": 16, "angles": 64})
@@ -392,24 +440,12 @@ def run_rkt_hardy(doc: dict, quick: bool, seed: int):
     return summary, header, scan.rows, checks
 
 
-def run_phi_h(doc: dict, quick: bool, seed: int):
-    got = _check_fields(
-        doc,
-        "config",
-        {
-            **_COMMON_FIELDS,
-            "arc": (True, _arc_spec),
-            "p": (True, _exponent),
-            "h_exponents": (True, _list_of(_int_in(1, 16), "integers")),
-            # 16 depths on the largest grid run in about 2.5 s and 49 MiB (4.7 s on a full-circle arc)
-            "sup_grid": (False, lambda v, p: _check_fields(v, p, {"rings": (True, _int_in(1, 32)), "angles": (True, _int_in(1, 256))})),
-        },
-    )
+def run_phi_h(got: dict, quick: bool, seed: int):
     arc = got["arc"]
     p = got["p"]
     exps = sorted(got["h_exponents"])
-    if len(exps) < 2 or len(set(exps)) < len(exps):
-        raise ConfigError("config.h_exponents", "expected at least 2 exponents, all distinct")
+    if len(set(exps)) < len(exps):
+        raise ConfigError("config.h_exponents", "expected distinct exponents")
     sup_spec = got.get("sup_grid", {"rings": 6, "angles": 24})
     if quick:
         exps = exps[: max(3, len(exps) // 2)]
@@ -454,47 +490,15 @@ def run_phi_h(doc: dict, quick: bool, seed: int):
     return summary, header, rows, checks
 
 
-def run_pw(doc: dict, quick: bool, seed: int):
-    got = _check_fields(
-        doc,
-        "config",
-        {
-            **_COMMON_FIELDS,
-            # at every cap together (8 Gram solves of size 2,049) a run takes about 20 s and 248 MiB
-            "truncation": (True, _int_in(1, 16384)),
-            "scan": (
-                False,
-                lambda v, p: _check_fields(
-                    v,
-                    p,
-                    {
-                        "re": (True, _number_list),
-                        "im": (True, _number_list),
-                        "resolution": (True, _list_of(_int_in(64, 512), "integers")),
-                    },
-                ),
-            ),
-            "witness": (
-                False,
-                lambda v, p: _check_fields(v, p, {"length": (True, _number), "rate": (True, _int_in(8, 32))}),
-            ),
-            "gram_truncations": (False, _list_of(_int_in(1, 1024), "integers")),
-        },
-    )
+def run_pw(got: dict, quick: bool, seed: int):
     n = got["truncation"]
     wit_spec = got.get("witness", {"length": 256.0, "rate": 8})
-    # past length ~700 the partial products overflow near |x| = length/2
-    if not 256.0 <= wit_spec["length"] <= 512.0:
-        raise ConfigError("config.witness.length", "must lie in [256, 512]")
     if n < 4 * wit_spec["length"]:
         raise ConfigError(
             "config.truncation",
             f"must be >= 4 * witness length = {int(4 * wit_spec['length'])}",
         )
     scan_spec = got.get("scan", {"re": [0.0, 4.0], "im": [-2.0, 2.0], "resolution": [128, 128]})
-    for name in ("re", "im", "resolution"):
-        if len(scan_spec[name]) != 2:
-            raise ConfigError(f"config.scan.{name}", "expected 2 entries")
     res = scan_spec["resolution"]
     # the tail bound needs n - 1/8 - |Re lambda| > 1
     if n - 0.125 - max(map(abs, scan_spec["re"])) <= 1.0:
@@ -502,8 +506,6 @@ def run_pw(doc: dict, quick: bool, seed: int):
     if max(map(abs, scan_spec["im"])) >= 112.0:
         raise ConfigError("config.scan.im", "must stay inside |Im| < 112, where sinh(pi Im)^2 overflows")
     gram_truncations = got.get("gram_truncations", [16] if quick else [16, 32, 64])
-    if len(gram_truncations) > 8:
-        raise ConfigError("config.gram_truncations", "expected at most 8 entries")
     for i, t in enumerate(gram_truncations):
         if t > n:
             raise ConfigError(f"config.gram_truncations[{i}]", f"must lie in 1..truncation = {n}")
@@ -572,34 +574,9 @@ def run_pw(doc: dict, quick: bool, seed: int):
     return summary, header, rows, checks
 
 
-def run_theorem2(doc: dict, quick: bool, seed: int):
-    got = _check_fields(
-        doc,
-        "config",
-        {
-            **_COMMON_FIELDS,
-            "zeros": (True, lambda v, p: v),
-            "alpha_angle": (True, _number),
-            "epsilon": (False, lambda v, p: None if v is None else _number(v, p)),
-            # with at most 32 zeros the largest grid runs in about 3 s and 64 MiB
-            "grid": (True, lambda v, p: _check_fields(v, p, {"rings": (True, _int_in(1, 128)), "angles": (True, _int_in(1, 2048))})),
-            "delta_list": (True, _number_list),
-        },
-    )
-    # each delta is one pass over the grid (about 2 ms on the largest)
-    if len(got["delta_list"]) > 64:
-        raise ConfigError("config.delta_list", "expected at most 64 entries")
-    zeros_doc = got["zeros"]
-    if not isinstance(zeros_doc, list) or not 1 <= len(zeros_doc) <= 32:
-        raise ConfigError("config.zeros", "expected a nonempty list of at most 32 zeros")
-    zeros = []
-    for i, zd in enumerate(zeros_doc):
-        zf = _check_fields(zd, f"config.zeros[{i}]", {"re": (True, _number), "im": (True, _number)})
-        zeros.append(complex(zf["re"], zf["im"]))
-    if len(zeros) < 2:
-        raise ConfigError("config.zeros", "the construction needs at least 2 zeros")
+def run_theorem2(got: dict, quick: bool, seed: int):
     try:
-        theta = BlaschkeProduct(np.array(zeros))
+        theta = BlaschkeProduct(np.array(got["zeros"]))
     except DomainError as exc:
         raise ConfigError("config.zeros", str(exc)) from exc
     alpha = complex(np.exp(1j * got["alpha_angle"]))
@@ -774,7 +751,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment from a JSON config")
     runp.add_argument("--config", required=True, help="path to the experiment config")
-    runp.add_argument("--out", required=True, help="output directory")
+    runp.add_argument("--out", required=True, type=output_dir, help="output directory, made once the run has finished")
     runp.add_argument("--seed", type=u64, default=DEFAULT_SEED, help="seed for the polynomial family")
     runp.add_argument("--quick", action="store_true", help="reduced grids for CI")
     repp = sub.add_parser("report", help="render a Markdown report from a summary")
@@ -799,17 +776,15 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        doc = load_config(args.config)
+        got = validate(load_config(args.config))
     except ConfigError as exc:
         logger.error("config rejected: %s", exc)
         return EXIT_CONFIG
-    seed = doc.get("seed", args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    kind = doc["kind"]
+    seed = got.get("seed", args.seed)
+    kind = got["kind"]
     logger.info("running %s (quick=%s, seed=%s, backend=%s)", kind, args.quick, seed, _kernels.ACTIVE_BACKEND)
     try:
-        summary, header, rows, checks = _RUNNERS[kind](doc, args.quick, seed)
+        summary, header, rows, checks = _RUNNERS[kind](got, args.quick, seed)
     except ConfigError as exc:
         logger.error("config rejected: %s", exc)
         return EXIT_CONFIG
@@ -819,16 +794,17 @@ def main(argv=None) -> int:
     except (PrecisionError, EvaluationError) as exc:
         logger.error("numerical precision failure: %s", exc)
         return EXIT_PRECISION
+    args.out.mkdir(parents=True, exist_ok=True)
     summary["kind"] = kind
     summary["seed"] = seed
     summary["quick"] = bool(args.quick)
     summary["backend"] = _kernels.ACTIVE_BACKEND
     summary["conventions"] = CONVENTIONS
     summary["checks"] = [c.as_dict() for c in checks]
-    csv_path = out_dir / f"{kind}.csv"
+    csv_path = args.out / f"{kind}.csv"
     start = time.perf_counter()
     _write_csv(csv_path, header, rows)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (args.out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     write_s = time.perf_counter() - start  # for the log only: timings never enter the outputs
     failed = [c for c in checks if not c.passed]
     for c in checks:

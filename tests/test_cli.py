@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rktlab.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, _write_csv, main, render_report
+from rktlab.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, SCHEMAS, _write_csv, main, render_report
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError, PrecisionError
 
 
@@ -103,6 +104,37 @@ class TestConfigValidation:
         p = tmp_path / "bad.json"
         p.write_text("{not valid")
         assert run(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_undecodable_config_exits_two(self, tmp_path, caplog):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "o"
+        assert run(["run", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert "config rejected: config: cannot read" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["f", "f/o"])
+    def test_out_at_or_under_a_file_exits_two(self, tmp_path, capsys, out):
+        # argparse exits 2 before a config is read, as for --seed, so no run is wasted
+        (tmp_path / "f").write_text("kept")
+        with pytest.raises(SystemExit) as exc:
+            run(["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --out" in capsys.readouterr().err
+        assert (tmp_path / "f").read_text() == "kept"
+
+    def test_readme_table_names_every_field(self):
+        rows = {line.split("|")[1].strip(" `"): line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("| `")}
+
+        def names(fields):
+            for name, (_, checker) in fields.items():
+                yield name
+                if isinstance(checker, dict):
+                    yield from names(checker)
+
+        for kind, fields in SCHEMAS.items():
+            missing = [name for name in names(fields) if not re.search(rf"\b{name}\b", rows[kind])]
+            assert not missing, (kind, missing)
 
     def test_unknown_field_names_path(self, tmp_path, caplog):
         doc = dict(WINDOWS_DOC, bogus=1)
@@ -394,6 +426,7 @@ class TestExitCodes:
             (dict(RKT_DOC, seed=-3), "config.seed"),
             (dict(T2_DOC, seed=-1), "config.seed"),
             (dict(WINDOWS_DOC, seed=2**64), "config.seed"),
+            (dict(WINDOWS_DOC, refine_depths=[0.5]), "config.refine_depths"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
@@ -401,7 +434,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert path in caplog.text
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64), "x"])
     def test_seed_flag_outside_u64_exits_two(self, tmp_path, capsys, seed):
@@ -430,7 +463,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_without_warnings(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert message in caplog.text
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -441,7 +474,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_without_warnings(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert message in caplog.text
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_overflowing_measure_integral_exits_three(self, tmp_path, caplog):
         # ||k_lam||_2^2 stays finite, but against a density of 1.7e308 / (2*pi) the
@@ -451,7 +484,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_without_warnings(["run", "--config", write_config(tmp_path, "c.json", doc), "--out", str(out)]) == EXIT_PRECISION
         assert "the measure integral of |k_lam|^p overflows at |lam| = 0.5," in caplog.text
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_window_check_scales_with_the_measure(self, tmp_path):
         # at density 1e15 the scan ratio and the boundary minimum differ by rounding, about 0.1
@@ -483,7 +516,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_without_warnings(["run", "--config", cfg, "--out", str(out)]) == code
         assert "forced failure" in caplog.text
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
 
 class TestShippedConfigs:

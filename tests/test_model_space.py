@@ -13,7 +13,7 @@ from scipy import ndimage
 from scipy.optimize import brentq
 
 import rktlab
-from rktlab.cli import run_theorem2
+from rktlab.cli import run_theorem2, validate
 from rktlab.errors import DomainError, PrecisionError
 from rktlab.model_space import (
     SCAN_BLOCK_ROWS,
@@ -433,7 +433,7 @@ class TestPsi:
                 "grid": {"rings": 16, "angles": 128},
                 "delta_list": [0.05, 0.1, 0.2, 0.4, 1.5],
             }
-            summary = run_theorem2(doc, quick=False, seed=k)[0]
+            summary = run_theorem2(validate(doc), quick=False, seed=k)[0]
             sys_ = build_theorem2_measure(BlaschkeProduct(zeros), complex(np.exp(1j * doc["alpha_angle"])))
             grid = DiskGrid.geometric(16, 128)
             zs = np.concatenate([[0j], grid.points()])
