@@ -44,11 +44,12 @@ from .hardy import (
 )
 from .measures import (
     Arc,
+    AreaDensity,
+    BoundaryDensity,
     CarlesonWindow,
     Measure,
     arclength,
     boundary_rn_lower_bound,
-    measure_from_dict,
     normalized_arclength,
     refine_window_to_arc,
     upper_half_arclength,
@@ -105,9 +106,13 @@ def _require_mapping(obj, path):
     return obj
 
 
+def _check(checker, v, path):
+    """A checker is a function of (value, path) or the fields dict of an object."""
+    return _check_fields(v, path, checker) if isinstance(checker, dict) else checker(v, path)
+
+
 def _check_fields(obj, path, fields):
-    """fields: name -> (required, checker), where a checker takes (value, path)
-    or is the fields dict of a nested object.  Unknown fields are rejected."""
+    """fields: name -> (required, checker).  Unknown fields are rejected."""
     _require_mapping(obj, path)
     unknown = set(obj) - set(fields)
     if unknown:
@@ -119,9 +124,16 @@ def _check_fields(obj, path, fields):
             if required:
                 raise ConfigError(f"{path}.{name}", "missing required field")
             continue
-        sub = f"{path}.{name}"
-        out[name] = _check_fields(obj[name], sub, checker) if isinstance(checker, dict) else checker(obj[name], sub)
+        out[name] = _check(checker, obj[name], f"{path}.{name}")
     return out
+
+
+def _at_path(path, make, *args):
+    """make(*args), with a library DomainError re-raised as a ConfigError at ``path``."""
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _number(v, path):
@@ -164,7 +176,7 @@ def _list_of(item, lo=1, hi=math.inf):
     def check(v, path):
         if not isinstance(v, list):
             raise ConfigError(path, f"expected a list, got {type(v).__name__}")
-        out = [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        out = [_check(item, x, f"{path}[{i}]") for i, x in enumerate(v)]
         if not lo <= len(out) <= hi:
             raise ConfigError(path, f"expected {lo} to {hi} entries, got {len(out)}")
         return out
@@ -174,16 +186,25 @@ def _list_of(item, lo=1, hi=math.inf):
 
 def _arc_spec(v, path):
     got = _check_fields(v, path, {"center": (True, _number), "length": (True, _number)})
-    try:
-        return Arc(got["center"], got["length"])
-    except DomainError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _at_path(path, Arc, got["center"], got["length"])
+
+
+_POINT = {"re": (True, _number), "im": (True, _number)}
 
 
 def _zero(v, path):
-    got = _check_fields(v, path, {"re": (True, _number), "im": (True, _number)})
+    got = _check_fields(v, path, _POINT)
     return complex(got["re"], got["im"])
 
+
+#: The fields of an inline measure document, as in ``SCHEMAS``.  Its area-cell
+#: cap depends on the kind, so ``_measure_spec`` checks that.
+MEASURE_FIELDS = {
+    "atoms": (False, _list_of({**_POINT, "mass": (True, _number)}, 0, 256)),
+    "boundary_density": (False, {"breakpoints": (True, _list_of(_number, 1, 256)), "values": (True, _list_of(_number, 1, 256))}),
+    "area_density": (False, {"radial_breaks": (True, _list_of(_number, 2)), "angular_breaks": (True, _list_of(_number, 2)),
+                             "values": (True, _list_of(_list_of(_number)))}),
+}
 
 _BUILTIN_MEASURES = {
     "normalized_arclength": normalized_arclength,
@@ -192,28 +213,31 @@ _BUILTIN_MEASURES = {
 }
 
 
+def _area_density(got: dict, path, max_cells: int) -> AreaDensity:
+    rows, cols = len(got["radial_breaks"]) - 1, len(got["angular_breaks"]) - 1
+    if rows * cols > max_cells:
+        raise ConfigError(path, f"expected at most {max_cells} cells, got {rows * cols}")
+    if [len(row) for row in got["values"]] != [cols] * rows:
+        raise ConfigError(f"{path}.values", f"expected {rows} rows of {cols} entries")
+    return _at_path(path, AreaDensity, got["radial_breaks"], got["angular_breaks"], got["values"])
+
+
 def _measure_spec(v, path, max_cells: int) -> Measure:
-    _require_mapping(v, path)
-    if "builtin" in v:
+    if "builtin" in _require_mapping(v, path):
         got = _check_fields(
             v, path, {"builtin": (True, lambda x, p: x), "scale": (False, _number)}
         )
         name = got["builtin"]
         if not isinstance(name, str) or name not in _BUILTIN_MEASURES:
             raise ConfigError(f"{path}.builtin", f"unknown builtin measure {name!r}")
-        try:
-            return _BUILTIN_MEASURES[name](got.get("scale", 1.0))
-        except DomainError as exc:
-            raise ConfigError(f"{path}.scale", str(exc)) from exc
-    try:
-        mu = measure_from_dict(v)
-    except (DomainError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(path, f"invalid measure document: {exc}") from exc
-    cells = mu.area.values.size if mu.area is not None else 0
-    for name, size, cap in (("atoms", len(mu.atoms), 256), ("boundary_density.breakpoints", mu.boundary.breakpoints.size, 256), ("area_density", cells, max_cells)):
-        if size > cap:
-            raise ConfigError(f"{path}.{name}", f"expected at most {cap} entries, got {size}")
-    return mu
+        return _at_path(f"{path}.scale", _BUILTIN_MEASURES[name], got.get("scale", 1.0))
+    got = _check_fields(v, path, MEASURE_FIELDS)
+    bd = got.get("boundary_density")
+    boundary = _at_path(f"{path}.boundary_density", BoundaryDensity, bd["breakpoints"], bd["values"]) if bd else BoundaryDensity.zero()
+    ad = got.get("area_density")
+    area = _area_density(ad, f"{path}.area_density", max_cells) if ad else None
+    atoms = tuple((complex(a["re"], a["im"]), a["mass"]) for a in got.get("atoms", []))
+    return _at_path(f"{path}.atoms", Measure, atoms, boundary, area)
 
 
 _seed = _in_range(0, 2**64 - 1)
@@ -232,6 +256,14 @@ def output_dir(text: str) -> Path:
     if not existing.is_dir():
         raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
     return path
+
+
+def report_file(text: str) -> str:
+    """The argparse type of report --out: '-' for stdout, or a path that is
+    not a directory and whose parent directory exists."""
+    if text != "-" and (Path(text).is_dir() or not Path(text).parent.is_dir()):
+        raise argparse.ArgumentTypeError(f"{text} is a directory or its parent is not")
+    return text
 
 
 #: Each experiment kind's fields besides "kind" and the optional "seed" (an
@@ -370,10 +402,7 @@ def run_windows(got: dict, quick: bool, seed: int):
     }
     if "refine_arc" in got:
         depths = got.get("refine_depths", [2.0**-k for k in range(1, 9)])
-        try:
-            masses = refine_window_to_arc(mu, got["refine_arc"], depths)
-        except DomainError as exc:
-            raise ConfigError("config.refine_depths", str(exc)) from exc
+        masses = _at_path("config.refine_depths", refine_window_to_arc, mu, got["refine_arc"], depths)
         summary["refine_depths"] = list(map(float, depths))
         summary["refine_masses"] = [float(m) for m in masses]
     elif "refine_depths" in got:
@@ -575,26 +604,17 @@ def run_pw(got: dict, quick: bool, seed: int):
 
 
 def run_theorem2(got: dict, quick: bool, seed: int):
-    try:
-        theta = BlaschkeProduct(np.array(got["zeros"]))
-    except DomainError as exc:
-        raise ConfigError("config.zeros", str(exc)) from exc
+    theta = _at_path("config.zeros", BlaschkeProduct, np.array(got["zeros"]))
     alpha = complex(np.exp(1j * got["alpha_angle"]))
     rings, angles = got["grid"]["rings"], got["grid"]["angles"]
     if quick:
         rings, angles = min(rings, 16), min(angles, 128)
     grid = DiskGrid.geometric(rings, angles)
-    try:
-        sys_ = build_theorem2_measure(theta, alpha, got.get("epsilon"))
-    except DomainError as exc:
-        raise ConfigError("config.epsilon", str(exc)) from exc
+    sys_ = _at_path("config.epsilon", build_theorem2_measure, theta, alpha, got.get("epsilon"))
     scan = rkt_model_scan(sys_, grid)
     psis = {}
     for i, d in enumerate(got["delta_list"]):
-        try:
-            psis[str(d)] = psi_from_values(scan.zs, scan.phi_vals, sys_.zeta0, d)
-        except DomainError as exc:
-            raise ConfigError(f"config.delta_list[{i}]", str(exc)) from exc
+        psis[str(d)] = _at_path(f"config.delta_list[{i}]", psi_from_values, scan.zs, scan.phi_vals, sys_.zeta0, d)
     wit = witness_function(sys_)
     ratio = wit.mu_norm_sq / wit.function.norm() ** 2
     at_zeta0 = abs(wit.value_at_zeta0)
@@ -756,7 +776,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--quick", action="store_true", help="reduced grids for CI")
     repp = sub.add_parser("report", help="render a Markdown report from a summary")
     repp.add_argument("--summary", required=True, help="path to summary.json")
-    repp.add_argument("--out", default="-", help="output file ('-' for stdout)")
+    repp.add_argument("--out", default="-", type=report_file, help="output file ('-' for stdout)")
     return parser
 
 

@@ -321,35 +321,6 @@ def refine_window_to_arc(mu: Measure, arc: Arc, depths: Sequence[float]) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# JSON parsing (public schema)
-# ---------------------------------------------------------------------------
-
-
-def measure_from_dict(doc: dict) -> Measure:
-    atoms = tuple(
-        (complex(float(a["re"]), float(a["im"])), float(a["mass"]))
-        for a in doc.get("atoms", [])
-    )
-    bd = doc.get("boundary_density")
-    boundary = (
-        BoundaryDensity(np.asarray(bd["breakpoints"], float), np.asarray(bd["values"], float))
-        if bd
-        else BoundaryDensity.zero()
-    )
-    ad = doc.get("area_density")
-    area = (
-        AreaDensity(
-            np.asarray(ad["radial_breaks"], float),
-            np.asarray(ad["angular_breaks"], float),
-            np.asarray(ad["values"], float),
-        )
-        if ad
-        else None
-    )
-    return Measure(atoms=atoms, boundary=boundary, area=area)
-
-
-# ---------------------------------------------------------------------------
 # standard measures used throughout the tests and the CLI
 # ---------------------------------------------------------------------------
 

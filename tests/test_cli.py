@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rktlab.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, SCHEMAS, _write_csv, main, render_report
+from rktlab.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, MEASURE_FIELDS, SCHEMAS, _write_csv, main, render_report
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError, PrecisionError
 
 
@@ -124,7 +124,8 @@ class TestConfigValidation:
         assert (tmp_path / "f").read_text() == "kept"
 
     def test_readme_table_names_every_field(self):
-        rows = {line.split("|")[1].strip(" `"): line for line in (ROOT / "README.md").read_text().splitlines() if line.startswith("| `")}
+        readme = (ROOT / "README.md").read_text()
+        rows = {line.split("|")[1].strip(" `"): line for line in readme.splitlines() if line.startswith("| `")}
 
         def names(fields):
             for name, (_, checker) in fields.items():
@@ -135,6 +136,9 @@ class TestConfigValidation:
         for kind, fields in SCHEMAS.items():
             missing = [name for name in names(fields) if not re.search(rf"\b{name}\b", rows[kind])]
             assert not missing, (kind, missing)
+        measure = readme.split("`cli.MEASURE_FIELDS`", 1)[1].split("Summary keys", 1)[0]
+        missing = [name for name in names(MEASURE_FIELDS) if not re.search(rf"\b{name}\b", measure)]
+        assert not missing, ("measure", missing)
 
     def test_unknown_field_names_path(self, tmp_path, caplog):
         doc = dict(WINDOWS_DOC, bogus=1)
@@ -427,6 +431,15 @@ class TestExitCodes:
             (dict(T2_DOC, seed=-1), "config.seed"),
             (dict(WINDOWS_DOC, seed=2**64), "config.seed"),
             (dict(WINDOWS_DOC, refine_depths=[0.5]), "config.refine_depths"),
+            (dict(WINDOWS_DOC, measure={"atomz": []}), "config.measure.atomz"),
+            (dict(WINDOWS_DOC, measure={"atoms": [{"re": 0.5, "im": 0.0, "mass": 1.0, "extra": 5}]}), "config.measure.atoms[0].extra"),
+            (dict(WINDOWS_DOC, measure={"atoms": [{"re": True, "im": 0.0, "mass": 1.0}]}), "config.measure.atoms[0].re"),
+            (dict(WINDOWS_DOC, measure={"boundary_density": {"breakpoints": [0.0]}}), "config.measure.boundary_density.values"),
+            (dict(WINDOWS_DOC, measure={"boundary_density": {"breakpoints": [0.0, 1.0], "values": [0.5]}}), "config.measure.boundary_density:"),
+            (dict(WINDOWS_DOC, measure={"area_density": {"radial_breaks": [0.0, 1.0], "angular_breaks": [0.0, 1.0], "values": [0.5]}}),
+             "config.measure.area_density.values[0]"),
+            (dict(WINDOWS_DOC, measure={"area_density": {"radial_breaks": [0.0, 0.5, 1.0], "angular_breaks": [0.0, 1.0], "values": [[0.5], [0.5, 0.5]]}}),
+             "config.measure.area_density.values:"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
@@ -435,6 +448,16 @@ class TestExitCodes:
         assert run(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert path in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["d", "missing/r.md"], ids=["a-directory", "no-parent"])
+    def test_report_out_not_a_file_path_exits_two(self, tmp_path, capsys, out):
+        # argparse exits 2 before the summary is read, as for run --out
+        (tmp_path / "d").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run(["report", "--summary", str(tmp_path / "missing.json"), "--out", str(tmp_path / out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --out" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64), "x"])
     def test_seed_flag_outside_u64_exits_two(self, tmp_path, capsys, seed):

@@ -2,7 +2,8 @@
 
 Whatever the mutation, ``main`` must keep the exit-code contract: it
 returns 0-3 without raising, names a field path on every exit 2, and
-leaves no output directory on exit 2 or 3.
+leaves no output directory on exit 2 or 3.  An unknown field, at any
+depth, exits 2 naming its own path.
 """
 
 import copy
@@ -73,6 +74,11 @@ def paths(node, prefix=()):
         yield from paths(child, prefix + (key,))
 
 
+def config_path(path):
+    """The name the CLI gives a path inside the document: config.a[0].b"""
+    return "config" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
 def lookup(doc, path):
     for key in path:
         doc = doc[key]
@@ -99,23 +105,25 @@ SET = {
 
 @st.composite
 def mutated_docs(draw):
+    """A mutated document, and the path of the field it gained when the
+    mutation is an unknown field (None otherwise)."""
     doc = copy.deepcopy(draw(st.sampled_from(SMALL_DOCS)))
     how = draw(st.sampled_from(["drop", "unknown field", "builtin scale", *SET]))
     if how == "builtin scale":
         doc["measure"] = {"builtin": draw(st.sampled_from(["normalized_arclength", "arclength", "upper_half_arclength"])),
                           "scale": draw(st.floats())}
-        return doc
+        return doc, None
     if how == "unknown field":
-        objects = [doc] + [node for node in (lookup(doc, w) for w in paths(doc)) if isinstance(node, dict)]
-        draw(st.sampled_from(objects))["bogus"] = 1
-        return doc
+        where = draw(st.sampled_from([()] + [w for w in paths(doc) if isinstance(lookup(doc, w), dict)]))
+        lookup(doc, where)["bogus"] = 1
+        return doc, config_path(where + ("bogus",))
     where = draw(st.sampled_from(list(paths(doc))))
     parent = lookup(doc, where[:-1])
     if how == "drop":
         del parent[where[-1]]
     else:
         parent[where[-1]] = SET[how](parent[where[-1]])
-    return doc
+    return doc, None
 
 
 class _Records(logging.Handler):
@@ -127,9 +135,10 @@ class _Records(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-@given(doc=mutated_docs())
+@given(case=mutated_docs())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_one_mutation_keeps_the_exit_contract(doc):
+def test_one_mutation_keeps_the_exit_contract(case):
+    doc, unknown = case
     records, logger = _Records(), logging.getLogger("rktlab")
     logger.addHandler(records)
     try:
@@ -145,3 +154,6 @@ def test_one_mutation_keeps_the_exit_contract(doc):
         assert any(re.match(r"config rejected: config\b", m) for m in records.messages), (doc, records.messages)
     if code in (EXIT_CONFIG, EXIT_PRECISION):
         assert not wrote_out, doc
+    if unknown is not None:
+        assert code == EXIT_CONFIG, doc
+        assert f"config rejected: {unknown}: unknown field" in records.messages, (doc, records.messages)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rktlab.cli import validate
 from rktlab.errors import DomainError, EvaluationError
 from rktlab.measures import (
     Arc,
@@ -16,7 +17,6 @@ from rktlab.measures import (
     arclength,
     boundary_rn_lower_bound,
     carleson_window,
-    measure_from_dict,
     refine_window_to_arc,
     upper_half_arclength,
     window_infimum_scan,
@@ -399,11 +399,15 @@ class TestSerialization:
     def test_roundtrip(self):
         doc = json.loads(
             """{
-              "atoms": [{"re": 0.3, "im": 0.4, "mass": 1.5}],
-              "boundary_density": {"breakpoints": [0.1, 2.0], "values": [0.5, 1.0]},
-              "area_density": {"radial_breaks": [0.0, 1.0],
-                               "angular_breaks": [0.0, 6.283185307179586],
-                               "values": [[0.25]]}
+              "kind": "windows",
+              "max_depth": 4,
+              "measure": {
+                "atoms": [{"re": 0.3, "im": 0.4, "mass": 1.5}],
+                "boundary_density": {"breakpoints": [0.1, 2.0], "values": [0.5, 1.0]},
+                "area_density": {"radial_breaks": [0.0, 1.0],
+                                 "angular_breaks": [0.0, 6.283185307179586],
+                                 "values": [[0.25]]}
+              }
             }"""
         )
         mu = Measure(
@@ -413,7 +417,7 @@ class TestSerialization:
                 np.array([0.0, 1.0]), np.array([0.0, TWO_PI]), np.array([[0.25]])
             ),
         )
-        back = measure_from_dict(doc)
+        back = validate(doc)["measure"]
         assert back.atoms == mu.atoms
         assert np.array_equal(back.boundary.breakpoints, mu.boundary.breakpoints)
         assert np.array_equal(back.boundary.values, mu.boundary.values)
