@@ -46,10 +46,8 @@ from .measures import (
     Arc,
     AreaDensity,
     BoundaryDensity,
-    CarlesonWindow,
     Measure,
     arclength,
-    boundary_rn_lower_bound,
     normalized_arclength,
     refine_window_to_arc,
     upper_half_arclength,
@@ -68,6 +66,7 @@ from .model_space import (
     rkt_model_scan,
     sublevel_component_count,
     witness_function,
+    witness_ratio,
 )
 from .numerics import TWO_PI, DiskGrid
 from .paley_wiener import (
@@ -139,9 +138,13 @@ def _at_path(path, make, *args):
 def _number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(v).__name__}")
-    if not math.isfinite(float(v)):
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise ConfigError(path, "number must be finite")
-    return float(v)
+    return x
 
 
 def _integer(v, path):
@@ -322,7 +325,7 @@ def load_config(path: str):
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an integer literal too long to parse, or nesting too deep
         raise ConfigError("config", f"malformed JSON: {exc}") from exc
 
 
@@ -391,14 +394,14 @@ def run_windows(got: dict, quick: bool, seed: int):
     if quick:
         depth = min(depth, 8)
     scan = window_infimum_scan(mu, depth)
-    rn = boundary_rn_lower_bound(mu)
+    c4 = mu.boundary.min_value()
     summary = {
         "max_depth": depth,
         "c3_estimate": scan.ratio,
         "c3_witness_center": scan.witness.center,
         "c3_witness_length": scan.witness.length,
-        "c4": rn.value,
-        "boundary_atoms_present": rn.boundary_atoms_present,
+        "c4": c4,
+        "boundary_atoms_present": mu.has_boundary_atoms(),
     }
     if "refine_arc" in got:
         depths = got.get("refine_depths", [2.0**-k for k in range(1, 9)])
@@ -408,25 +411,21 @@ def run_windows(got: dict, quick: bool, seed: int):
     elif "refine_depths" in got:
         raise ConfigError("config.refine_depths", "needs refine_arc")
     rows = np.array([(g, float(ratio), arc.center, arc.length) for g, ratio, arc in scan.table], dtype=object)
-    checks = []
-    checks.append(
+    arc, h = Arc(0.7, 0.8), 0.1
+    whole = window_mass(mu, arc, h)
+    parts = sum(window_masses(mu, arc.start + (np.arange(8) + 0.5) * arc.length / 8.0, arc.length / 8.0, h).tolist())
+    checks = [
         Check(
             "window-ratio-dominates-boundary-minimum",
-            scan.ratio >= rn.value - 1e-9 * max(1.0, rn.value),
-            f"scan ratio {scan.ratio:.6e} vs boundary minimum {rn.value:.6e}",
-        )
-    )
-    arc = Arc(0.7, 0.8)
-    h = 0.1
-    whole = window_mass(mu, CarlesonWindow(arc, h))
-    parts = sum(window_masses(mu, arc.start + (np.arange(8) + 0.5) * arc.length / 8.0, arc.length / 8.0, h).tolist())
-    checks.append(
+            scan.ratio >= c4 - 1e-9 * max(1.0, c4),
+            f"scan ratio {scan.ratio:.6e} vs boundary minimum {c4:.6e}",
+        ),
         Check(
             "window-additivity",
             abs(parts - whole) <= 1e-12 * max(1.0, whole),
             f"partition sum {parts!r} vs whole {whole!r}",
-        )
-    )
+        ),
+    ]
     header = ("generation", "min_ratio", "witness_center", "witness_length")
     return summary, header, rows, checks
 
@@ -616,7 +615,7 @@ def run_theorem2(got: dict, quick: bool, seed: int):
     for i, d in enumerate(got["delta_list"]):
         psis[str(d)] = _at_path(f"config.delta_list[{i}]", psi_from_values, scan.zs, scan.phi_vals, sys_.zeta0, d)
     wit = witness_function(sys_)
-    ratio = wit.mu_norm_sq / wit.function.norm() ** 2
+    ratio = witness_ratio(sys_, wit.function)
     at_zeta0 = abs(wit.value_at_zeta0)
     # |f(zeta0)| <= ||f|| ||K_zeta0|| = sqrt(|Theta'(zeta0)|) by Cauchy-Schwarz
     at_zeta0_floor = 1e-6 * math.sqrt(sys_.clark.weights[0])
@@ -786,7 +785,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             text = render_report(json.loads(Path(args.summary).read_text()))
-        except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:  # unreadable, bad JSON or a malformed summary
+        except (OSError, AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:  # unreadable, bad JSON or a malformed summary
             logger.error("cannot load summary: %s: %s", type(exc).__name__, exc)
             return EXIT_CONFIG
         if args.out == "-":

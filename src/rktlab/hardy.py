@@ -9,6 +9,9 @@ Hence for a measure with boundary density c (radians convention) the
 reverse-embedding ratio is bounded below by 2*pi*c, while window ratios
 mu(S_I)/|I| are bounded below by c with no extra factor.
 
+A polynomial f is its array of ascending coefficients, and a family of them
+is a 2-d array with one polynomial per row.
+
 The scans batch their work with bit-identical values: one ``circle_panels``
 call bisects the circle rules of a ring of kernel points (at most
 BISECT_POINTS of them), whose whole rules are then mapped and evaluated in
@@ -76,36 +79,12 @@ def hardy_config(p: float) -> HardyConfig:
 UNIFORM_RULE = circle_quadrature(base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
 
 
-@dataclass(frozen=True)
-class HardyFunction:
-    """Polynomial in the monomial basis (ascending coefficients)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise DomainError("coefficients must be a finite 1-d array")
-        object.__setattr__(self, "coeffs", c)
-
-
-def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEED):
-    """Seeded family of random polynomials with complex Gaussian coefficients."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        c = (rng.standard_normal(max_degree + 1) + 1j * rng.standard_normal(max_degree + 1))
-        out.append(HardyFunction(c / math.sqrt(2.0)))
-    return out
-
-
-def _coefficient_matrix(fs: Sequence[HardyFunction]) -> np.ndarray:
-    """The family's ascending coefficients as columns, padded with zero
-    high-order coefficients to the largest degree."""
-    coeffs = np.zeros((max((f.coeffs.size for f in fs), default=1), len(fs)), dtype=np.complex128)
-    for j, f in enumerate(fs):
-        coeffs[: f.coeffs.size, j] = f.coeffs
-    return coeffs
+def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Seeded family of random polynomials with complex Gaussian coefficients:
+    row k holds polynomial k's max_degree + 1 ascending coefficients, drawn as
+    its real parts, then its imaginary parts."""
+    parts = np.random.default_rng(seed).standard_normal((count, 2, max_degree + 1))
+    return (parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0)
 
 
 def _abs_pow_sums(zs: np.ndarray, weights: np.ndarray, coeffs: np.ndarray, p: float) -> np.ndarray:
@@ -126,11 +105,6 @@ def _abs_pow_sums(zs: np.ndarray, weights: np.ndarray, coeffs: np.ndarray, p: fl
 def _hp_norms_p(coeffs: np.ndarray, cfg: HardyConfig) -> np.ndarray:
     """||f||_p^p, the integral of |f|^p d(theta)/(2*pi), for every column f."""
     return _abs_pow_sums(np.exp(1j * UNIFORM_RULE.nodes), UNIFORM_RULE.weights, coeffs, cfg.p) / TWO_PI
-
-
-def hp_norm(f: HardyFunction, cfg: HardyConfig) -> float:
-    """(integral of |f|^p d(theta)/(2*pi))^(1/p) over the boundary circle."""
-    return float(_hp_norms_p(f.coeffs[:, None], cfg)[0]) ** (1.0 / cfg.p)
 
 
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
@@ -311,13 +285,17 @@ def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan integral raises EvaluationError below
-def reverse_embedding_ratios(mu: Measure, fs: Sequence[HardyFunction], cfg: HardyConfig) -> list[float]:
-    """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family: one
-    Vandermonde product per node set of the measure, each set built once."""
+def reverse_embedding_ratios(mu: Measure, fs, cfg: HardyConfig) -> list[float]:
+    """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family, given
+    as rows of ascending coefficients: one Vandermonde product per node set of
+    the measure, each set built once."""
     p = cfg.p
-    coeffs = _coefficient_matrix(fs)
+    coeffs = np.asarray(fs, dtype=np.complex128)
+    if coeffs.ndim != 2 or not np.all(np.isfinite(coeffs)):
+        raise DomainError("coefficients must be finite rows of one 2-d array")
+    coeffs = coeffs.T.copy()  # a column per function
     norms = _hp_norms_p(coeffs, cfg)
-    nums = np.zeros(len(fs))  # summed atoms, boundary, area cells, as the integral sums them
+    nums = np.zeros(coeffs.shape[1])  # summed atoms, boundary, area cells, as the integral sums them
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
         nums += _abs_pow_sums(zs, masses, coeffs, p)
@@ -340,8 +318,8 @@ def reverse_embedding_ratios(mu: Measure, fs: Sequence[HardyFunction], cfg: Hard
     return (nums / norms).tolist()
 
 
-def reverse_embedding_ratio(mu: Measure, f: HardyFunction, cfg: HardyConfig) -> float:
-    """integral |f|^p d(mu) divided by ||f||_p^p."""
+def reverse_embedding_ratio(mu: Measure, f, cfg: HardyConfig) -> float:
+    """integral |f|^p d(mu) divided by ||f||_p^p, for the ascending coefficients f."""
     return reverse_embedding_ratios(mu, [f], cfg)[0]
 
 

@@ -1,6 +1,10 @@
 """Positive finite Borel measures on the closed unit disk, Carleson windows,
 and the window-mass statistics behind the reverse embedding conditions.
 
+A Carleson window S(I, h) = {1 - h <= |z| <= 1, z/|z| in I} is passed as
+its arc I (an ``Arc``) and its depth h in (0, 1]; the standard window of I
+has depth min(|I|, 1).
+
 A measure is the sum of three parts, each stored exactly:
 
   * atoms: point masses anywhere in the closed disk,
@@ -45,28 +49,6 @@ class Arc:
     @property
     def start(self) -> float:
         return wrap_angle(self.center - 0.5 * self.length)
-
-    def contains(self, angle: float) -> bool:
-        """Closed-arc membership of the angle."""
-        d = abs(wrap_angle(angle - self.center + math.pi) - math.pi)
-        return d <= 0.5 * self.length
-
-
-@dataclass(frozen=True)
-class CarlesonWindow:
-    """The set {1 - h <= |z| <= 1, z/|z| in I} over the arc I."""
-
-    arc: Arc
-    depth: float
-
-    def __post_init__(self):
-        if not 0.0 < self.depth <= 1.0:
-            raise DomainError(f"window depth must lie in (0, 1], got {self.depth}")
-
-
-def carleson_window(arc: Arc) -> CarlesonWindow:
-    """The standard window of the arc: depth |I| clamped to the unit radius."""
-    return CarlesonWindow(arc, min(arc.length, 1.0))
 
 
 @dataclass(frozen=True)
@@ -134,6 +116,7 @@ class BoundaryDensity:
         return float(np.dot(np.diff(edges), self.values))
 
     def min_value(self) -> float:
+        """Essential infimum: the best lower bound of the absolutely continuous part."""
         return float(np.min(self.values))
 
 
@@ -216,6 +199,7 @@ class Measure:
         object.__setattr__(self, "atoms", tuple(checked))
 
     def has_boundary_atoms(self) -> bool:
+        """Whether an atom sits on the circle: singular mass, which never raises ``boundary.min_value()``."""
         return any(abs(z) >= 1.0 - _BOUNDARY_ATOM_TOL for z, _ in self.atoms)
 
 
@@ -251,9 +235,9 @@ def window_masses(mu: Measure, centers, length: float, depths) -> np.ndarray:
     return total
 
 
-def window_mass(mu: Measure, w: CarlesonWindow) -> float:
-    """mu(S_{I,h}) of one window (see ``window_masses``)."""
-    return float(window_masses(mu, [w.arc.center], w.arc.length, w.depth)[0])
+def window_mass(mu: Measure, arc: Arc, depth: float) -> float:
+    """mu(S_{I,h}) of the window over one arc at one depth (see ``window_masses``)."""
+    return float(window_masses(mu, [arc.center], arc.length, depth)[0])
 
 
 class WindowScan(NamedTuple):
@@ -278,7 +262,7 @@ def window_infimum_scan(mu: Measure, max_depth: int) -> WindowScan:
     for g in range(1, max_depth + 1):
         length = TWO_PI * 2.0**-g
         centers = 0.5 * length * (1.0 + np.arange(2 ** (g + 1)))
-        ratios = window_masses(mu, centers, length, carleson_window(Arc(0.0, length)).depth) / length
+        ratios = window_masses(mu, centers, length, min(length, 1.0)) / length
         if not np.all(np.isfinite(ratios)):
             raise EvaluationError(f"window masses overflow at generation {g}")
         i = int(np.argmin(ratios))  # the first minimum, as a strict-< loop finds it
@@ -288,21 +272,6 @@ def window_infimum_scan(mu: Measure, max_depth: int) -> WindowScan:
             best = gen_best
             witness = gen_witness
     return WindowScan(best, witness, tuple(table))
-
-
-class RNLowerBound(NamedTuple):
-    value: float
-    boundary_atoms_present: bool
-
-
-def boundary_rn_lower_bound(mu: Measure) -> RNLowerBound:
-    """Essential infimum of the stored boundary density (the best lower
-    bound for the absolutely continuous boundary part).
-
-    Atoms on the boundary are flagged: they carry singular mass that never
-    raises this bound.
-    """
-    return RNLowerBound(mu.boundary.min_value(), mu.has_boundary_atoms())
 
 
 def refine_window_to_arc(mu: Measure, arc: Arc, depths: Sequence[float]) -> np.ndarray:

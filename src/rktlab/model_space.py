@@ -5,7 +5,8 @@ A finite Blaschke product is analytic across the closed disk, its boundary
 spectrum is empty, and every object here (Clark points, kernel norms,
 Gram matrices, the perturbed measure) is exactly computable at dimension
 N = number of zeros.  The orthonormal basis used internally is the
-Takenaka-Malmquist family built from the zeros; every reported quantity is
+Takenaka-Malmquist family built from the zeros, and an element of K_Theta is
+its coordinate vector in that basis; every reported quantity is
 basis-independent and cross-checked against closed kernel formulas.
 """
 
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSystemError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .numerics import TWO_PI, DiskGrid, eigen_hermitian, null_vector, wrap_angle
 
 
@@ -106,26 +107,6 @@ class ModelSpaceBasis:
             m[k + 1 : n, k] = run[:-1] * c[k + 1 :]
             m[n, k] = run[-1]
         return m
-
-@dataclass(frozen=True)
-class ModelSpaceFunction:
-    """Element of K_Theta in basis coordinates."""
-
-    basis: ModelSpaceBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.basis.dim,):
-            raise DomainError("coefficient vector does not match the basis dimension")
-        object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, z):
-        out = self.basis.eval_matrix(z) @ self.coeffs
-        return out if np.ndim(z) else complex(out[0])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +267,7 @@ def build_theorem2_measure(
 
 
 class Witness(NamedTuple):
-    function: ModelSpaceFunction
-    mu_norm_sq: float
+    function: np.ndarray  # coordinates in the basis of ``sys.basis``
     value_at_zeta0: complex
 
 
@@ -296,22 +276,19 @@ def witness_function(sys: PerturbedSystem) -> Witness:
     but not at the deleted point."""
     if sys.basis.dim < 2:
         raise DomainError("witness construction needs dimension >= 2")
-    rows = sys.basis.eval_matrix(sys.xi_points)
-    try:
-        coeffs = null_vector(rows)
-    except DegenerateSystemError as exc:  # distinct points: cannot happen
-        raise DegenerateSystemError(f"evaluation system degenerate: {exc}") from exc
-    f = ModelSpaceFunction(sys.basis, coeffs)
-    mu_norm_sq = float(np.sum(sys.masses * np.abs(rows @ f.coeffs) ** 2))
-    return Witness(f, mu_norm_sq, f(sys.zeta0))
+    coeffs = null_vector(sys.basis.eval_matrix(sys.xi_points))
+    return Witness(coeffs, complex((sys.basis.eval_matrix(sys.zeta0) @ coeffs)[0]))
 
 
-def witness_ratio(sys: PerturbedSystem, f: ModelSpaceFunction) -> float:
-    """||f||^2_{L2(mu)} / ||f||_2^2 for the perturbed discrete measure."""
-    nrm = f.norm()
+def witness_ratio(sys: PerturbedSystem, coeffs) -> float:
+    """||f||^2_{L2(mu)} / ||f||_2^2 for f in K_Theta with coordinates coeffs in ``sys.basis``."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.shape != (sys.basis.dim,):
+        raise DomainError("coefficient vector does not match the basis dimension")
+    nrm = float(np.linalg.norm(c))
     if nrm == 0.0:
         raise DomainError("zero function")
-    vals = f.basis.eval_matrix(sys.xi_points) @ f.coeffs
+    vals = sys.basis.eval_matrix(sys.xi_points) @ c
     return float(np.sum(sys.masses * np.abs(vals) ** 2)) / nrm**2
 
 

@@ -27,14 +27,6 @@ from .errors import DomainError, PrecisionError
 from .numerics import eigen_hermitian, ensure_point
 
 
-def kadets_point(n: int) -> float:
-    """n + 1/8 for even n, n - 1/8 for odd n; the origin is deleted."""
-    n = int(n)
-    if n == 0:
-        raise DomainError("index 0 corresponds to the deleted point")
-    return n + 0.125 if n % 2 == 0 else n - 0.125
-
-
 @dataclass(frozen=True)
 class SamplingSequence:
     """Finite symmetric truncation of a separated real sampling set."""

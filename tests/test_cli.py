@@ -25,9 +25,10 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def write_config(tmp_path: Path, name: str, doc: dict) -> str:
+def write_config(tmp_path: Path, name: str, doc) -> str:
+    """Write doc as JSON, or as it stands if it is already JSON text."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc))
+    p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(p)
 
 
@@ -100,10 +101,16 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", dict(doc, measure=capped_measure(cells=cells)))
         assert run(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
-    def test_malformed_json(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{not valid")
-        assert run(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    def test_malformed_json(self, tmp_path, caplog):
+        # bad syntax, and nesting deep enough that the parser raises RecursionError
+        for text in ["{not valid", "[" * 1200 + "]" * 1200]:
+            p = tmp_path / "bad.json"
+            p.write_text(text)
+            out = tmp_path / "o"
+            assert run(["run", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+            assert "config rejected: config: malformed JSON" in caplog.text
+            assert not out.exists()
+            caplog.clear()
 
     def test_undecodable_config_exits_two(self, tmp_path, caplog):
         p = tmp_path / "bad.json"
@@ -440,6 +447,12 @@ class TestExitCodes:
              "config.measure.area_density.values[0]"),
             (dict(WINDOWS_DOC, measure={"area_density": {"radial_breaks": [0.0, 0.5, 1.0], "angular_breaks": [0.0, 1.0], "values": [[0.5], [0.5, 0.5]]}}),
              "config.measure.area_density.values:"),
+            # an integer literal past the 4,300-digit parsing limit, written as text
+            # because json.dumps refuses it too, and one past the float range
+            pytest.param('{"kind": "windows", "measure": {"builtin": "arclength"}, "max_depth": ' + "9" * 5000 + "}",
+                         "config: malformed JSON", id="int-literal-too-long"),
+            pytest.param(dict(WINDOWS_DOC, measure={"builtin": "arclength", "scale": 10**400}), "config.measure.scale: number must be finite",
+                         id="int-beyond-float-range"),
         ],
     )
     def test_out_of_domain_field_exits_two(self, tmp_path, caplog, doc, path):
@@ -615,12 +628,13 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "summary,error",
-        [([], "AttributeError"), ({"kind": "windows", "checks": [{"name": "window-additivity", "detail": "ok"}]}, "KeyError: 'passed'")],
-        ids=["not-an-object", "check-without-passed"],
+        [([], "AttributeError"), ({"kind": "windows", "checks": [{"name": "window-additivity", "detail": "ok"}]}, "KeyError: 'passed'"),
+         ("[" * 1200 + "]" * 1200, "RecursionError")],
+        ids=["not-an-object", "check-without-passed", "nested-too-deep"],
     )
     def test_malformed_summary_exits_two(self, tmp_path, caplog, summary, error):
         path = tmp_path / "summary.json"
-        path.write_text(json.dumps(summary))
+        path.write_text(summary if isinstance(summary, str) else json.dumps(summary))
         assert run(["report", "--summary", str(path)]) == EXIT_CONFIG
         assert f"cannot load summary: {error}" in caplog.text
 

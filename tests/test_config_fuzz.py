@@ -100,6 +100,7 @@ SET = {
     "out of range": out_of_range,
     "nan": lambda v: math.nan,
     "-inf": lambda v: -math.inf,
+    "400-digit integer": lambda v: int("9" * 400),  # beyond the float range
 }
 
 

@@ -14,13 +14,11 @@ from rktlab.errors import DomainError, EvaluationError, PrecisionWarning
 from rktlab.hardy import (
     BASE_PANELS,
     NODES_PER_PANEL,
-    HardyFunction,
     _cell_axes,
     _depth_rule,
     _panel_density,
     classify_against_arc,
     hardy_config,
-    hp_norm,
     kernel_norm,
     phi_h,
     phi_h_depths,
@@ -101,9 +99,15 @@ def mixed_measure():
     )
 
 
+def hp_norm(coeffs, cfg):
+    """||f||_p of the polynomial with ascending coefficients coeffs."""
+    return float(hardy._hp_norms_p(np.asarray(coeffs, dtype=complex)[:, None], cfg)[0]) ** (1.0 / cfg.p)
+
+
 def reference_ratios(mu, fs, cfg):
     """The family's reverse-embedding ratios one polynomial at a time, each
-    node set evaluated by Horner's rule (np.polyval)."""
+    node set evaluated by Horner's rule (np.polyval) without the zero
+    high-order coefficients."""
     p, quad = cfg.p, hardy.UNIFORM_RULE
     parts = []
     if mu.atoms:
@@ -117,7 +121,7 @@ def reference_ratios(mu, fs, cfg):
         parts.append((np.outer(rs, np.exp(1j * ts)).ravel(), np.outer(wrr, wt).ravel(), val))
     ratios = []
     for f in fs:
-        c = f.coeffs[::-1]
+        c = np.trim_zeros(np.asarray(f)[::-1], "f")
         norm = float(np.dot(quad.weights, np.abs(np.polyval(c, np.exp(1j * quad.nodes))) ** p)) / TWO_PI
         num = sum(factor * float(np.dot(w, np.abs(np.polyval(c, zs)) ** p)) for zs, w, factor in parts)
         ratios.append(num / norm)
@@ -173,23 +177,23 @@ class TestConfig:
 class TestHpNorm:
     def test_constant(self):
         for p in P_SWEEP:
-            assert hp_norm(HardyFunction([1.0]), hardy_config(p)) == pytest.approx(1.0, abs=1e-12)
+            assert hp_norm([1.0], hardy_config(p)) == pytest.approx(1.0, abs=1e-12)
 
     def test_monomials_unimodular(self):
         cfg = hardy_config(2.5)
         for k in (1, 3, 10):
             c = np.zeros(k + 1, dtype=complex)
             c[k] = 1.0
-            assert hp_norm(HardyFunction(c), cfg) == pytest.approx(1.0, abs=1e-12)
+            assert hp_norm(c, cfg) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_plus_z_parseval(self):
         cfg = hardy_config(2.0)
-        assert hp_norm(HardyFunction([1.0, 1.0]), cfg) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert hp_norm([1.0, 1.0], cfg) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_random_polynomial_parseval(self):
         cfg = hardy_config(2.0)
         for f in random_polynomials(5, 32, seed=123):
-            oracle = float(np.linalg.norm(f.coeffs))
+            oracle = float(np.linalg.norm(f))
             assert hp_norm(f, cfg) == pytest.approx(oracle, rel=1e-12)
 
 
@@ -455,7 +459,7 @@ class TestReverseEmbedding:
     def test_vanishing_polynomial_kills_atomic_measure(self):
         pts = [0.6, -0.3 + 0.4j, 0.2 - 0.7j]
         mu = Measure(atoms=tuple((z, 1.0) for z in pts))
-        f = HardyFunction(np.poly(pts)[::-1])  # prod (z - xi), ascending
+        f = np.poly(pts)[::-1]  # prod (z - xi), ascending
         cfg = hardy_config(2.0)
         assert reverse_embedding_ratio(mu, f, cfg) <= 1e-25
 
@@ -467,7 +471,7 @@ class TestReverseEmbedding:
         for p in P_SWEEP:
             cfg = hardy_config(p)
             for f in random_polynomials(5, 12, seed=3):
-                want = sum(m * abs(np.polyval(f.coeffs[::-1], z)) ** p for z, m in mu.atoms) / hp_norm(f, cfg) ** p
+                want = sum(m * abs(np.polyval(f[::-1], z)) ** p for z, m in mu.atoms) / hp_norm(f, cfg) ** p
                 assert reverse_embedding_ratio(mu, f, cfg) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("p", P_SWEEP)
@@ -484,22 +488,28 @@ class TestReverseEmbedding:
         # node block 14 nodes, so the 120 functions span several blocks either way
         monkeypatch.setattr(hardy, "BATCH_NODES", batch)
         rng = np.random.default_rng(17)
-        family = [HardyFunction(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) for d in (7 * np.arange(120)) % 41]
+        family = np.zeros((120, 41), dtype=complex)
+        for row, d in zip(family, (7 * np.arange(120)) % 41):
+            row[: d + 1] = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
         mu, cfg = mixed_measure(), hardy_config(3.0)
         assert reverse_embedding_ratios(mu, family, cfg) == pytest.approx(reference_ratios(mu, family, cfg), rel=1e-13)
 
     def test_first_failure_in_family_order(self):
         # good is finite at p = 2, and |good|^300 overflows on the circle
         mu, good = normalized_arclength(), random_polynomials(1, 32, seed=1)[0]
+
+        def constant(c):  # padded to good's 33 coefficients
+            return np.concatenate([[c], np.zeros(32)])
+
         with pytest.raises(DomainError, match="zero function"):
-            reverse_embedding_ratios(mu, [good, HardyFunction([0.0, 0.0])], hardy_config(2.0))
+            reverse_embedding_ratios(mu, [good, constant(0.0)], hardy_config(2.0))
         # |1e-300|^2 underflows at every node
         with pytest.raises(DomainError, match="zero H\\^p norm"):
-            reverse_embedding_ratios(mu, [good, HardyFunction([1e-300])], hardy_config(2.0))
+            reverse_embedding_ratios(mu, [good, constant(1e-300)], hardy_config(2.0))
         with pytest.raises(EvaluationError, match="integral inf, "):
-            reverse_embedding_ratios(mu, [good, HardyFunction([0.0])], hardy_config(300.0))
+            reverse_embedding_ratios(mu, [good, constant(0.0)], hardy_config(300.0))
         with pytest.raises(DomainError, match="zero function"):
-            reverse_embedding_ratios(mu, [HardyFunction([0.0]), good], hardy_config(300.0))
+            reverse_embedding_ratios(mu, [constant(0.0), good], hardy_config(300.0))
 
     def test_overflow_raises(self):
         # |f|^300 overflows on the circle: the ratio would be inf/inf
@@ -508,7 +518,27 @@ class TestReverseEmbedding:
 
     def test_zero_function_rejected(self):
         with pytest.raises(DomainError):
-            reverse_embedding_ratio(normalized_arclength(), HardyFunction([0.0]), hardy_config(2.0))
+            reverse_embedding_ratio(normalized_arclength(), [0.0], hardy_config(2.0))
+
+    @pytest.mark.parametrize("bad", [[1.0, math.nan], [math.inf], [[1.0]]], ids=["nan", "inf", "not-1-d"])
+    def test_coefficients_must_be_finite_rows(self, bad):
+        with pytest.raises(DomainError, match="finite rows"):
+            reverse_embedding_ratio(normalized_arclength(), bad, hardy_config(2.0))
+
+
+class TestRandomPolynomials:
+    @pytest.mark.parametrize("count,max_degree", [(1, 0), (200, 32), (1000, 256)])
+    def test_one_draw_matches_the_loop(self, count, max_degree):
+        # the draw order of a loop per polynomial (real parts, then imaginary
+        # parts): the bytes of every c1_min_ratio depend on it
+        rng = np.random.default_rng(hardy.DEFAULT_SEED)
+        loop = []
+        for _ in range(count):
+            re, im = rng.standard_normal(max_degree + 1), rng.standard_normal(max_degree + 1)
+            loop.append((re + 1j * im) / math.sqrt(2.0))
+        family = random_polynomials(count, max_degree)
+        assert family.shape == (count, max_degree + 1)
+        assert np.array_equal(family.view(np.uint64), np.array(loop).view(np.uint64))
 
 
 class TestPhiH:

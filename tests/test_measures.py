@@ -12,11 +12,8 @@ from rktlab.measures import (
     Arc,
     AreaDensity,
     BoundaryDensity,
-    CarlesonWindow,
     Measure,
     arclength,
-    boundary_rn_lower_bound,
-    carleson_window,
     refine_window_to_arc,
     upper_half_arclength,
     window_infimum_scan,
@@ -26,21 +23,26 @@ from rktlab.measures import (
 from rktlab.numerics import TWO_PI, wrap_angle
 
 
-def oracle_window_mass(mu: Measure, w: CarlesonWindow) -> float:
+def on_arc(arc: Arc, angle: float) -> bool:
+    """Closed-arc membership of the angle."""
+    return abs(wrap_angle(angle - arc.center + math.pi) - math.pi) <= 0.5 * arc.length
+
+
+def oracle_window_mass(mu: Measure, arc: Arc, depth: float) -> float:
     """Independent direct implementation: clipped piece-by-piece sums."""
-    r_lo = 1.0 - w.depth
-    lo = w.arc.start
+    r_lo = 1.0 - depth
+    lo = arc.start
     total = 0.0
     # boundary: integrate the step function by brute subdivision of the arc
     m = 200_000
-    ts = lo + (np.arange(m) + 0.5) * (w.arc.length / m)
-    total += float(np.sum(mu.boundary.value_at(ts))) * (w.arc.length / m)
+    ts = lo + (np.arange(m) + 0.5) * (arc.length / m)
+    total += float(np.sum(mu.boundary.value_at(ts))) * (arc.length / m)
     for z, mass in mu.atoms:
         if abs(z) == 0.0:
             continue
         ang = math.atan2(z.imag, z.real)
-        d = abs((ang - w.arc.center + math.pi) % TWO_PI - math.pi)
-        if abs(z) >= r_lo and d <= w.arc.length / 2:
+        d = abs((ang - arc.center + math.pi) % TWO_PI - math.pi)
+        if abs(z) >= r_lo and d <= arc.length / 2:
             total += mass
     if mu.area is not None:
         for r0, r1, a0, a1, val in mu.area.cells():
@@ -48,7 +50,7 @@ def oracle_window_mass(mu: Measure, w: CarlesonWindow) -> float:
             if rhi <= rlo:
                 continue
             ts = np.linspace(a0, a1, 20_001)
-            inside = np.array([1.0 if w.arc.contains(t) else 0.0 for t in 0.5 * (ts[:-1] + ts[1:])])
+            inside = np.array([1.0 if on_arc(arc, t) else 0.0 for t in 0.5 * (ts[:-1] + ts[1:])])
             ang_len = float(np.sum(inside)) * (a1 - a0) / 20_000
             total += val * 0.5 * (rhi**2 - rlo**2) * ang_len
     return total
@@ -85,16 +87,16 @@ def reference_overlap(start: float, length: float, a: float, b: float) -> float:
     return total
 
 
-def reference_window_mass(mu: Measure, w: CarlesonWindow) -> float:
-    r_lo = 1.0 - w.depth
-    total = reference_integral(mu.boundary, w.arc.start, w.arc.length)
+def reference_window_mass(mu: Measure, arc: Arc, depth: float) -> float:
+    r_lo = 1.0 - depth
+    total = reference_integral(mu.boundary, arc.start, arc.length)
     for z, mass in mu.atoms:
         az = abs(z)
         if az == 0.0:
-            if r_lo <= 0.0 and w.arc.length >= TWO_PI - 1e-15:
+            if r_lo <= 0.0 and arc.length >= TWO_PI - 1e-15:
                 total += mass
             continue
-        if az >= r_lo and w.arc.contains(math.atan2(z.imag, z.real)):
+        if az >= r_lo and on_arc(arc, math.atan2(z.imag, z.real)):
             total += mass
     if mu.area is not None:
         area = 0.0
@@ -102,7 +104,7 @@ def reference_window_mass(mu: Measure, w: CarlesonWindow) -> float:
             lo, hi = max(r_lo, c_rlo), min(1.0, c_rhi)
             if hi <= lo:
                 continue
-            ang = reference_overlap(w.arc.start, w.arc.length, c_alo, c_ahi)
+            ang = reference_overlap(arc.start, arc.length, c_alo, c_ahi)
             if ang <= 0.0:
                 continue
             area += val * 0.5 * (hi * hi - lo * lo) * ang
@@ -118,7 +120,7 @@ def reference_scan(mu: Measure, max_depth: int):
         gen_best, gen_witness, gen_masses = math.inf, None, []
         for c in 0.5 * length * (1.0 + np.arange(2 ** (g + 1))):
             arc = Arc(float(c), length)
-            gen_masses.append(reference_window_mass(mu, carleson_window(arc)))
+            gen_masses.append(reference_window_mass(mu, arc, min(length, 1.0)))
             if gen_masses[-1] / length < gen_best:
                 gen_best, gen_witness = gen_masses[-1] / length, arc
         table.append((g, gen_best, gen_witness))
@@ -182,19 +184,19 @@ class TestWindowScanBitIdentical:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_single_windows_and_depth_lists(self, mu, center, length, depths):
         arc = Arc(center, length)
-        ref = np.array([reference_window_mass(mu, CarlesonWindow(arc, h)) for h in depths])
+        ref = np.array([reference_window_mass(mu, arc, h) for h in depths])
         assert np.array_equal(window_masses(mu, [center], length, depths), ref)
-        assert window_mass(mu, CarlesonWindow(arc, depths[0])) == ref[0]
+        assert window_mass(mu, arc, depths[0]) == ref[0]
 
 
 class TestArc:
     def test_wrapping_contains(self):
         arc = Arc(0.0, 1.0)
-        assert arc.contains(0.49)
-        assert arc.contains(-0.49)
-        assert not arc.contains(0.51)
+        assert on_arc(arc, 0.49)
+        assert on_arc(arc, -0.49)
+        assert not on_arc(arc, 0.51)
         arc2 = Arc(2 * math.pi - 0.1, 0.4)
-        assert arc2.contains(0.05)
+        assert on_arc(arc2, 0.05)
 
     def test_invalid(self):
         with pytest.raises(DomainError):
@@ -203,10 +205,11 @@ class TestArc:
             Arc(0.0, 7.0)
 
     def test_window_depth_clamped(self):
-        w = carleson_window(Arc(0.0, math.pi))
-        assert w.depth == 1.0
-        w2 = carleson_window(Arc(0.0, 0.25))
-        assert w2.depth == 0.25
+        # the scan's windows have depth min(|I|, 1): atoms at radius 0.01 lie in
+        # every window of generations 1-2 (depth 1) and in none of generation 3
+        atoms = tuple((0.01 * np.exp(1j * (k + 0.5) * math.pi / 4), 1.0) for k in range(8))
+        ratios = [ratio for _, ratio, _ in window_infimum_scan(Measure(atoms=atoms), 3).table]
+        assert ratios[0] > 0.0 and ratios[1] > 0.0 and ratios[2] == 0.0
 
 
 class TestWindowMass:
@@ -214,15 +217,20 @@ class TestWindowMass:
         mu = arclength()
         for arc in (Arc(0.3, 0.7), Arc(5.9, 1.2), Arc(0.0, TWO_PI)):
             for h in (0.1, 0.5, 1.0):
-                assert window_mass(mu, CarlesonWindow(arc, h)) == pytest.approx(arc.length, rel=1e-13)
+                assert window_mass(mu, arc, h) == pytest.approx(arc.length, rel=1e-13)
 
     def test_atom_below_depth(self):
         mu = Measure(atoms=((0.5 + 0.0j, 1.0),))
-        assert window_mass(mu, CarlesonWindow(Arc(0.0, 1.0), 0.3)) == 0.0
+        assert window_mass(mu, Arc(0.0, 1.0), 0.3) == 0.0
 
     def test_atom_inside_window(self):
         mu = Measure(atoms=((0.5 + 0.0j, 1.0),))
-        assert window_mass(mu, CarlesonWindow(Arc(0.0, 0.2), 0.6)) == 1.0
+        assert window_mass(mu, Arc(0.0, 0.2), 0.6) == 1.0
+
+    @pytest.mark.parametrize("depth", [0.0, -0.5, 1.5, math.nan])
+    def test_depth_outside_unit_interval_rejected(self, depth):
+        with pytest.raises(DomainError, match="depths in \\(0, 1\\]"):
+            window_mass(arclength(), Arc(0.0, 1.0), depth)
 
     def test_additivity_over_partition(self):
         mu = Measure(
@@ -232,9 +240,9 @@ class TestWindowMass:
         )
         arc = Arc(0.8, 1.6)
         h = arc.length / 8
-        whole = window_mass(mu, CarlesonWindow(arc, h))
+        whole = window_mass(mu, arc, h)
         parts = sum(
-            window_mass(mu, CarlesonWindow(Arc(arc.start + (k + 0.5) * arc.length / 8, arc.length / 8), h))
+            window_mass(mu, Arc(arc.start + (k + 0.5) * arc.length / 8, arc.length / 8), h)
             for k in range(8)
         )
         assert abs(parts - whole) <= 1e-12 * max(1.0, whole)
@@ -250,8 +258,7 @@ class TestWindowMass:
             ),
         )
         for arc, h in ((Arc(1.0, 0.8), 0.4), (Arc(6.0, 1.5), 0.9), (Arc(3.0, 2.5), 1.0)):
-            w = CarlesonWindow(arc, h)
-            assert window_mass(mu, w) == pytest.approx(oracle_window_mass(mu, w), rel=2e-4)
+            assert window_mass(mu, arc, h) == pytest.approx(oracle_window_mass(mu, arc, h), rel=2e-4)
 
     @given(
         center=st.floats(0, TWO_PI - 1e-9),
@@ -267,8 +274,8 @@ class TestWindowMass:
             area=AreaDensity.constant(0.2),
         )
         arc = Arc(center, length)
-        m1 = window_mass(mu, CarlesonWindow(arc, min(h1, h2)))
-        m2 = window_mass(mu, CarlesonWindow(arc, max(h1, h2)))
+        m1 = window_mass(mu, arc, min(h1, h2))
+        m2 = window_mass(mu, arc, max(h1, h2))
         assert m1 <= m2 + 1e-12
 
     @given(center=st.floats(0, TWO_PI - 1e-9), length=st.floats(0.01, 1.0), h=st.floats(0.05, 1.0))
@@ -280,7 +287,7 @@ class TestWindowMass:
         )
         small = Arc(center, length)
         big = Arc(center, min(2.0 * length, TWO_PI))
-        assert window_mass(mu, CarlesonWindow(small, h)) <= window_mass(mu, CarlesonWindow(big, h)) + 1e-12
+        assert window_mass(mu, small, h) <= window_mass(mu, big, h) + 1e-12
 
 
 class TestWindowScan:
@@ -308,7 +315,7 @@ class TestWindowScan:
         ratios = []
         for m in range(1, 2 ** (g + 1) + 1):
             arc = Arc(0.5 * length * m, length)
-            ratios.append(oracle_window_mass(mu, carleson_window(arc)) / length)
+            ratios.append(oracle_window_mass(mu, arc, min(length, 1.0)) / length)
         assert min(ratios) == pytest.approx(0.5, rel=1e-3)
 
     def test_scan_dominates_boundary_minimum(self):
@@ -316,10 +323,9 @@ class TestWindowScan:
             boundary=BoundaryDensity(np.array([0.0, 2.5]), np.array([0.8, 1.4])),
             area=AreaDensity.constant(0.1),
         )
-        rn = boundary_rn_lower_bound(mu)
         for depth in (2, 5, 9):
             scan = window_infimum_scan(mu, depth)
-            assert scan.ratio >= rn.value - 1e-12
+            assert scan.ratio >= mu.boundary.min_value() - 1e-12
 
     def test_overflowing_masses_raise(self):
         with pytest.raises(EvaluationError, match="overflow at generation 1"):
@@ -328,23 +334,21 @@ class TestWindowScan:
 
 class TestBoundaryRN:
     def test_constant(self):
-        assert boundary_rn_lower_bound(arclength()).value == 1.0
+        assert arclength().boundary.min_value() == 1.0
 
     def test_two_pieces(self):
         mu = Measure(boundary=BoundaryDensity(np.array([0.0, math.pi]), np.array([2.0, 0.5])))
-        assert boundary_rn_lower_bound(mu).value == 0.5
+        assert mu.boundary.min_value() == 0.5
 
     def test_boundary_atoms_flagged(self):
         mu = Measure(atoms=((np.exp(0.4j), 1.0),))
-        res = boundary_rn_lower_bound(mu)
-        assert res.value == 0.0
-        assert res.boundary_atoms_present
+        assert mu.boundary.min_value() == 0.0
+        assert mu.has_boundary_atoms()
 
     def test_interior_atom_not_flagged(self):
         mu = Measure(atoms=((0.5 + 0.0j, 1.0),), boundary=BoundaryDensity.constant(1.0))
-        res = boundary_rn_lower_bound(mu)
-        assert res.value == 1.0
-        assert not res.boundary_atoms_present
+        assert mu.boundary.min_value() == 1.0
+        assert not mu.has_boundary_atoms()
 
     @given(center=st.floats(0, TWO_PI - 1e-9), length=st.floats(0.01, 2.0))
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -352,7 +356,7 @@ class TestBoundaryRN:
         # density >= c forces every window ratio >= c
         mu = Measure(boundary=BoundaryDensity(np.array([0.0, 1.0, 3.0]), np.array([0.7, 1.9, 0.9])))
         arc = Arc(center, length)
-        ratio = window_mass(mu, carleson_window(arc)) / arc.length
+        ratio = window_mass(mu, arc, min(length, 1.0)) / arc.length
         assert ratio >= 0.7 - 1e-12
 
 
@@ -425,7 +429,7 @@ class TestSerialization:
         assert np.array_equal(back.area.angular_breaks, mu.area.angular_breaks)
         assert np.array_equal(back.area.values, mu.area.values)
         arc, h = Arc(0.7, 0.9), 0.35
-        assert window_mass(back, CarlesonWindow(arc, h)) == window_mass(mu, CarlesonWindow(arc, h))
+        assert window_mass(back, arc, h) == window_mass(mu, arc, h)
 
     def test_validation(self):
         with pytest.raises(DomainError):

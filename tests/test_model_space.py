@@ -336,10 +336,10 @@ class TestWitness:
         wit = witness_function(sys_)
         xi1 = complex(sys_.xi_points[0])
         # f is proportional to (z - xi1) in the monomial basis {1, z}
-        c = wit.function.coeffs
+        c = wit.function
         assert c[1] != 0.0
         assert c[0] / c[1] == pytest.approx(-xi1, abs=1e-12)
-        assert abs(wit.function(xi1)) <= 1e-12
+        assert abs(sys_.basis.eval_matrix(xi1) @ c) <= 1e-12
         assert abs(wit.value_at_zeta0) > 0.1
 
     def test_power_eight_product_expansion_oracle(self):
@@ -347,25 +347,32 @@ class TestWitness:
         wit = witness_function(sys_)
         oracle = np.poly(sys_.xi_points)[::-1].conj().conj()
         oracle = oracle / np.linalg.norm(oracle)
-        overlap = abs(np.vdot(oracle, wit.function.coeffs))
+        overlap = abs(np.vdot(oracle, wit.function))
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
     def test_mu_norm_exact_zero(self):
         for theta, eps in ((Z8, EPS8), (BlaschkeProduct(np.array([0.4, -0.2 + 0.5j])), 0.05)):
             sys_ = build_theorem2_measure(theta, 1.0, eps)
             wit = witness_function(sys_)
-            assert wit.mu_norm_sq <= 1e-24
             assert witness_ratio(sys_, wit.function) <= 1e-24
-            assert wit.function.norm() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(wit.function) == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_from_witness_mass_bit_identical(self):
-        # the runner takes the ratio from Witness.mu_norm_sq instead of
-        # evaluating the witness on the retained points again
+        # witness_ratio, which the runner reports, gives the bytes of the witness's
+        # mass sum_n m_n |f(xi_n)|^2 on the evaluation rows the witness was solved from
         rng = np.random.default_rng(12)
         for n in (2, 5, 8):
             sys_ = build_theorem2_measure(random_blaschke(rng, n), 1.0)
             wit = witness_function(sys_)
-            assert wit.mu_norm_sq / wit.function.norm() ** 2 == witness_ratio(sys_, wit.function)
+            mass = float(np.sum(sys_.masses * np.abs(sys_.basis.eval_matrix(sys_.xi_points) @ wit.function) ** 2))
+            assert mass / float(np.linalg.norm(wit.function)) ** 2 == witness_ratio(sys_, wit.function)
+
+    def test_ratio_refuses_wrong_shape_and_zero(self):
+        sys_ = build_theorem2_measure(Z8, 1.0, EPS8)
+        with pytest.raises(DomainError, match="basis dimension"):
+            witness_ratio(sys_, np.ones(7))
+        with pytest.raises(DomainError, match="zero function"):
+            witness_ratio(sys_, np.zeros(8))
 
 
 class TestPhi:

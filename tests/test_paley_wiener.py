@@ -16,7 +16,6 @@ from rktlab.paley_wiener import (
     carleson_sanity,
     generating_witness,
     gram_min_eigenvalue,
-    kadets_point,
     rkt_lower_bound_scan,
     rkt_sum,
     witness_contrast,
@@ -24,21 +23,22 @@ from rktlab.paley_wiener import (
 
 
 class TestKadetsPoints:
+    # kadets_points(n) holds x_-n .. x_-1, then x_1 .. x_n
     def test_even(self):
-        assert kadets_point(2) == 2.125
+        assert kadets_points(2)[-1] == 2.125
 
     def test_odd(self):
-        assert kadets_point(1) == 0.875
+        assert kadets_points(1)[-1] == 0.875
 
     def test_negative_odd(self):
-        assert kadets_point(-3) == -3.125
+        assert kadets_points(3)[0] == -3.125
 
     def test_negative_even(self):
-        assert kadets_point(-2) == -1.875
+        assert kadets_points(2)[0] == -1.875
 
     def test_deleted_origin(self):
-        with pytest.raises(DomainError):
-            kadets_point(0)
+        pts = kadets_points(4)
+        assert pts.size == 8 and np.array_equal(pts[3:5], [-1.125, 0.875])  # x_-1, x_1
 
 
 class TestSequence:
@@ -204,7 +204,7 @@ class TestSincKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
     def test_kadets_points_bit_identical(self, n):
         idx = [k for k in range(-n, n + 1) if k]
-        assert np.array_equal(kadets_points(n), np.array([kadets_point(k) for k in idx]))
+        assert np.array_equal(kadets_points(n), np.array([k + 0.125 if k % 2 == 0 else k - 0.125 for k in idx]))
         assert np.array_equal(SamplingSequence.kadets(n).points, kadets_points(n))
 
     @pytest.mark.parametrize("s", [2, 4, 12, 22])
@@ -309,7 +309,7 @@ class TestScan:
 class TestWitness:
     def test_vanishes_at_sequence_point(self):
         seq = SamplingSequence.kadets(512)
-        wit = generating_witness(seq, np.array([kadets_point(3), kadets_point(-7)]))
+        wit = generating_witness(seq, seq.points[[512 + 2, 512 - 7]])  # x_3 and x_-7
         assert wit.values[0] == 0.0
         assert wit.values[1] == 0.0
 
@@ -356,9 +356,9 @@ class TestWitness:
     @pytest.mark.parametrize("n", [512, 1025, 4096])  # at 1,025 half stops at k = 512
     def test_blocked_products_equal_the_loop(self, n):
         def loop(xs, n):  # factor by factor, as the products were first written
-            prod = np.ones_like(xs)
+            prod, pts = np.ones_like(xs), kadets_points(n)
             for k in range(1, n + 1):
-                prod = prod * (1.0 - xs / kadets_point(k)) * (1.0 - xs / kadets_point(-k))
+                prod = prod * (1.0 - xs / pts[n + k - 1]) * (1.0 - xs / pts[n - k])
                 if k == n // 2:
                     half = prod
             return half, prod
