@@ -308,31 +308,73 @@ def repeated_value_tables(n):
     }
 
 
+B = CSV_BLOCK_ROWS
+#: table lengths around one block, and around the two-process writer's threshold,
+#: up to the shape of a theorem2 table (8 blocks and the origin)
+WRITER_SIZES = [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 8 * B + 1]
+
+
+def two_cpus(monkeypatch):
+    """Let the writer split a table whatever this machine's affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 class TestCsvWriter:
-    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
-    def test_same_bytes_as_one_join(self, tmp_path, n):
+    @pytest.mark.parametrize("n", WRITER_SIZES)
+    def test_same_bytes_as_one_join(self, tmp_path, monkeypatch, n):
+        two_cpus(monkeypatch)
         rng = np.random.default_rng(n)
         table = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
-        table[:1] = [-0.0, float("nan"), -float("inf"), 5e-324]
+        table[:1] = table[-1:] = [-0.0, float("nan"), -float("inf"), 5e-324]  # in both halves of a split table
         tuples = [(i, x, y) for i, (x, y) in enumerate(table[:, :2].tolist())]  # an int column, as windows writes
         for header, rows, ref_rows in ((("a", "b", "c", "d"), table, table.tolist()), (("g", "x", "y"), np.array(tuples, dtype=object).reshape(n, 3), tuples)):
-            _write_csv(tmp_path / "blocks.csv", header, rows)
+            assert _write_csv(tmp_path / "blocks.csv", header, rows) == (2 if n >= 2 * B else 1)
             one_join_csv(tmp_path / "one.csv", header, ref_rows)
             assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     @pytest.mark.parametrize("name", list(repeated_value_tables(0)))
-    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
-    def test_repeated_values_same_bytes_as_one_join(self, tmp_path, n, name):
+    @pytest.mark.parametrize("n", WRITER_SIZES)
+    def test_repeated_values_same_bytes_as_one_join(self, tmp_path, monkeypatch, n, name):
+        # the child's first block decides afresh whether a column repeats
+        two_cpus(monkeypatch)
         header, rows = repeated_value_tables(n)[name]
         _write_csv(tmp_path / "blocks.csv", header, rows)
         one_join_csv(tmp_path / "one.csv", header, rows.tolist())
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
-    def test_memory_bounded_on_the_cap_grid(self, tmp_path):
+    def test_one_cpu_writes_the_same_bytes_serially(self, tmp_path, monkeypatch):
+        header, rows = repeated_value_tables(8 * B + 1)["pw-shaped"]
+        two_cpus(monkeypatch)
+        assert _write_csv(tmp_path / "two.csv", header, rows) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _write_csv(tmp_path / "one.csv", header, rows) == 1
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+    @pytest.mark.parametrize("failing,error", [("child", OSError), ("parent", ZeroDivisionError)])
+    def test_a_failing_half_raises_and_the_child_is_reaped(self, tmp_path, monkeypatch, failing, error):
+        from rktlab import cli
+
+        parent, format_column = os.getpid(), cli._format_column
+
+        def format_or_fail(col, repeats):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise ZeroDivisionError("injected")
+            return format_column(col, repeats)
+
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(cli, "_format_column", format_or_fail)
+        with pytest.raises(error, match="status 1" if failing == "child" else "injected"):
+            _write_csv(tmp_path / "t.csv", ("x",), np.zeros((2 * B, 1)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]  # the temporary file is gone
+
+    def test_memory_bounded_on_the_cap_grid(self, tmp_path, monkeypatch):
         # the table of a theorem2 run on its largest grid, 128 x 2,048 points and
         # the origin.  Taking tolist and joining the whole table peaked at 122 MiB
         # of Python objects; one block of rows at a time holds under 2 MiB
         table = np.random.default_rng(0).uniform(-1.0, 1.0, (128 * 2048 + 1, 4))
+        two_cpus(monkeypatch)  # the parent's half and the copy of the child's
         tracemalloc.start()
         try:
             _write_csv(tmp_path / "t.csv", ("re_z", "im_z", "phi", "norm_mu_sq"), table)
@@ -341,12 +383,13 @@ class TestCsvWriter:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_memory_bounded_with_a_tiled_axis(self, tmp_path):
+    def test_memory_bounded_with_a_tiled_axis(self, tmp_path, monkeypatch):
         # a pw-counterexample table on its largest scan grid, 512 x 512 points,
         # whose grid axes take the writer's one-repr-per-value path
         axis = np.linspace(0.0, 4.0, 512)
         low = np.random.default_rng(0).uniform(0.0, 1.0, 512 * 512)
         table = np.column_stack([np.tile(axis, 512), np.repeat(axis, 512), low, low + 1e-3])
+        two_cpus(monkeypatch)
         tracemalloc.start()
         try:
             _write_csv(tmp_path / "t.csv", ("re_lambda", "im_lambda", "rkt_sum_low", "rkt_sum_high"), table)
