@@ -59,11 +59,13 @@ def kernel_pow_circle_sum(thetas, weights, r, phi, p):
 
 
 def kernel_pow_disk_sum(rhos, thetas, weights, r, phi, p):
-    """A column of radii against a row of angles sums over their product grid."""
+    """A column of radii against a row of angles sums over their product grid.
+    An array of kernel radii r, all at the angle phi, gives a list of sums."""
     s = np.sin(0.5 * (thetas - phi))
-    rr = r * rhos
+    rr = np.multiply.outer(r, rhos)
     d2 = (1.0 - rr) ** 2 + 4.0 * rr * s * s
-    return float(np.dot(np.ravel(weights), np.ravel(d2 ** (-0.5 * p))))
+    sums = [float(np.dot(np.ravel(weights), v)) for v in np.reshape(d2 ** (-0.5 * p), (np.size(r), -1))]
+    return sums if np.ndim(r) else sums[0]
 
 
 def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):

@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -485,6 +486,7 @@ def run_rkt_hardy(got: dict, quick: bool, seed: int):
         "c2_witness_im": scan.witness.imag,
         "scan_rule_builds": scan.rule_builds,
         "scan_nodes": scan.nodes,
+        "scan_shared_nodes": scan.shared_nodes,
     }
     if poly_spec is not None:
         count = min(poly_spec["count"], 50) if quick else poly_spec["count"]
@@ -704,9 +706,8 @@ def run_theorem2(got: dict, quick: bool, seed: int):
     mu_part = np.sum(np.abs(coords @ sys_.xi_coords().conj().T) ** 2, axis=1)
     dev = float(np.max(np.abs(full - np.asarray(model_phi(sys_, zs)) - mu_part)))
     checks.append(Check("decomposition-identity", dev <= 1e-9, f"max deviation {dev:.3e}"))
-    rng = np.random.default_rng(seed)
-    lam = 0.8 * np.sqrt(rng.uniform(0, 1, 64)) * np.exp(1j * rng.uniform(0, TWO_PI, 64))
-    zpts = 0.95 * np.sqrt(rng.uniform(0, 1, 64)) * np.exp(1j * rng.uniform(0, TWO_PI, 64))
+    rng = random.Random(seed)  # 64 kernel and 64 evaluation points, uniform by area in the disks of radii 0.8 and 0.95
+    lam, zpts = (r * np.sqrt([rng.random() for _ in range(64)]) * np.exp(1j * np.array([rng.uniform(0.0, TWO_PI) for _ in range(64)])) for r in (0.8, 0.95))
     e_z = sys_.basis.eval_matrix(zpts)[:, None, :]
     e_lam = np.conj(sys_.basis.eval_matrix(lam))[:, :, None]
     via_basis = (e_z @ e_lam)[:, 0, 0]  # one row dot product per pair

@@ -12,17 +12,19 @@ mu(S_I)/|I| are bounded below by c with no extra factor.
 A polynomial f is its array of ascending coefficients, and a family of them
 is a 2-d array with one polynomial per row.
 
-The scans batch their work with bit-identical values: one ``circle_panels``
-call bisects the circle rules of a ring of kernel points (at most
-BISECT_POINTS of them), whose whole rules are then mapped and evaluated in
-blocks of at most BATCH_NODES nodes; ``rkt_functional`` is that path on one
-point.  A polynomial family is evaluated on a measure's nodes built once.  A
-phi_h depth sequence takes one kernel matrix per z on the union of its
-depths' radial panels, which dyadic depths share.
+The scans batch their work with bit-identical values: the kernel points of
+a ray (one angle float) share one ``circle_panels`` tree, whose distinct
+panels are mapped and take their sines once; each rule is then summed on
+gathered copies, and the atoms and cells of a ray's points in array passes.
+``rkt_functional`` is that path on one point.  A polynomial family is
+evaluated on a measure's nodes built once.  A phi_h depth sequence takes one
+kernel matrix per z on the union of its depths' radial panels, which dyadic
+depths share.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,8 +58,6 @@ NODES_PER_PANEL = 16
 
 #: Circle nodes per block of whole rules in a scan, and values per Vandermonde block.
 BATCH_NODES = 2**14
-#: Kernel points per ``circle_panels`` call of a scan, which bounds a bisection's temporaries.
-BISECT_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,19 @@ def _peak_attractors(angle: float, lo: float, hi: float, finest: float) -> tuple
     return ((near, finest), *((e, max(finest, 0.5 * out)) for e, out in ends if out < abs(e - near)))
 
 
+def _cell_attracts(r0, r1, a0, a1, peak_angle, scale):
+    """The ``_graded_rule`` attractors of the polar cell [r0,r1] x [a0,a1]: radially
+    toward the outer edge, angularly toward peak_angle."""
+    return ((r1, max(scale, (r1 - r0) / 32.0)),), ((_nearest_on_arc(peak_angle, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),)
+
+
 def _cell_axes(r0, r1, a0, a1, peak_angle, scale, nodes=8):
-    """Radial and angular Gauss-Legendre rules of the polar cell [r0,r1] x [a0,a1],
-    graded angularly toward peak_angle and radially toward the outer edge, as the
-    factors (rs, wr * rs, ts, wt) of the product rule (dA = r dr dtheta)."""
-    rs, wr = _graded_rule(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),), nodes)
-    attract = _nearest_on_arc(peak_angle, a0, a1)
-    ts, wt = _graded_rule(a0, a1, ((attract, max(scale, min(a1 - a0, math.pi / 16))),), nodes)
-    return rs, wr * rs, ts, wt
+    """The product of the radial and angular Gauss-Legendre rules of the polar cell
+    [r0,r1] x [a0,a1], graded as ``_cell_attracts`` says: a column of radii, a row
+    of angles and their weights (dA = r dr dtheta)."""
+    radial, angular = _cell_attracts(r0, r1, a0, a1, peak_angle, scale)
+    (rs, wr), (ts, wt) = _graded_rule(r0, r1, radial, nodes), _graded_rule(a0, a1, angular, nodes)
+    return rs[:, None], ts, (wr * rs)[:, None] * wt
 
 
 @lru_cache(maxsize=64)
@@ -189,99 +194,127 @@ def _panel_density(density: BoundaryDensity, nodes: np.ndarray) -> np.ndarray:
 
 def _kernel_points(lams) -> np.ndarray:
     """Rows (r, phi, peak scale, (1 - r)^2, 4 r) of kernel points, as the scalar kernel forms them."""
-    pts = []
-    for lam in lams:
+    pts = np.empty((len(lams), 5))
+    for k, lam in enumerate(lams):
         lam = ensure_point(lam)
         r = abs(lam)
         if r >= 1.0:
             raise DomainError(f"kernel point must lie in the open disk, got |lam|={r}")
-        pts.append((r, math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - r), 2.0**-24), (1.0 - r) ** 2, 4.0 * r))
-    return np.array(pts)
+        pts[k] = r, math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - r), 2.0**-24), (1.0 - r) ** 2, 4.0 * r
+    return pts
+
+
+def _spans(offsets, size: int):
+    """(i, j) pairs covering the groups offsets[i]:offsets[i + 1] in order: whole
+    groups of at most size items together, a larger group on its own."""
+    ends = [0]
+    while ends[-1] < len(offsets) - 1:
+        ends.append(max(ends[-1] + 1, int(np.searchsorted(offsets, offsets[ends[-1]] + size, side="right")) - 1))
+    return zip(ends, ends[1:])
+
+
+def _disk_sums(pts: np.ndarray, keys: list, rule, p: float) -> np.ndarray:
+    """``kernel_pow_disk_sum`` at each kernel point over the disk nodes (rhos, thetas,
+    weights) = rule(i) of the first point i of its run of equal keys (an angle and
+    what the nodes depend on): a run is one call, in parts of at most BATCH_NODES values."""
+    sums = []
+    for _, run in itertools.groupby(keys):
+        i, n = len(sums), len(list(run))
+        rhos, thetas, weights = rule(i)
+        step = max(1, BATCH_NODES // weights.size)
+        for k in range(i, i + n, step):
+            sums += _kernels.kernel_pow_disk_sum(rhos, thetas, weights, pts[k : min(k + step, i + n), 0], pts[i, 1], p)
+    return np.array(sums)
+
+
+def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
+    """2 pi ||k_lam||_p^p and the boundary integral of |k_lam|^p at the kernel points
+    of whole rays, the nodes of their rules and those of their distinct panels, at
+    which nodes, weights, density and sin((theta - phi)/2) are taken once."""
+    boundary = mu.boundary.total() > 0.0
+    lo, hi, index, offsets = circle_panels(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS)
+    x, weights = (a.reshape(-1, NODES_PER_PANEL) for a in gauss_legendre_panel(lo, hi, NODES_PER_PANEL))
+    if boundary:
+        dens_weights = weights * _panel_density(mu.boundary, x.ravel()).reshape(x.shape)
+    counts, phi = np.diff(offsets), np.empty(lo.size)
+    phi[index] = np.repeat(pts[:, 1], counts)
+    x -= phi[:, None]  # sin((theta - phi)/2), in place of the nodes
+    s = np.sin(np.multiply(x, 0.5, out=x), out=x)
+    norms, nums = np.empty(len(pts)), np.zeros(len(pts))
+    for i, j in _spans(offsets, BATCH_NODES // NODES_PER_PANEL):
+        # (1 - r)^2 + 4 r sin((theta - phi)/2)^2 on gathered copies of a block of whole rules
+        idx = index[offsets[i] : offsets[j]]
+        sines = s[idx]
+        kern = np.repeat(pts[i:j, 4], counts[i:j])[:, None] * sines
+        kern *= sines
+        kern += np.repeat(pts[i:j, 3], counts[i:j])[:, None]
+        kern **= -0.5 * p
+        kern, w, stops = kern.ravel(), weights[idx].ravel(), (np.cumsum(counts[i:j]) * NODES_PER_PANEL).tolist()
+        dw = dens_weights[idx].ravel() if boundary else None
+        for k, a, b in zip(range(i, j), [0, *stops], stops):
+            norms[k] = np.dot(w[a:b], kern[a:b])
+            nums[k] = np.dot(dw[a:b], kern[a:b]) if boundary else 0.0
+        del sines, kern, w, dw  # one block's arrays at a time
+    return norms, nums, int(offsets[-1]) * NODES_PER_PANEL, s.size
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below
-def _rkt_batch(mu: Measure, pts: np.ndarray, cfg: HardyConfig, lo, hi, panels) -> np.ndarray:
-    """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``)
-    whose circle rules are Gauss-Legendre on the panels [lo, hi], panels[k] of
-    them for point k: one |k_lam|^p over all nodes, a dot per point."""
+def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
+    """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``), its
+    bisection trees, circle nodes and distinct panels' nodes.  The points of a ray (one
+    angle float) share a tree; ``_circle_sums`` takes whole rays of at most BATCH_NODES //
+    BASE_PANELS points, in blocks of whole rules of at most BATCH_NODES nodes."""
     p = cfg.p
-    nodes, weights = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)
-    boundary = mu.boundary.total() > 0.0
-    if boundary:
-        dens_weights = weights * _panel_density(mu.boundary, nodes)
-    # (1 - r)^2 + 4 r sin((theta - phi)/2)^2, panel by panel
-    s = nodes.reshape(-1, NODES_PER_PANEL) - np.repeat(pts[:, 1], panels)[:, None]
-    s = np.sin(np.multiply(s, 0.5, out=s), out=s)
-    kern = np.repeat(pts[:, 4], panels)[:, None] * s
-    kern *= s
-    kern += np.repeat(pts[:, 3], panels)[:, None]
-    kern **= -0.5 * p
-    kern = kern.ravel()
-    if mu.atoms:
+    order = np.lexsort((pts[:, 1],))  # ray by ray
+    ray_offsets = np.append(np.flatnonzero(np.diff(pts[order, 1], prepend=np.nan)), len(pts))
+    norms, nums, nodes, shared = np.empty(len(pts)), np.empty(len(pts)), 0, 0
+    if mu.atoms:  # an atom at the origin has angle 0 and radius 0
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
-    cells = list(mu.area.cells()) if mu.area is not None else []
-    vals = np.empty(len(pts))
-    stops = (np.cumsum(panels) * NODES_PER_PANEL).tolist()
-    for i, ((r, phi, scale, _, _), start, stop) in enumerate(zip(pts.tolist(), [0, *stops], stops)):
-        num = 0.0
-        if mu.atoms:  # an atom at the origin has angle 0 and radius 0, hence d^2 = 1
-            num += _kernels.kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, r, phi, p)
-        if boundary:
-            num += float(np.dot(dens_weights[start:stop], kern[start:stop]))
-        for r0, r1, a0, a1, val in cells:
-            rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, phi, scale)
-            num += val * _kernels.kernel_pow_disk_sum(rs[:, None], ts, wrr[:, None] * wt, r, phi, p)
-        norm = float(np.dot(weights[start:stop], kern[start:stop])) / TWO_PI
+    for u, v in _spans(ray_offsets, BATCH_NODES // BASE_PANELS):
+        sel = order[ray_offsets[u] : ray_offsets[v]]
+        rays = pts[sel]
+        norms[sel], num, n, m = _circle_sums(mu, rays, p)
+        nodes, shared = nodes + n, shared + m
+        # the measure's parts as the integral sums them: atoms + boundary (= 0 + atoms + boundary),
+        # then each cell on its product rule, whose rules a ray's points share past the first rings
+        if mu.atoms:
+            num += _disk_sums(rays, rays[:, 1].tolist(), lambda i: (np.abs(zs), np.angle(zs), masses), p)
+        for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
+            keys = [(phi, *_cell_attracts(r0, r1, a0, a1, phi, scale)) for phi, scale in rays[:, 1:3].tolist()]
+            num += val * _disk_sums(rays, keys, lambda i: _cell_axes(r0, r1, a0, a1, *rays[i, 1:3].tolist()), p)
+        nums[sel] = num
+    norms /= TWO_PI
+    bad = np.flatnonzero(~(np.isfinite(norms) & np.isfinite(nums)))
+    if bad.size:  # the first failing point in the given order
+        r, norm = float(pts[bad[0], 0]), float(norms[bad[0]])
         if not math.isfinite(norm):
             raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
-        if not math.isfinite(num):
-            raise EvaluationError(f"the measure integral of |k_lam|^p overflows at |lam| = {r!r}, p = {p!r} (||k_lam||_p^p = {norm!r})")
-        vals[i] = num / norm
-    return vals
-
-
-def _rkt_points(mu: Measure, lams, cfg: HardyConfig):
-    """``rkt_functional`` at the kernel points lams, and the circle nodes it took:
-    one ``circle_panels`` call bisects all their rules, through the density's
-    breakpoints; whole rules are then evaluated in blocks of at most BATCH_NODES
-    nodes, a larger rule in a block of its own."""
-    pts = _kernel_points(lams)
-    lo, hi, offsets = circle_panels(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS)
-    vals, i = np.empty(len(pts)), 0
-    while i < len(pts):
-        j = max(i + 1, int(np.searchsorted(offsets, offsets[i] + BATCH_NODES // NODES_PER_PANEL, side="right")) - 1)
-        block = slice(offsets[i], offsets[j])
-        vals[i:j] = _rkt_batch(mu, pts[i:j], cfg, lo[block], hi[block], np.diff(offsets[i : j + 1]))
-        i = j
-    return vals, int(offsets[-1]) * NODES_PER_PANEL
+        raise EvaluationError(f"the measure integral of |k_lam|^p overflows at |lam| = {r!r}, p = {p!r} (||k_lam||_p^p = {norm!r})")
+    return nums / norms, len(ray_offsets) - 1, nodes, shared
 
 
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
     """integral of |K_lam|^p d(mu) for the normalized kernel K_lam; one rule through
     the density's breakpoints gives the boundary integral and ||k_lam||_p^p."""
-    return float(_rkt_points(mu, [lam], cfg)[0][0])
+    return float(_rkt_points(mu, _kernel_points([lam]), cfg)[0][0])
 
 
 class RktScan(NamedTuple):
     value: float
     witness: complex
     rows: np.ndarray  # columns (re_lambda, im_lambda, rkt_value)
-    rule_builds: int  # circle_panels calls
+    rule_builds: int  # bisection trees, one per ray
     nodes: int  # circle nodes evaluated
+    shared_nodes: int  # circle nodes mapped, and sines taken, once for a ray
 
 
 def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     """Minimum of the kernel functional over the origin and the grid;
-    estimates the best uniform lower constant over all kernel points.
-    ``_rkt_points`` takes the origin, then each ring in slices of at most
-    BISECT_POINTS points (a whole ring of every shipped config)."""
+    estimates the best uniform lower constant over all kernel points."""
     lams = np.concatenate([[0.0 + 0.0j], grid.points()])
-    ends = np.cumsum([0, 1, *grid.angles_per_ring.tolist()]).tolist()
-    slices = [slice(i, min(i + BISECT_POINTS, stop)) for start, stop in zip(ends, ends[1:]) for i in range(start, stop, BISECT_POINTS)]
-    vals, nodes = zip(*(_rkt_points(mu, lams[sl].tolist(), cfg) for sl in slices))
-    vals = np.concatenate(vals)
+    vals, trees, nodes, shared = _rkt_points(mu, _kernel_points(lams), cfg)
     i = int(np.argmin(vals))  # the first minimum, as a strict-< loop finds it
-    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), len(slices), sum(nodes))
+    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), trees, nodes, shared)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan integral raises EvaluationError below
@@ -304,8 +337,8 @@ def reverse_embedding_ratios(mu: Measure, fs, cfg: HardyConfig) -> list[float]:
         nums += _abs_pow_sums(np.exp(1j * rule.nodes), rule.weights * _panel_density(mu.boundary, rule.nodes), coeffs, p)
     if mu.area is not None:
         for r0, r1, a0, a1, val in mu.area.cells():
-            rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
-            nums += val * _abs_pow_sums((rs[:, None] * np.exp(1j * ts)).ravel(), (wrr[:, None] * wt).ravel(), coeffs, p)
+            rs, ts, weights = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
+            nums += val * _abs_pow_sums((rs * np.exp(1j * ts)).ravel(), weights.ravel(), coeffs, p)
     zero = ~coeffs.any(axis=0)
     bad = zero | (norms == 0.0) | ~np.isfinite(nums) | ~np.isfinite(norms)
     if bad.any():  # the first failing function in family order

@@ -83,66 +83,78 @@ class CircleRule(NamedTuple):
 MIN_PANEL_WIDTH = 2.0**-26
 
 
-def _next_edges(lo: np.ndarray, rule: np.ndarray) -> np.ndarray:
-    """Right panel edges: the next left edge of the rule, or its first plus 2*pi."""
-    first = np.flatnonzero(np.diff(rule, prepend=-1))
-    hi = np.append(lo[1:], 0.0)
-    hi[np.append(first[1:], lo.size) - 1] = lo[first] + TWO_PI
-    return hi
-
-
 def circle_panels(breakpoints, angles, scales, base_panels=16):
     """The panels of one circle rule per row of the (rules x peaks) arrays
     ``angles`` and ``scales``, all through the shared ``breakpoints`` (angles
     the panels must not cross).  Each rule's panels are graded dyadically
     toward its peaks until the local panel width is at most max(scale,
-    distance-to-peak, MIN_PANEL_WIDTH).  All panels of all rules are bisected
-    level by level with the float operations of a depth-first bisection of one
-    rule, so every rule is bit-identical to one built alone.  Returns the left
-    and right panel edges, in order along each rule, rule by rule, and the
-    panel offsets: rule k has panels [offsets[k]:offsets[k + 1]]."""
+    distance-to-peak, MIN_PANEL_WIDTH), with the float operations of a
+    depth-first bisection of that rule alone.  One-peak rules whose angles are
+    the same float share one tree: the split test is monotone in the scale, so
+    a panel splits for the rules of smallest scale and is a leaf for the rest.
+    All trees are bisected level by level.  Returns the distinct panels' left
+    and right edges, tree by tree, and the rules' panels: rule k has panels
+    index[offsets[k]:offsets[k + 1]], in order along it."""
     if base_panels < 1:
         raise DomainError("base_panels >= 1 required")
-    angles = _wrap_angles(np.asarray(angles, dtype=float))
+    angles = np.asarray(angles, dtype=float)
     scales = np.maximum(np.asarray(scales, dtype=float), MIN_PANEL_WIDTH)
-    rules = angles.shape[0]
+    rules, peaks = angles.shape
+    starts = order = np.arange(rules)
+    base_width = TWO_PI / base_panels
+    if peaks == 1:  # rules sorted by angle, then scale; a tree per angle float
+        order = np.lexsort((scales[:, 0], angles[:, 0]))
+        new = np.diff(angles[order, 0], prepend=np.nan) != 0.0
+        starts = np.flatnonzero(new)  # the first rule of each tree, in this order
+        keys = (np.cumsum(new) - 1) + 1j * (np.minimum(base_width, scales[order, 0]) * (1.0 + 1e-12))  # nondecreasing
+    angles, scales = _wrap_angles(angles[order[starts]]), scales[order[starts]]
     shared = np.concatenate([np.arange(base_panels) * TWO_PI / base_panels, _wrap_angles(np.asarray(breakpoints, dtype=float))])
-    edges = np.sort(np.concatenate([np.broadcast_to(shared, (rules, shared.size)), angles], axis=1), axis=1)
+    edges = np.sort(np.concatenate([np.broadcast_to(shared, (starts.size, shared.size)), angles], axis=1), axis=1)
     gap = np.diff(edges, axis=1)
-    keep = np.concatenate([np.ones((rules, 1), dtype=bool), gap > 1e-14], axis=1)
+    keep = np.concatenate([np.ones((starts.size, 1), dtype=bool), gap > 1e-14], axis=1)
     # a gap in (0, 1e-14] needs the sequential collapse: each edge against the last kept
     for k in np.flatnonzero(np.any((gap > 0.0) & (gap <= 1e-14), axis=1)):
         last = edges[k, 0]
         for j, e in enumerate(edges[k, 1:].tolist(), 1):
             keep[k, j] = e - last > 1e-14
             last = e if keep[k, j] else last
-    lo, rule = edges[keep], np.nonzero(keep)[0]
-    hi = _next_edges(lo, rule)
-    base_width = TWO_PI / base_panels
+    lo, tree = edges[keep], np.nonzero(keep)[0]
+    # a panel ends at the next edge of its tree, the last one at the tree's first edge plus 2*pi
+    heads = np.flatnonzero(np.diff(tree, prepend=-1))
+    hi = np.append(lo[1:], 0.0)
+    hi[np.append(heads[1:], lo.size) - 1] = lo[heads] + TWO_PI
+    stop = np.append(starts[1:], rules)[tree]  # a panel of tree t is in the rules at sorted positions starts[t]:stop
     done = []
     while lo.size:
         width = hi - lo
         cap = base_width
-        for angle, scale in zip(angles[rule].T, scales[rule].T):
+        for angle, scale in zip(angles[tree].T, scales[tree].T):
             # both angles lie in [0, 2*pi), so fmod(angle - lo, 2*pi) is angle - lo
             off = angle - lo
             off = np.where(off < 0.0, off + TWO_PI, off)
             # a peak inside the panel has distance 0; min(off - width, .) <= 0 < scale then
-            cap = np.minimum(cap, np.maximum(scale, np.minimum(off - width, TWO_PI - off)))
+            dist = np.minimum(off - width, TWO_PI - off)
+            cap = np.minimum(cap, dist if peaks == 1 else np.maximum(scale, dist))
         split = (width > cap * (1.0 + 1e-12)) & (width > 2.0 * MIN_PANEL_WIDTH)
-        stay = ~split
-        done.append((lo[stay], rule[stay]))
-        lo, hi, rule = lo[split], hi[split], rule[split]
+        # one peak: the rules whose scale is at most the distance split, and those whose keys lie below the width
+        first = starts[tree]
+        cut = np.where(split, np.searchsorted(keys, tree + 1j * width) if peaks == 1 else stop, first)
+        leaf, go = cut < stop, cut > first
+        done.append((lo[leaf], hi[leaf], tree[leaf], cut[leaf], stop[leaf]))
+        lo, hi, tree, stop = lo[go], hi[go], tree[go], cut[go]
         mid = 0.5 * (lo + hi)
-        lo, hi, rule = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([rule, rule])
-    lo, rule = (np.concatenate(part) for part in zip(*done))
-    order = np.lexsort((lo, rule))  # panels in order along each rule, rule by rule
-    lo, rule = lo[order], rule[order]
-    hi = _next_edges(lo, rule)
+        lo, hi, tree, stop = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([tree, tree]), np.concatenate([stop, stop])
+    lo, hi, tree, first, stop = (np.concatenate(part) for part in zip(*done))
     # an empty panel, the only kind whose Gauss weights are not positive
     if np.any(hi <= lo):
         raise DomainError("quadrature weights must be positive")
-    return lo, hi, np.concatenate([[0], np.cumsum(np.bincount(rule, minlength=rules))])
+    sort = np.lexsort((lo, tree))  # panels in order along each tree, tree by tree
+    lo, hi, first, stop = lo[sort], hi[sort], first[sort], stop[sort]
+    # one (panel, rule) pair per rule a panel is a leaf of, then grouped rule by rule
+    count = stop - first
+    rule = order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)]
+    index = np.repeat(np.arange(lo.size), count)[np.argsort(rule, kind="stable")]
+    return lo, hi, index, np.concatenate([[0], np.cumsum(np.bincount(rule, minlength=rules))])
 
 
 def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12) -> CircleRule:
@@ -150,7 +162,7 @@ def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=
     if nodes_per_panel < 2:
         raise DomainError("nodes_per_panel >= 2 required")
     peaks = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
-    lo, hi, _ = circle_panels(breakpoints, peaks[..., 0], peaks[..., 1], base_panels)
+    lo, hi, _, _ = circle_panels(breakpoints, peaks[..., 0], peaks[..., 1], base_panels)
     return CircleRule(*gauss_legendre_panel(lo, hi, nodes_per_panel))
 
 

@@ -211,13 +211,13 @@ class TestRunners:
         assert header == "re_lambda,im_lambda,rkt_value"
 
     def test_rkt_hardy_work_counts(self, tmp_path):
-        # the shipped scan: one bisection for the origin and one per ring, and the
-        # nodes of all 1,281 circle rules
+        # the shipped scan: one bisection tree per ray, the nodes of all 1,281
+        # circle rules, and the nodes of their 13,179 distinct panels
         cfg = Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json"
         out = tmp_path / "o"
         assert run(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert (summary["scan_rule_builds"], summary["scan_nodes"]) == (21, 1_720_224)
+        assert (summary["scan_rule_builds"], summary["scan_nodes"], summary["scan_shared_nodes"]) == (100, 1_720_224, 210_864)
 
     def test_phi_h(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", PHIH_DOC)
@@ -260,6 +260,14 @@ class TestRunners:
         assert summary["sublevel_margin"] is None
         header = (out / "theorem2.csv").read_text().splitlines()[0]
         assert header == "re_z,im_z,phi,norm_mu_sq"
+
+    def test_theorem2_loads_no_numpy_random(self, tmp_path):
+        # the kernel-formula points come from the standard library's random module
+        code = "import sys; from rktlab.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)"
+        argv = ["run", "--config", str(ROOT / "configs" / "theorem2_two_zeros.json"), "--out", str(tmp_path / "o"), "--quick"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True, text=True)
+        assert done.stdout.split() == [str(EXIT_OK), "False"]
 
     def test_seed_in_config_wins(self, tmp_path):
         doc = dict(RKT_DOC, seed=5)

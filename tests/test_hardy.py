@@ -117,8 +117,8 @@ def reference_ratios(mu, fs, cfg):
         rule = circle_quadrature(mu.boundary.breakpoints, (), BASE_PANELS, NODES_PER_PANEL)
         parts.append((np.exp(1j * rule.nodes), rule.weights * mu.boundary.value_at(rule.nodes), 1.0))
     for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
-        rs, wrr, ts, wt = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
-        parts.append((np.outer(rs, np.exp(1j * ts)).ravel(), np.outer(wrr, wt).ravel(), val))
+        rs, ts, weights = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
+        parts.append((np.outer(rs, np.exp(1j * ts)).ravel(), weights.ravel(), val))
     ratios = []
     for f in fs:
         c = np.trim_zeros(np.asarray(f)[::-1], "f")
@@ -350,10 +350,10 @@ class TestRktScan:
 
 
 class TestRktBatches:
-    # rings of 1, 7 and 64 angles; a rule has at least 64 panels of 16 nodes, so at
-    # 600 nodes per block every rule is a block of its own, and at 2^14 a block of
-    # the 64-angle ring ends inside the ring; at 5 points per bisection the rings
-    # of 7 and 64 angles are cut into 2 and 13 slices
+    # rings of 1, 7 and 64 angles: 80 points on 74 rays (angle floats); a rule has
+    # at least 64 panels of 16 nodes, so at 600 nodes per block every rule is a
+    # block of its own and a bisection takes whole rays of at most 600 // 64 = 9
+    # points (a longer ray alone), and at 2^14 a block ends inside a ray
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_scan_bit_identical_to_point_by_point(self, monkeypatch, p):
         cfg, mu = hardy_config(p), mixed_measure()
@@ -365,11 +365,10 @@ class TestRktBatches:
             circle_quadrature(mu.boundary.breakpoints, [(math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - abs(lam)), 2.0**-24))], BASE_PANELS, NODES_PER_PANEL).nodes.size
             for lam in lams
         )
-        for batch, bisect, builds in ((hardy.BATCH_NODES, hardy.BISECT_POINTS, 5), (600, hardy.BISECT_POINTS, 5), (hardy.BATCH_NODES, 5, 19)):
+        for batch in (hardy.BATCH_NODES, 600):
             monkeypatch.setattr(hardy, "BATCH_NODES", batch)
-            monkeypatch.setattr(hardy, "BISECT_POINTS", bisect)
             scan = rkt_infimum_scan(mu, cfg, grid)
-            assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes) == (builds, nodes)
+            assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes, scan.shared_nodes) == (74, nodes, 92_320)
 
     def test_overflow_names_first_point_in_scan_order(self):
         cfg, mu, grid = hardy_config(300.0), mixed_measure(), DiskGrid.dyadic(8, 7)
@@ -399,7 +398,7 @@ class TestRktBatches:
         rng = np.random.default_rng(len(bp))
         angles = np.concatenate([bp, np.add(bp, 1e-12), np.subtract(bp, 1e-9), [0.0, -1e-17, TWO_PI - 1e-12], rng.uniform(0.0, TWO_PI, 8)])
         scales = np.geomspace(2.0**-30, 0.5, angles.size)
-        lo, hi, _ = circle_panels(density.breakpoints, angles[:, None], scales[:, None], BASE_PANELS)
+        lo, hi, _, _ = circle_panels(density.breakpoints, angles[:, None], scales[:, None], BASE_PANELS)
         nodes = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0]
         assert np.array_equal(_panel_density(density, nodes), density.value_at(nodes))
 
@@ -407,7 +406,7 @@ class TestRktBatches:
         # a breakpoint one ulp below 2*pi leaves the panel [2*pi - ulp, 2*pi]; its later
         # nodes round to 2*pi, where a lookup per node wraps to the first piece
         density = BoundaryDensity(np.array([0.0, 1.0, TWO_PI - 1e-15]), np.array([1.0, 2.0, 3.0]))
-        lo, hi, _ = circle_panels(density.breakpoints, np.zeros((1, 0)), np.zeros((1, 0)), BASE_PANELS)
+        lo, hi, _, _ = circle_panels(density.breakpoints, np.zeros((1, 0)), np.zeros((1, 0)), BASE_PANELS)
         nodes = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0]
         assert lo[-1] == np.nextafter(TWO_PI, 0.0)
         assert 1.0 in density.value_at(nodes[-NODES_PER_PANEL:])
@@ -422,8 +421,10 @@ class TestRktBatches:
         assert scan.rows[:, 2].tolist() == [reference_rkt(mu, lam, cfg) for lam in lams]
 
     def test_work_counts(self, monkeypatch):
-        # the shipped C2 scan bisects the origin's rule and then each ring's rules in
-        # one circle_panels call, and the C1 family builds the breakpoint rule once
+        # the shipped C2 scan bisects one tree per ray, 100 angle floats: the origin's,
+        # the 64 grid angles and 35 more where atan2 rounds differently on some rings;
+        # calls take whole rays of at most 256 points, and 13,179 distinct panels
+        # serve 107,514 rule panels; the C1 family builds the breakpoint rule once
         doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json").read_text())
         cfg, mu = hardy_config(doc["p"]), normalized_arclength()
         levels, angles = doc["grid"]["levels"], doc["grid"]["angles"]
@@ -433,8 +434,8 @@ class TestRktBatches:
         quadrature = hardy.circle_quadrature
         monkeypatch.setattr(hardy, "circle_quadrature", lambda *a, **k: rules.append(1) or quadrature(*a, **k))
         scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(levels, angles))
-        assert sets == [1] + [angles] * levels and sum(sets) == 1281 and not rules
-        assert scan.rule_builds == levels + 1 == 21
+        assert len(sets) == 6 and max(sets) <= 256 and sum(sets) == 1281 and not rules
+        assert (scan.rule_builds, scan.nodes, scan.shared_nodes) == (100, 107_514 * NODES_PER_PANEL, 13_179 * NODES_PER_PANEL)
         family = random_polynomials(doc["polynomials"]["count"], doc["polynomials"]["max_degree"])
         reverse_embedding_ratios(mu, family, cfg)
         assert len(rules) == 1

@@ -119,7 +119,7 @@ class TestCircleQuadrature:
         f = lambda t: np.exp(np.cos(t)) * np.sin(3 * t) ** 2
         v1 = integrate_circle(f, q)
         q2 = circle_quadrature(nodes_per_panel=24)  # twice the default, same panel edges
-        lo, hi, _ = circle_panels((), np.zeros((1, 0)), np.zeros((1, 0)))
+        lo, hi, _, _ = circle_panels((), np.zeros((1, 0)), np.zeros((1, 0)))
         assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, 12)[0])
         assert np.array_equal(q2.nodes, gauss_legendre_panel(lo, hi, 24)[0])
         v2 = integrate_circle(f, q2)
@@ -127,7 +127,7 @@ class TestCircleQuadrature:
 
     def test_breakpoints_are_panel_edges(self):
         q = circle_quadrature(breakpoints=[1.0, 2.5])
-        lo, hi, _ = circle_panels([1.0, 2.5], np.zeros((1, 0)), np.zeros((1, 0)))
+        lo, hi, _, _ = circle_panels([1.0, 2.5], np.zeros((1, 0)), np.zeros((1, 0)))
         assert np.any(np.isclose(lo, 1.0))
         assert np.any(np.isclose(lo, 2.5))
         assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, 12)[0])
@@ -196,7 +196,7 @@ class TestRuleBuildersBitIdentical:
             return
         rule = circle_quadrature(**args)
         pk = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
-        lo, hi, _ = circle_panels(breakpoints, pk[..., 0], pk[..., 1], base_panels)
+        lo, hi, _, _ = circle_panels(breakpoints, pk[..., 0], pk[..., 1], base_panels)
         assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:]) and edges[-1] == TWO_PI
         assert np.array_equal(rule.nodes, nodes)
         assert np.array_equal(rule.weights, weights)
@@ -224,28 +224,29 @@ class TestRuleBuildersBitIdentical:
             for a, s in zip(angles.tolist(), scales.tolist())
         ]
         assume(all(np.all(ref[2] > 0.0) for ref in refs))  # an empty panel is refused
-        lo, hi, offsets = circle_panels(breakpoints, angles, scales, base_panels)
-        got_nodes, got_weights = gauss_legendre_panel(lo, hi, nodes_per_panel)  # all rules mapped at once
+        lo, hi, index, offsets = circle_panels(breakpoints, angles, scales, base_panels)
+        got_nodes, got_weights = gauss_legendre_panel(lo, hi, nodes_per_panel)  # all panels mapped at once
         assert offsets.size == rules + 1
         for k, (edges, nodes, weights) in enumerate(refs):
-            sl = slice(offsets[k] * nodes_per_panel, offsets[k + 1] * nodes_per_panel)
-            assert np.array_equal(got_nodes[sl], nodes)
-            assert np.array_equal(got_weights[sl], weights)
-            assert np.array_equal(lo[offsets[k] : offsets[k + 1]], edges[:-1])
-            assert np.array_equal(hi[offsets[k] : offsets[k + 1]], edges[1:])
+            panels = index[offsets[k] : offsets[k + 1]]
+            assert np.array_equal(got_nodes.reshape(-1, nodes_per_panel)[panels].ravel(), nodes)
+            assert np.array_equal(got_weights.reshape(-1, nodes_per_panel)[panels].ravel(), weights)
+            assert np.array_equal(lo[panels], edges[:-1])
+            assert np.array_equal(hi[panels], edges[1:])
 
     def test_near_duplicates_collapse_against_the_last_kept_edge(self):
         # 1 - 1e-14 is kept, 1 is within 1e-14 of it and dropped, 1 + 5e-15 is
         # 1.5e-14 from the kept edge and stays (though within 1e-14 of 1)
         breakpoints = [1.0 - 1e-14, 1.0, 1.0 + 5e-15]
         angles, scales = np.array([[0.3], [1.0], [4.0]]), np.full((3, 1), 0.01)
-        lo, hi, offsets = circle_panels(breakpoints, angles, scales, 16)
-        got_nodes, got_weights = gauss_legendre_panel(lo, hi, 12)
+        lo, hi, index, offsets = circle_panels(breakpoints, angles, scales, 16)
         for k in range(3):
             edges, nodes, weights = _reference_circle_rule(breakpoints, [(angles[k, 0], 0.01)], 16, 12)
             assert np.any(edges == 1.0 + 5e-15) and not np.any(edges == 1.0)
-            assert np.array_equal(got_nodes[offsets[k] * 12 : offsets[k + 1] * 12], nodes)
-            assert np.array_equal(got_weights[offsets[k] * 12 : offsets[k + 1] * 12], weights)
+            panels = index[offsets[k] : offsets[k + 1]]
+            got_nodes, got_weights = gauss_legendre_panel(lo[panels], hi[panels], 12)
+            assert np.array_equal(got_nodes, nodes)
+            assert np.array_equal(got_weights, weights)
 
     @given(
         lo=st.floats(-4.0, 4.0),
@@ -261,6 +262,48 @@ class TestRuleBuildersBitIdentical:
         ref_nodes, ref_weights = _reference_panels(edges, n)
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(weights, ref_weights)
+
+
+def _assert_rules_as_built_alone(breakpoints, angles, scales, base_panels=64):
+    """Every rule of one circle_panels call has the panels of a call on it alone."""
+    lo, hi, index, offsets = circle_panels(breakpoints, angles, scales, base_panels)
+    assert offsets.size == len(angles) + 1 and np.unique(index).size == lo.size
+    for k in range(len(angles)):
+        panels = index[offsets[k] : offsets[k + 1]]
+        alone_lo, alone_hi, alone_index, _ = circle_panels(breakpoints, angles[k : k + 1], scales[k : k + 1], base_panels)
+        assert np.array_equal(alone_index, np.arange(alone_lo.size))
+        assert np.array_equal(lo[panels], alone_lo) and np.array_equal(hi[panels], alone_hi)
+    return lo.size
+
+
+class TestSharedTrees:
+    # one-peak rules with the same angle float are bisected as one tree
+    SCALES = 2.0 ** -np.arange(1.0, 25.0)
+
+    def test_one_angle_at_every_scale(self):
+        # scales 2^-1 ... 2^-24, given in a shuffled order, share the panels of the finest rule's tree
+        scales = np.random.default_rng(3).permutation(self.SCALES)[:, None]
+        shared = _assert_rules_as_built_alone([0.5, 4.0], np.full((24, 1), 1.234), scales)
+        finest = circle_panels([0.5, 4.0], [[1.234]], [[2.0**-24]], 64)[0].size
+        assert finest < shared < 2 * finest
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-15, -5e-15, 1e-14, -1e-14])
+    def test_breakpoint_at_or_beside_the_angle(self, offset):
+        # within 1e-14 the edges collapse one by one against the last kept edge
+        angle = 2.0 * TWO_PI / 64 + 0.3
+        _assert_rules_as_built_alone([angle + offset, angle - 1e-14, 5.0], np.full((24, 1), angle), self.SCALES[:, None])
+
+    def test_angles_equal_only_after_wrapping(self):
+        # -pi and pi, 2 pi and 0, -1e-17 and 0 wrap to one angle but are trees of their own
+        angles = np.array([[-math.pi], [math.pi], [TWO_PI], [0.0], [-1e-17], [math.pi]])
+        scales = np.array([[1e-3], [1e-5], [1e-4], [2.0**-24], [1e-2], [0.3]])
+        _assert_rules_as_built_alone([], angles, scales)
+
+    def test_two_peak_rules_are_trees_of_their_own(self):
+        # a call of two-peak rules, one of them with both peaks at one angle
+        angles = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 3.0], [3.0, 1.0]])
+        scales = np.array([[1e-4, 1e-4], [1e-6, 1e-6], [1e-4, 1e-6], [1e-5, 1e-3]])
+        _assert_rules_as_built_alone([2.0], angles, scales, 16)
 
 
 class TestDiskGrid:
