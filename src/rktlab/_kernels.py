@@ -1,9 +1,10 @@
 """Hot numeric kernels in vectorized numpy.
 
 The inner loops here dominate the runtime of every grid scan in the
-package: powers of the Cauchy kernel summed over quadrature nodes, the
-window double integrals, the sinc-kernel masses over the Kadets set (closed-form
-copy sums, O(grid) at any truncation) and the dense Hermitian eigensolve
+package: powers of the Cauchy kernel summed over blocks of whole circle
+rules (every ||k_lam||_p) and over disk nodes, the window double
+integrals, the sinc-kernel masses over the Kadets set (closed-form copy
+sums, O(grid) at any truncation) and the dense Hermitian eigensolve
 behind the Gram diagnostics.
 
 All kernels work in real arithmetic.  For lam = R*exp(i*phi) and
@@ -23,17 +24,6 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "ACTIVE_BACKEND",
-    "kernel_pow_circle_sum",
-    "kernel_pow_disk_sum",
-    "phi_h_window_sum",
-    "kadets_points", "pw_sinc_mass",
-    "pw_rkt_grid",
-    "jacobi_eigh",
-    "pw_norm_factor",
-]
-
 #: The one kernel implementation; reported as ``backend`` in summary.json.
 ACTIVE_BACKEND = "numpy"
 
@@ -52,20 +42,31 @@ def pw_norm_factor(im: float) -> float:
     return x / math.sinh(x)
 
 
-def kernel_pow_circle_sum(thetas, weights, r, phi, p):
-    s = np.sin(0.5 * (thetas - phi))
-    d2 = (1.0 - r) ** 2 + 4.0 * r * s * s
-    return float(np.dot(weights, d2 ** (-0.5 * p)))
+def kernel_pow_circle_sum(sines, weights, dens_weights, r, counts, p):
+    """Sums of |k_lam|^p against weights and dens_weights (None: zeros) for a block of whole
+    circle rules, one per radius r: rule k takes the next counts[k] rows of the weights and of
+    sines = sin((theta - phi)/2).  (1 - r)^2 is a Python power; numpy's can differ in the last bit."""
+    kern = np.repeat([4.0 * x for x in r.tolist()], counts)[:, None] * sines
+    kern *= sines
+    kern += np.repeat([(1.0 - x) ** 2 for x in r.tolist()], counts)[:, None]
+    kern **= -0.5 * p
+    kern, w, stops = kern.ravel(), weights.ravel(), (np.cumsum(counts) * sines.shape[1]).tolist()
+    dw = None if dens_weights is None else dens_weights.ravel()
+    norms, nums = np.empty(len(stops)), np.zeros(len(stops))
+    for k, a, b in zip(range(len(stops)), [0, *stops], stops):
+        norms[k] = np.dot(w[a:b], kern[a:b])
+        if dw is not None:
+            nums[k] = np.dot(dw[a:b], kern[a:b])
+    return norms, nums
 
 
 def kernel_pow_disk_sum(rhos, thetas, weights, r, phi, p):
-    """A column of radii against a row of angles sums over their product grid.
-    An array of kernel radii r, all at the angle phi, gives a list of sums."""
+    """A column of radii against a row of angles sums over their product grid:
+    a list of sums, one per kernel radius of the array r, all at the angle phi."""
     s = np.sin(0.5 * (thetas - phi))
     rr = np.multiply.outer(r, rhos)
     d2 = (1.0 - rr) ** 2 + 4.0 * rr * s * s
-    sums = [float(np.dot(np.ravel(weights), v)) for v in np.reshape(d2 ** (-0.5 * p), (np.size(r), -1))]
-    return sums if np.ndim(r) else sums[0]
+    return [float(np.dot(np.ravel(weights), v)) for v in np.reshape(d2 ** (-0.5 * p), (len(r), -1))]
 
 
 def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):

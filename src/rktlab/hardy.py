@@ -14,9 +14,10 @@ is a 2-d array with one polynomial per row.
 
 The scans batch their work with bit-identical values: the kernel points of
 a ray (one angle float) share one ``circle_panels`` tree, whose distinct
-panels are mapped and take their sines once; each rule is then summed on
-gathered copies, and the atoms and cells of a ray's points in array passes.
-``rkt_functional`` is that path on one point.  A polynomial family is
+panels are mapped and take their sines once; ``_kernels.kernel_pow_circle_sum``
+sums blocks of whole rules on gathered copies, and the atoms and cells of a
+ray's points go in array passes.  ``rkt_functional`` is that path on one point,
+and ``kernel_norm`` its circle sum on the zero measure.  A polynomial family is
 evaluated on a measure's nodes built once.  A phi_h depth sequence takes one
 kernel matrix per z on the union of its depths' radial panels, which dyadic
 depths share.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,11 +82,12 @@ UNIFORM_RULE = circle_quadrature(base_panels=BASE_PANELS, nodes_per_panel=NODES_
 
 
 def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Seeded family of random polynomials with complex Gaussian coefficients:
-    row k holds polynomial k's max_degree + 1 ascending coefficients, drawn as
-    its real parts, then its imaginary parts."""
-    parts = np.random.default_rng(seed).standard_normal((count, 2, max_degree + 1))
-    return (parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0)
+    """Seeded family of random polynomials with standard complex Gaussian coefficients
+    (E|c|^2 = 1): row k holds polynomial k's max_degree + 1 ascending coefficients,
+    each c = sqrt(-log(1 - u)) e^(2 pi i v) from the next two uniforms u, v."""
+    rng = random.Random(seed)
+    u = np.reshape([rng.random() for _ in range(2 * count * (max_degree + 1))], (count, max_degree + 1, 2))
+    return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(1j * TWO_PI * u[..., 1])
 
 
 def _abs_pow_sums(zs: np.ndarray, weights: np.ndarray, coeffs: np.ndarray, p: float) -> np.ndarray:
@@ -109,15 +112,15 @@ def _hp_norms_p(coeffs: np.ndarray, cfg: HardyConfig) -> np.ndarray:
 
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
     """||k_lam||_p by quadrature; for p = 2 this matches (1-|lam|^2)^(-1/2)."""
-    r, phi, scale, _, _ = _kernel_points([lam])[0].tolist()
+    pts = _kernel_points([lam])
+    r = float(pts[0, 0])
     if 1.0 - r < (1.0 - RADIAL_CAP) * (1.0 - 1e-9):
         warnings.warn(
             f"1-|lam|={1.0 - r:.3e} is beyond the grid cap {1.0 - RADIAL_CAP:.3e}; "
             "the quadrature is reported at reduced confidence",
             PrecisionWarning,
         )
-    rule = circle_quadrature(peaks=[(phi, scale)], base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
-    return (_kernels.kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, cfg.p) / TWO_PI) ** (1.0 / cfg.p)
+    return (float(_circle_sums(Measure(), pts, cfg.p)[0][0]) / TWO_PI) ** (1.0 / cfg.p)
 
 
 def _nearest_on_arc(angle: float, lo: float, hi: float) -> float:
@@ -193,14 +196,14 @@ def _panel_density(density: BoundaryDensity, nodes: np.ndarray) -> np.ndarray:
 
 
 def _kernel_points(lams) -> np.ndarray:
-    """Rows (r, phi, peak scale, (1 - r)^2, 4 r) of kernel points, as the scalar kernel forms them."""
-    pts = np.empty((len(lams), 5))
+    """Rows (r, phi, peak scale) of kernel points."""
+    pts = np.empty((len(lams), 3))
     for k, lam in enumerate(lams):
         lam = ensure_point(lam)
         r = abs(lam)
         if r >= 1.0:
             raise DomainError(f"kernel point must lie in the open disk, got |lam|={r}")
-        pts[k] = r, math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - r), 2.0**-24), (1.0 - r) ** 2, 4.0 * r
+        pts[k] = r, math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - r), 2.0**-24)
     return pts
 
 
@@ -240,21 +243,12 @@ def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
     phi[index] = np.repeat(pts[:, 1], counts)
     x -= phi[:, None]  # sin((theta - phi)/2), in place of the nodes
     s = np.sin(np.multiply(x, 0.5, out=x), out=x)
-    norms, nums = np.empty(len(pts)), np.zeros(len(pts))
+    norms, nums = np.empty(len(pts)), np.empty(len(pts))
     for i, j in _spans(offsets, BATCH_NODES // NODES_PER_PANEL):
-        # (1 - r)^2 + 4 r sin((theta - phi)/2)^2 on gathered copies of a block of whole rules
-        idx = index[offsets[i] : offsets[j]]
-        sines = s[idx]
-        kern = np.repeat(pts[i:j, 4], counts[i:j])[:, None] * sines
-        kern *= sines
-        kern += np.repeat(pts[i:j, 3], counts[i:j])[:, None]
-        kern **= -0.5 * p
-        kern, w, stops = kern.ravel(), weights[idx].ravel(), (np.cumsum(counts[i:j]) * NODES_PER_PANEL).tolist()
-        dw = dens_weights[idx].ravel() if boundary else None
-        for k, a, b in zip(range(i, j), [0, *stops], stops):
-            norms[k] = np.dot(w[a:b], kern[a:b])
-            nums[k] = np.dot(dw[a:b], kern[a:b]) if boundary else 0.0
-        del sines, kern, w, dw  # one block's arrays at a time
+        idx = index[offsets[i] : offsets[j]]  # gathered copies of a block of whole rules
+        norms[i:j], nums[i:j] = _kernels.kernel_pow_circle_sum(
+            s[idx], weights[idx], dens_weights[idx] if boundary else None, pts[i:j, 0], counts[i:j], p
+        )
     return norms, nums, int(offsets[-1]) * NODES_PER_PANEL, s.size
 
 

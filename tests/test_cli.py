@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rktlab import _kernels
 from rktlab.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_PRECISION, MEASURE_FIELDS, SCHEMAS, _write_csv, main, render_report
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError, PrecisionError
 
@@ -210,6 +211,23 @@ class TestRunners:
         header = (out / "rkt-hardy.csv").read_text().splitlines()[0]
         assert header == "re_lambda,im_lambda,rkt_value"
 
+    def test_kernel_norm_check_sees_the_scan(self, tmp_path, monkeypatch):
+        # kernel-norm-closed-form and the rkt_value column reach ||k_lam||_p through one kernel
+        cfg = write_config(tmp_path, "r.json", RKT_DOC)
+        assert run(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--quick"]) == EXIT_OK
+        kernel = _kernels.kernel_pow_circle_sum
+
+        def off_by_one_percent(*args):
+            norms, nums = kernel(*args)
+            return 0.99 * norms, nums
+
+        monkeypatch.setattr(_kernels, "kernel_pow_circle_sum", off_by_one_percent)
+        assert run(["run", "--config", cfg, "--out", str(tmp_path / "b"), "--quick"]) == EXIT_INVARIANT
+        checks = json.loads((tmp_path / "b" / "summary.json").read_text())["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == ["kernel-norm-closed-form"]
+        csvs = [np.loadtxt(tmp_path / d / "rkt-hardy.csv", delimiter=",", skiprows=1) for d in "ab"]
+        assert np.array_equal(csvs[0][:, :2], csvs[1][:, :2]) and np.allclose(csvs[1][:, 2], csvs[0][:, 2] / 0.99, rtol=1e-12)
+
     def test_rkt_hardy_work_counts(self, tmp_path):
         # the shipped scan: one bisection tree per ray, the nodes of all 1,281
         # circle rules, and the nodes of their 13,179 distinct panels
@@ -260,14 +278,6 @@ class TestRunners:
         assert summary["sublevel_margin"] is None
         header = (out / "theorem2.csv").read_text().splitlines()[0]
         assert header == "re_z,im_z,phi,norm_mu_sq"
-
-    def test_theorem2_loads_no_numpy_random(self, tmp_path):
-        # the kernel-formula points come from the standard library's random module
-        code = "import sys; from rktlab.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)"
-        argv = ["run", "--config", str(ROOT / "configs" / "theorem2_two_zeros.json"), "--out", str(tmp_path / "o"), "--quick"]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True, text=True)
-        assert done.stdout.split() == [str(EXIT_OK), "False"]
 
     def test_seed_in_config_wins(self, tmp_path):
         doc = dict(RKT_DOC, seed=5)
@@ -617,6 +627,15 @@ class TestShippedConfigs:
         # every cell is a plain number: repr of a numpy scalar would read np.float64(...)
         lines = (out / f"{summary['kind']}.csv").read_text().splitlines()[1:]
         assert lines and [float(x) for line in lines for x in line.split(",")]
+
+    @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
+    def test_quick_run_loads_no_numpy_random(self, tmp_path, config):
+        # random draws come from the standard library's random module
+        code = "import sys; from rktlab.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)"
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quick"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True, text=True)
+        assert done.stdout.split() == [str(EXIT_OK), "False"]
 
     @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
     def test_full_run_matches_the_benchmark_reference(self, tmp_path, config):

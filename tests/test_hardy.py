@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import random
 import re
 import warnings
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from rktlab import hardy
-from rktlab._kernels import kernel_pow_circle_sum, kernel_pow_disk_sum
+from rktlab._kernels import kernel_pow_disk_sum
 from rktlab.errors import DomainError, EvaluationError, PrecisionWarning
 from rktlab.hardy import (
     BASE_PANELS,
@@ -62,27 +64,34 @@ def kernel_loop(mu, lam, p):
     return total
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below, as in _rkt_batch
+def circle_kernel_sum(thetas, weights, r, phi, p):
+    """weights @ |k_lam|^p at the circle nodes thetas, for lam = r e^(i phi)."""
+    s = np.sin(0.5 * (thetas - phi))
+    d2 = (1.0 - r) ** 2 + 4.0 * r * s * s
+    return float(np.dot(weights, d2 ** (-0.5 * p)))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below, as in _rkt_points
 def reference_rkt(mu, lam, cfg):
-    """rkt_functional one point at a time: a circle rule of its own through the
-    breakpoints, flat polar-cell nodes and one kernel sum per part of mu."""
+    """rkt_functional one point at a time: a circle rule and a circle kernel of its
+    own, through the breakpoints, flat polar-cell nodes and one kernel sum per part of mu."""
     r, phi, p = abs(lam), math.atan2(lam.imag, lam.real), cfg.p
     scale = max(0.5 * (1.0 - r), 2.0**-24)
     rule = circle_quadrature(mu.boundary.breakpoints, [(phi, scale)], BASE_PANELS, NODES_PER_PANEL)
     num = 0.0
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
-        num += kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, r, phi, p)
+        num += kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, [r], phi, p)[0]
     if mu.boundary.total() > 0.0:
-        num += kernel_pow_circle_sum(rule.nodes, rule.weights * mu.boundary.value_at(rule.nodes), r, phi, p)
+        num += circle_kernel_sum(rule.nodes, rule.weights * mu.boundary.value_at(rule.nodes), r, phi, p)
     for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
         r_edges = _graded_edges(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),))
         a_edges = _graded_edges(a0, a1, ((_nearest_on_arc(phi, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),))
         rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], 8)
         ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], 8)
         wts = np.repeat(wr * rs, ts.size) * np.tile(wt, rs.size)
-        num += val * kernel_pow_disk_sum(np.repeat(rs, ts.size), np.tile(ts, rs.size), wts, r, phi, p)
-    norm = kernel_pow_circle_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI
+        num += val * kernel_pow_disk_sum(np.repeat(rs, ts.size), np.tile(ts, rs.size), wts, [r], phi, p)[0]
+    norm = circle_kernel_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI
     if not (math.isfinite(num) and math.isfinite(norm)):
         raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
     return num / norm
@@ -530,16 +539,15 @@ class TestReverseEmbedding:
 class TestRandomPolynomials:
     @pytest.mark.parametrize("count,max_degree", [(1, 0), (200, 32), (1000, 256)])
     def test_one_draw_matches_the_loop(self, count, max_degree):
-        # the draw order of a loop per polynomial (real parts, then imaginary
-        # parts): the bytes of every c1_min_ratio depend on it
-        rng = np.random.default_rng(hardy.DEFAULT_SEED)
-        loop = []
-        for _ in range(count):
-            re, im = rng.standard_normal(max_degree + 1), rng.standard_normal(max_degree + 1)
-            loop.append((re + 1j * im) / math.sqrt(2.0))
+        # the draw order of a loop per coefficient (modulus, then angle): the
+        # bytes of every c1_min_ratio depend on it
+        rng = random.Random(hardy.DEFAULT_SEED)
+        loop = [[cmath.rect(math.sqrt(-math.log1p(-rng.random())), TWO_PI * rng.random()) for _ in range(max_degree + 1)] for _ in range(count)]
         family = random_polynomials(count, max_degree)
         assert family.shape == (count, max_degree + 1)
-        assert np.array_equal(family.view(np.uint64), np.array(loop).view(np.uint64))
+        assert np.allclose(family, loop, rtol=0.0, atol=1e-15)
+        if family.size > 10**5:  # a standard complex Gaussian: mean 0, E|c|^2 = 1
+            assert abs(family.mean()) < 0.01 and abs(np.mean(np.abs(family) ** 2) - 1.0) < 0.01
 
 
 class TestPhiH:
