@@ -18,9 +18,10 @@ panels are mapped and take their sines once; ``_kernels.kernel_pow_circle_sum``
 sums blocks of whole rules on gathered copies, and the atoms and cells of a
 ray's points go in array passes.  ``rkt_functional`` is that path on one point,
 and ``kernel_norm`` its circle sum on the zero measure.  A polynomial family is
-evaluated on a measure's nodes built once.  A phi_h depth sequence takes one
-kernel matrix per z on the union of its depths' radial panels, which dyadic
-depths share.
+evaluated on a measure's nodes built once, and its ||f||_p^p and boundary
+integral come from one circle rule through the breakpoints, as the kernels' do.
+A phi_h depth sequence takes one kernel matrix per z on the union of its
+depths' radial panels, which dyadic depths share.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ def hardy_config(p: float) -> HardyConfig:
     return HardyConfig(p=float(p))
 
 
-#: The circle rule of every ||f||_p: BASE_PANELS uniform panels.
-UNIFORM_RULE = circle_quadrature(base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
-
-
 def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Seeded family of random polynomials with standard complex Gaussian coefficients
     (E|c|^2 = 1): row k holds polynomial k's max_degree + 1 ascending coefficients,
@@ -90,24 +87,21 @@ def random_polynomials(count: int, max_degree: int = 32, seed: int = DEFAULT_SEE
     return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(1j * TWO_PI * u[..., 1])
 
 
-def _abs_pow_sums(zs: np.ndarray, weights: np.ndarray, coeffs: np.ndarray, p: float) -> np.ndarray:
-    """weights @ |f(zs)|^p for every column f of ``coeffs``: Vandermonde
-    products in node and column blocks of about BATCH_NODES values."""
+def _abs_pow_sums(zs: np.ndarray, weights: Sequence[np.ndarray], coeffs: np.ndarray, p: float) -> list[np.ndarray]:
+    """w @ |f(zs)|^p for every weight vector w of ``weights`` and every column f of
+    ``coeffs``: Vandermonde products in node and column blocks of about BATCH_NODES
+    values, each block's |f|^p taken once for all the weight vectors."""
     rows = max(1, BATCH_NODES // coeffs.shape[0])
     cols = max(1, BATCH_NODES // min(rows, zs.size))
-    sums = np.zeros(coeffs.shape[1])
+    sums = [np.zeros(coeffs.shape[1]) for _ in weights]
     for i in range(0, zs.size, rows):
         powers = np.vander(zs[i : i + rows], coeffs.shape[0], increasing=True)
         for j in range(0, coeffs.shape[1], cols):
             vals = np.abs(powers @ coeffs[:, j : j + cols])
             vals **= p
-            sums[j : j + cols] += weights[i : i + rows] @ vals
+            for total, w in zip(sums, weights):
+                total[j : j + cols] += w[i : i + rows] @ vals
     return sums
-
-
-def _hp_norms_p(coeffs: np.ndarray, cfg: HardyConfig) -> np.ndarray:
-    """||f||_p^p, the integral of |f|^p d(theta)/(2*pi), for every column f."""
-    return _abs_pow_sums(np.exp(1j * UNIFORM_RULE.nodes), UNIFORM_RULE.weights, coeffs, cfg.p) / TWO_PI
 
 
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
@@ -315,24 +309,26 @@ def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
 def reverse_embedding_ratios(mu: Measure, fs, cfg: HardyConfig) -> list[float]:
     """integral |f|^p d(mu) divided by ||f||_p^p for each f of a family, given
     as rows of ascending coefficients: one Vandermonde product per node set of
-    the measure, each set built once."""
+    the measure, each set built once.  The circle rule through the density's
+    breakpoints gives ||f||_p^p and the boundary integral from the same |f|^p."""
     p = cfg.p
     coeffs = np.asarray(fs, dtype=np.complex128)
     if coeffs.ndim != 2 or not np.all(np.isfinite(coeffs)):
         raise DomainError("coefficients must be finite rows of one 2-d array")
     coeffs = coeffs.T.copy()  # a column per function
-    norms = _hp_norms_p(coeffs, cfg)
-    nums = np.zeros(coeffs.shape[1])  # summed atoms, boundary, area cells, as the integral sums them
+    rule = circle_quadrature(breakpoints=mu.boundary.breakpoints, base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
+    density = [rule.weights * _panel_density(mu.boundary, rule.nodes)] if mu.boundary.total() > 0.0 else []
+    norms, *boundary = _abs_pow_sums(np.exp(1j * rule.nodes), [rule.weights, *density], coeffs, p)
+    norms /= TWO_PI  # ||f||_p^p
+    # the parts as the integral sums them: boundary + atoms (= 0 + atoms + boundary), then each cell
+    nums = boundary[0] if boundary else np.zeros(coeffs.shape[1])
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
-        nums += _abs_pow_sums(zs, masses, coeffs, p)
-    if mu.boundary.total() > 0.0:
-        rule = circle_quadrature(breakpoints=mu.boundary.breakpoints, base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
-        nums += _abs_pow_sums(np.exp(1j * rule.nodes), rule.weights * _panel_density(mu.boundary, rule.nodes), coeffs, p)
+        nums += _abs_pow_sums(zs, [masses], coeffs, p)[0]
     if mu.area is not None:
         for r0, r1, a0, a1, val in mu.area.cells():
             rs, ts, weights = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
-            nums += val * _abs_pow_sums((rs * np.exp(1j * ts)).ravel(), weights.ravel(), coeffs, p)
+            nums += val * _abs_pow_sums((rs * np.exp(1j * ts)).ravel(), [weights.ravel()], coeffs, p)[0]
     zero = ~coeffs.any(axis=0)
     bad = zero | (norms == 0.0) | ~np.isfinite(nums) | ~np.isfinite(norms)
     if bad.any():  # the first failing function in family order

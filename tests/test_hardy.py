@@ -109,22 +109,23 @@ def mixed_measure():
 
 
 def hp_norm(coeffs, cfg):
-    """||f||_p of the polynomial with ascending coefficients coeffs."""
-    return float(hardy._hp_norms_p(np.asarray(coeffs, dtype=complex)[:, None], cfg)[0]) ** (1.0 / cfg.p)
+    """||f||_p of the polynomial with ascending coefficients coeffs, on a uniform circle rule of its own."""
+    rule = circle_quadrature((), (), BASE_PANELS, NODES_PER_PANEL)
+    vals = np.abs(np.polyval(np.asarray(coeffs, dtype=complex)[::-1], np.exp(1j * rule.nodes))) ** cfg.p
+    return (float(np.dot(rule.weights, vals)) / TWO_PI) ** (1.0 / cfg.p)
 
 
 def reference_ratios(mu, fs, cfg):
     """The family's reverse-embedding ratios one polynomial at a time, each
     node set evaluated by Horner's rule (np.polyval) without the zero
-    high-order coefficients."""
-    p, quad = cfg.p, hardy.UNIFORM_RULE
+    high-order coefficients; the norm on the boundary part's rule through the breakpoints."""
+    p, quad = cfg.p, circle_quadrature(mu.boundary.breakpoints, (), BASE_PANELS, NODES_PER_PANEL)
     parts = []
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
         parts.append((zs, masses, 1.0))
     if mu.boundary.total() > 0.0:
-        rule = circle_quadrature(mu.boundary.breakpoints, (), BASE_PANELS, NODES_PER_PANEL)
-        parts.append((np.exp(1j * rule.nodes), rule.weights * mu.boundary.value_at(rule.nodes), 1.0))
+        parts.append((np.exp(1j * quad.nodes), quad.weights * mu.boundary.value_at(quad.nodes), 1.0))
     for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
         rs, ts, weights = _cell_axes(r0, r1, a0, a1, 0.0, (r1 - r0) / 8.0, nodes=12)
         parts.append((np.outer(rs, np.exp(1j * ts)).ravel(), weights.ravel(), val))
@@ -465,6 +466,18 @@ class TestReverseEmbedding:
         cfg = hardy_config(2.0)
         for f in random_polynomials(20, 16, seed=7):
             assert reverse_embedding_ratio(mu, f, cfg) >= TWO_PI * c - 1e-9
+
+    @pytest.mark.parametrize("p", P_SWEEP)
+    def test_split_constant_density_gives_two_pi_c(self, p):
+        # a constant density c cut at seeded breakpoints is still c, so every C1 and C2
+        # ratio is 2*pi*c: each takes its norm on the rule of its boundary integral
+        c, cfg, rng = 0.2, hardy_config(p), random.Random(25)
+        family = random_polynomials(50, 32, seed=11)
+        for _ in range(3):
+            mu = Measure(boundary=BoundaryDensity(np.array(sorted(rng.uniform(0.0, TWO_PI) for _ in range(5))), np.full(5, c)))
+            assert reverse_embedding_ratios(mu, family, cfg) == pytest.approx([TWO_PI * c] * len(family), rel=1e-13, abs=0.0)
+            scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(8, 16))
+            assert scan.rows[:, 2].tolist() == pytest.approx([TWO_PI * c] * len(scan.rows), rel=1e-13, abs=0.0)
 
     def test_vanishing_polynomial_kills_atomic_measure(self):
         pts = [0.6, -0.3 + 0.4j, 0.2 - 0.7j]
