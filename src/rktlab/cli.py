@@ -23,10 +23,7 @@ import logging
 import math
 import os
 import random
-import shutil
 import sys
-import tempfile
-import threading
 import time
 from functools import partial
 from pathlib import Path
@@ -72,7 +69,7 @@ from .model_space import (
     witness_function,
     witness_ratio,
 )
-from .numerics import TWO_PI, DiskGrid
+from .numerics import TWO_PI, DiskGrid, map_on_two_cpus
 from .paley_wiener import (
     SamplingSequence,
     bandlimit_check,
@@ -363,50 +360,26 @@ def _format_column(col: np.ndarray, repeats: bool):
     return map(repr, col.tolist()), False
 
 
-def _write_blocks(fh, rows: np.ndarray) -> None:
-    """Write rows one block of text at a time.  A column's first block decides
-    whether it repeats, so distinct values are sorted once."""
-    repeats = itertools.repeat(True)
-    for i in range(0, len(rows), CSV_BLOCK_ROWS):
-        cols, repeats = zip(*map(_format_column, rows[i : i + CSV_BLOCK_ROWS].T, repeats))
-        fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
-
-
 def _write_csv(path: Path, header, rows: np.ndarray) -> int:
-    """rows: a 2-d array, each cell written as the repr of its ``tolist``
-    value (a Python float, or the Python int an object array holds).  Returns how
-    many processes formatted it: with one thread and two CPUs, a forked child
-    writes a table of two blocks or more from the block boundary nearest its
-    middle into an unlinked file appended after the parent's half."""
-    if len(rows) < 2 * CSV_BLOCK_ROWS or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
-        with path.open("w") as fh:
-            fh.write(",".join(header) + "\n")
-            _write_blocks(fh, rows)
-        return 1
-    mid = round(len(rows) / (2 * CSV_BLOCK_ROWS)) * CSV_BLOCK_ROWS
-    with tempfile.TemporaryFile("w+", dir=path.parent) as tail:
-        pid = os.fork()  # before the CSV opens, so the child holds none of its buffered bytes
-        if pid == 0:  # the child leaves only through os._exit, with status 0 once its half is flushed
-            try:
-                _write_blocks(tail, rows[mid:])
-                tail.flush()
-                os._exit(0)
-            except Exception:
-                logger.exception("CSV writer child failed")
-            finally:
-                os._exit(1)
-        try:
-            with path.open("w") as fh:
-                fh.write(",".join(header) + "\n")
-                _write_blocks(fh, rows[:mid])
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code:
-            raise OSError(f"the CSV writer's child process exited with status {code}")
-        tail.seek(0)
-        with path.open("ab") as fh:
-            shutil.copyfileobj(tail.buffer, fh)
-    return 2
+    """rows: a 2-d array, each cell written as the repr of its ``tolist`` value (a Python
+    float, or the Python int an object array holds), a block of text at a time.  A column's
+    first block in a process decides whether it repeats, so distinct values are sorted once.
+    Returns how many processes formatted it: ``map_on_two_cpus`` splits two blocks or more."""
+    starts = range(0, len(rows), CSV_BLOCK_ROWS)
+    repeats = itertools.repeat(True)
+
+    def block(i):
+        nonlocal repeats
+        cols, repeats = zip(*map(_format_column, rows[i : i + CSV_BLOCK_ROWS].T, repeats))
+        return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        if len(rows) >= 2 * CSV_BLOCK_ROWS:
+            return map_on_two_cpus(block, starts, fh.write)
+        for i in starts:
+            fh.write(block(i))
+    return 1
 
 
 class Check:
@@ -479,6 +452,7 @@ def run_rkt_hardy(got: dict, quick: bool, seed: int):
     cfg = hardy_config(p)
     grid = DiskGrid.dyadic(levels, angles)
     scan = rkt_infimum_scan(mu, cfg, grid)
+    logger.info("C2 scan at %d kernel points (processes: %d)", len(scan.rows), scan.processes)
     summary = {
         "p": p,
         "c2_estimate": scan.value,
@@ -494,15 +468,9 @@ def run_rkt_hardy(got: dict, quick: bool, seed: int):
         ratios = reverse_embedding_ratios(mu, fam, cfg)
         summary["c1_min_ratio"] = float(min(ratios))
         summary["polynomial_count"] = count
-    checks = []
-    cfg2 = hardy_config(2.0)
-    dev = 0.0
-    for lam in (0.5 + 0.0j, 0.6j, 0.9 * np.exp(1.0j), (1.0 - 2.0**-16) + 0.0j):
-        exact = (1.0 - abs(lam) ** 2) ** -0.5
-        dev = max(dev, abs(kernel_norm(complex(lam), cfg2) - exact) / exact)
-    checks.append(
-        Check("kernel-norm-closed-form", dev <= 1e-8, f"max relative deviation {dev:.3e} at p=2")
-    )
+    exact = [(complex(lam), (1.0 - abs(lam) ** 2) ** -0.5) for lam in (0.5 + 0.0j, 0.6j, 0.9 * np.exp(1.0j), (1.0 - 2.0**-16) + 0.0j)]
+    dev = max(abs(kernel_norm(lam, hardy_config(2.0)) - e) / e for lam, e in exact)
+    checks = [Check("kernel-norm-closed-form", dev <= 1e-8, f"max relative deviation {dev:.3e} at p=2")]
     header = ("re_lambda", "im_lambda", "rkt_value")
     return summary, header, scan.rows, checks
 
@@ -528,12 +496,12 @@ def run_phi_h(got: dict, quick: bool, seed: int):
     sup_grid = DiskGrid.geometric(rings, angs, min_gap=2.0**-12)
     sup_zs = list(sup_grid.points()) + [complex(np.exp(1j * t)) for t in np.linspace(0, TWO_PI, 17)[:-1]]
     off_rec, mid_rec = records[0], records[1]
-    blocks = []
-    for z, vals in [(z_off, off_rec.values), (z_mid, mid_rec.values)] + [(z, ()) for z in sup_zs]:
-        if len(vals) == 0:  # off the profile, or z_off at an endpoint of a full-circle arc
-            vals = phi_h_depths(z, arc, hs, cfg)
-        blocks.append(np.column_stack([np.full(hs.size, z.real), np.full(hs.size, z.imag), hs, vals]))
-    rows = np.vstack(blocks)
+    points = [(z_off, off_rec.values), (z_mid, mid_rec.values)] + [(z, ()) for z in sup_zs]
+    todo, found = [z for z, vals in points if len(vals) == 0], []  # off the profile, or z_off at an endpoint of a full-circle arc
+    processes = map_on_two_cpus(lambda z: phi_h_depths(z, arc, hs, cfg), todo, found.append)
+    logger.info("phi_h at %d points (processes: %d)", len(todo), processes)
+    found = iter(found)
+    rows = np.vstack([np.column_stack([np.full(hs.size, z.real), np.full(hs.size, z.imag), hs, vals if len(vals) else next(found)]) for z, vals in points])
     sup_val = max([0.0] + rows[:, 3].tolist())
     summary = {
         "p": p,
@@ -852,11 +820,7 @@ def main(argv=None) -> int:
         logger.error("numerical precision failure: %s", exc)
         return EXIT_PRECISION
     args.out.mkdir(parents=True, exist_ok=True)
-    summary["kind"] = kind
-    summary["seed"] = seed
-    summary["quick"] = bool(args.quick)
-    summary["backend"] = _kernels.ACTIVE_BACKEND
-    summary["conventions"] = CONVENTIONS
+    summary.update(kind=kind, seed=seed, quick=bool(args.quick), backend=_kernels.ACTIVE_BACKEND, conventions=CONVENTIONS)
     summary["checks"] = [c.as_dict() for c in checks]
     csv_path = args.out / f"{kind}.csv"
     start = time.perf_counter()

@@ -16,8 +16,9 @@ The scans batch their work with bit-identical values: the kernel points of
 a ray (one angle float) share one ``circle_panels`` tree, whose distinct
 panels are mapped and take their sines once; ``_kernels.kernel_pow_circle_sum``
 sums blocks of whole rules on gathered copies, and the atoms and cells of a
-ray's points go in array passes.  ``rkt_functional`` is that path on one point,
-and ``kernel_norm`` its circle sum on the zero measure.  A polynomial family is
+ray's points go in array passes; from 256 points, the rays' two halves go to the two
+processes of ``numerics.map_on_two_cpus``.  ``rkt_functional`` is that path on one
+point, and ``kernel_norm`` its circle sum on the zero measure.  A polynomial family is
 evaluated on a measure's nodes built once, and its ||f||_p^p and boundary
 integral come from one circle rule through the breakpoints, as the kernels' do.
 A phi_h depth sequence takes one kernel matrix per z on the union of its
@@ -47,6 +48,7 @@ from .numerics import (
     circle_quadrature,
     ensure_point,
     gauss_legendre_panel,
+    map_on_two_cpus,
     wrap_angle,
 )
 
@@ -248,29 +250,38 @@ def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below
 def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
-    """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``), its
-    bisection trees, circle nodes and distinct panels' nodes.  The points of a ray (one
-    angle float) share a tree; ``_circle_sums`` takes whole rays of at most BATCH_NODES //
-    BASE_PANELS points, in blocks of whole rules of at most BATCH_NODES nodes."""
-    p = cfg.p
+    """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``), its trees,
+    circle nodes, distinct panels' nodes and processes.  A ray's points (one angle float) share
+    a tree; ``_circle_sums`` takes whole rays of at most BATCH_NODES // BASE_PANELS = size points,
+    in blocks of whole rules of at most BATCH_NODES nodes.  From size points, ``map_on_two_cpus``
+    takes the rays in two halves of nearly equal point count."""
+    p, size = cfg.p, BATCH_NODES // BASE_PANELS
     order = np.lexsort((pts[:, 1],))  # ray by ray
     ray_offsets = np.append(np.flatnonzero(np.diff(pts[order, 1], prepend=np.nan)), len(pts))
-    norms, nums, nodes, shared = np.empty(len(pts)), np.empty(len(pts)), 0, 0
     if mu.atoms:  # an atom at the origin has angle 0 and radius 0
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
-    for u, v in _spans(ray_offsets, BATCH_NODES // BASE_PANELS):
-        sel = order[ray_offsets[u] : ray_offsets[v]]
-        rays = pts[sel]
-        norms[sel], num, n, m = _circle_sums(mu, rays, p)
-        nodes, shared = nodes + n, shared + m
-        # the measure's parts as the integral sums them: atoms + boundary (= 0 + atoms + boundary),
-        # then each cell on its product rule, whose rules a ray's points share past the first rings
-        if mu.atoms:
-            num += _disk_sums(rays, rays[:, 1].tolist(), lambda i: (np.abs(zs), np.angle(zs), masses), p)
-        for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
-            keys = [(phi, *_cell_attracts(r0, r1, a0, a1, phi, scale)) for phi, scale in rays[:, 1:3].tolist()]
-            num += val * _disk_sums(rays, keys, lambda i: _cell_axes(r0, r1, a0, a1, *rays[i, 1:3].tolist()), p)
-        nums[sel] = num
+
+    def chunks(span):  # the rays span[0]:span[1] in whole-ray chunks: norms, nums and node counts
+        out = []
+        for u, v in _spans(ray_offsets[span[0] : span[1] + 1], size):
+            rays = pts[order[ray_offsets[span[0] + u] : ray_offsets[span[0] + v]]]
+            norm, num, n, m = _circle_sums(mu, rays, p)
+            # the measure's parts as the integral sums them: atoms + boundary (= 0 + atoms + boundary),
+            # then each cell on its product rule, whose rules a ray's points share past the first rings
+            if mu.atoms:
+                num += _disk_sums(rays, rays[:, 1].tolist(), lambda i: (np.abs(zs), np.angle(zs), masses), p)
+            for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
+                keys = [(phi, *_cell_attracts(r0, r1, a0, a1, phi, scale)) for phi, scale in rays[:, 1:3].tolist()]
+                num += val * _disk_sums(rays, keys, lambda i: _cell_axes(r0, r1, a0, a1, *rays[i, 1:3].tolist()), p)
+            out.append((norm, num, n, m))
+        return out
+
+    trees, parts = len(ray_offsets) - 1, []
+    half = int(np.argmin(np.abs(ray_offsets - 0.5 * len(pts))))  # the ray boundary nearest the middle point
+    processes = map_on_two_cpus(chunks, [(0, half), (half, trees)] if len(pts) >= size and 0 < half < trees else [(0, trees)], parts.extend)
+    norm_parts, num_parts, node_counts, shared_counts = zip(*parts)
+    norms, nums = np.empty(len(pts)), np.empty(len(pts))
+    norms[order], nums[order] = np.concatenate(norm_parts), np.concatenate(num_parts)
     norms /= TWO_PI
     bad = np.flatnonzero(~(np.isfinite(norms) & np.isfinite(nums)))
     if bad.size:  # the first failing point in the given order
@@ -278,7 +289,7 @@ def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
         if not math.isfinite(norm):
             raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
         raise EvaluationError(f"the measure integral of |k_lam|^p overflows at |lam| = {r!r}, p = {p!r} (||k_lam||_p^p = {norm!r})")
-    return nums / norms, len(ray_offsets) - 1, nodes, shared
+    return nums / norms, trees, sum(node_counts), sum(shared_counts), processes
 
 
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
@@ -294,15 +305,16 @@ class RktScan(NamedTuple):
     rule_builds: int  # bisection trees, one per ray
     nodes: int  # circle nodes evaluated
     shared_nodes: int  # circle nodes mapped, and sines taken, once for a ray
+    processes: int  # 1, or 2 when ``map_on_two_cpus`` split the rays (logged, never in summary.json)
 
 
 def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     """Minimum of the kernel functional over the origin and the grid;
     estimates the best uniform lower constant over all kernel points."""
     lams = np.concatenate([[0.0 + 0.0j], grid.points()])
-    vals, trees, nodes, shared = _rkt_points(mu, _kernel_points(lams), cfg)
+    vals, trees, nodes, shared, processes = _rkt_points(mu, _kernel_points(lams), cfg)
     i = int(np.argmin(vals))  # the first minimum, as a strict-< loop finds it
-    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), trees, nodes, shared)
+    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), trees, nodes, shared, processes)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan integral raises EvaluationError below
@@ -437,15 +449,10 @@ def phi_h_limit_profile(arc: Arc, hs: Sequence[float], zs: Sequence[complex], cf
             records.append(PhiHRecord(z, kind, np.array([]), None, None))
             continue
         vals = phi_h_depths(z, arc, hs, cfg)
-        exponent = None
-        bracket = None
-        if kind == "off_arc":
-            if np.all(vals > 0.0):
-                exponent = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
-            else:
-                exponent = math.inf
+        if kind == "off_arc":  # the fitted exponent, inf unless every value is positive
+            exponent = float(np.polyfit(np.log(hs), np.log(vals), 1)[0]) if np.all(vals > 0.0) else math.inf
+            records.append(PhiHRecord(z, kind, vals, exponent, None))
         else:
-            bracket = (float(vals.min()), float(vals.max()))
-        records.append(PhiHRecord(z, kind, vals, exponent, bracket))
+            records.append(PhiHRecord(z, kind, vals, None, (float(vals.min()), float(vals.max()))))
     return records
 

@@ -1,17 +1,22 @@
 """Shared numerical machinery: circle quadrature, disk grids, small dense
-Hermitian eigenproblems, and null vectors of evaluation systems.
+Hermitian eigenproblems, null vectors, and a map over two pinned processes.
 
 Conventions: angles are radians, the unit circle is parametrized by
-theta in [0, 2*pi), and all routines are pure functions of immutable
-inputs.
+theta in [0, 2*pi), and all routines but the map are pure functions of
+immutable inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import tempfile
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,3 +297,50 @@ def null_vector(rows: np.ndarray) -> np.ndarray:
     phase = v[i] / abs(v[i])
     v = v / phase
     return v / np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------------------
+# two pinned processes
+# ---------------------------------------------------------------------------
+
+
+def _pin(cpus) -> None:
+    with contextlib.suppress(OSError):  # best effort: the affinity stays as it was
+        os.sched_setaffinity(0, cpus)
+
+
+def map_on_two_cpus(func: Callable, items: Sequence, sink: Callable) -> int:
+    """sink(func(x)) for each x of items, in order; returns how many processes ran func.
+    With two CPUs or more in the affinity set, one thread and two items or more, a forked child
+    pinned to the second CPU pickles func of the second half into an unlinked temporary
+    file while the parent, pinned to the first, runs the first half, then reaps the child
+    and reads its results.  Each process starts from func's state at the call.  If the
+    child fails, the parent runs its half too: every value and error is the serial one."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2 or len(items) < 2 or threading.active_count() > 1:
+        for x in items:
+            sink(func(x))
+        return 1
+    mid = len(items) // 2
+    with tempfile.TemporaryFile() as tmp:
+        pid = os.fork()
+        if pid == 0:  # the child leaves only through os._exit: 0 once its half is flushed
+            try:
+                _pin({cpus[1]})
+                for x in items[mid:]:
+                    pickle.dump(func(x), tmp, pickle.HIGHEST_PROTOCOL)
+                tmp.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        try:
+            _pin({cpus[0]})
+            for x in items[:mid]:
+                sink(func(x))
+        finally:
+            status = os.waitpid(pid, 0)[1]
+            _pin(cpus)
+        tmp.seek(0)
+        for x in items[mid:]:
+            sink(pickle.load(tmp) if status == 0 else func(x))
+    return 2

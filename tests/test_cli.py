@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import logging
 import math
 import os
 import re
@@ -300,6 +301,22 @@ class TestDeterminism:
             outs.append((out / f"{kind}.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("name,split", [("rkt_hardy.json", "C2 scan"), ("phi_h.json", "phi_h")])
+    def test_two_cpus_write_the_one_cpu_bytes(self, tmp_path, monkeypatch, caplog, name, split):
+        before, outs = os.sched_getaffinity(0), []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / str(len(cpus))
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="rktlab"):
+                assert run(["run", "--config", str(ROOT / "configs" / name), "--out", str(out)]) == EXIT_OK
+            assert re.search(rf"{split} at \d+ .*\(processes: {len(cpus)}\)", caplog.text)
+            outs.append([(out / f).read_bytes() for f in sorted(os.listdir(out))])
+        monkeypatch.undo()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == before and outs[0] == outs[1]
+
 
 def one_join_csv(path: Path, header, rows) -> None:
     """The writer that joined the whole table into one string: the reference."""
@@ -368,8 +385,10 @@ class TestCsvWriter:
         assert _write_csv(tmp_path / "one.csv", header, rows) == 1
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
-    @pytest.mark.parametrize("failing,error", [("child", OSError), ("parent", ZeroDivisionError)])
-    def test_a_failing_half_raises_and_the_child_is_reaped(self, tmp_path, monkeypatch, failing, error):
+    # the child case's id dates from when a failing child raised OSError
+    @pytest.mark.parametrize("failing", ["child", "parent"], ids=["child-OSError", "parent-ZeroDivisionError"])
+    def test_a_failing_half_raises_and_the_child_is_reaped(self, tmp_path, monkeypatch, failing):
+        # a failing child leaves its half to the parent, which writes the one-process bytes
         from rktlab import cli
 
         parent, format_column = os.getpid(), cli._format_column
@@ -381,11 +400,15 @@ class TestCsvWriter:
 
         two_cpus(monkeypatch)
         monkeypatch.setattr(cli, "_format_column", format_or_fail)
-        with pytest.raises(error, match="status 1" if failing == "child" else "injected"):
-            _write_csv(tmp_path / "t.csv", ("x",), np.zeros((2 * B, 1)))
+        if failing == "child":
+            assert _write_csv(tmp_path / "t.csv", ("x",), np.zeros((2 * B, 1))) == 2
+            assert (tmp_path / "t.csv").read_text() == "x\n" + "0.0\n" * (2 * B)
+        else:
+            with pytest.raises(ZeroDivisionError, match="injected"):
+                _write_csv(tmp_path / "t.csv", ("x",), np.zeros((2 * B, 1)))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]  # the temporary file is gone
+        assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
 
     def test_memory_bounded_on_the_cap_grid(self, tmp_path, monkeypatch):
         # the table of a theorem2 run on its largest grid, 128 x 2,048 points and
@@ -418,6 +441,11 @@ class TestCsvWriter:
 
 
 class TestExitCodes:
+    def test_sixteen_zeros_at_0_99_exit_zero(self, tmp_path):
+        # Clark points where |Theta'| reaches 3,184 pass the residual bound scaled by it
+        cfg = write_config(tmp_path, "t.json", dict(T2_DOC, zeros=[{"re": 0.99, "im": 0.0}] * 16))
+        assert run_without_warnings(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
     def test_failed_check_exits_one(self, tmp_path, monkeypatch):
         from rktlab import cli
 

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import os
 import random
 import re
 import warnings
@@ -380,6 +381,22 @@ class TestRktBatches:
             scan = rkt_infimum_scan(mu, cfg, grid)
             assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes, scan.shared_nodes) == (74, nodes, 92_320)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_two_cpus_give_the_one_cpu_scan(self, monkeypatch, p):
+        # 321 points, past the 256 from which the rays go in two halves
+        cfg, mu, grid = hardy_config(p), mixed_measure(), DiskGrid.dyadic(5, 64)
+        before, scans = os.sched_getaffinity(0), []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            scans.append(rkt_infimum_scan(mu, cfg, grid))
+        monkeypatch.undo()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == before
+        one, two = scans
+        assert (one.processes, two.processes) == (1, 2) and two.rows.tobytes() == one.rows.tobytes()
+        assert two._replace(rows=None, processes=1) == one._replace(rows=None)
+
     def test_overflow_names_first_point_in_scan_order(self):
         cfg, mu, grid = hardy_config(300.0), mixed_measure(), DiskGrid.dyadic(8, 7)
         lams = [0j] + [complex(z) for z in grid.points()]
@@ -434,7 +451,9 @@ class TestRktBatches:
         # the shipped C2 scan bisects one tree per ray, 100 angle floats: the origin's,
         # the 64 grid angles and 35 more where atan2 rounds differently on some rings;
         # calls take whole rays of at most 256 points, and 13,179 distinct panels
-        # serve 107,514 rule panels; the C1 family builds the breakpoint rule once
+        # serve 107,514 rule panels; the C1 family builds the breakpoint rule once.
+        # One CPU keeps every call in this process, where the counters see it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json").read_text())
         cfg, mu = hardy_config(doc["p"]), normalized_arclength()
         levels, angles = doc["grid"]["levels"], doc["grid"]["angles"]

@@ -22,6 +22,7 @@ from rktlab.model_space import (
     build_theorem2_measure,
     clark_kernel_coords,
     clark_points,
+    clark_residual_bound,
     kernel_value,
     phi,
     psi,
@@ -245,6 +246,20 @@ class TestClark:
             assert np.max(np.abs(theta(clark.points) - 1.0)) <= 1e-12
             d = np.abs(clark.angles - _brent_clark_angles(theta, 1.0))
             assert np.max(np.minimum(d, TWO_PI - d)) <= 1e-13
+
+    def test_residual_bound_is_1e_12_at_small_speed(self):
+        # below |Theta'| = 1e-12 / (2 ulp(2 pi)) = 562.9... the bound is the absolute 1e-12
+        slow = [0.0, 1.0, 8.0, 100.0, 562.0, 1e-12 / (2.0 * math.ulp(TWO_PI))]
+        assert clark_residual_bound(slow).tolist() == [1e-12] * len(slow)
+        assert clark_residual_bound([600.0, 3184.0]).tolist() == [2.0 * math.ulp(TWO_PI) * 600.0, 2.0 * math.ulp(TWO_PI) * 3184.0]
+
+    def test_sixteen_zeros_at_0_99_within_the_scaled_bound(self):
+        # |Theta'| reaches 3,184 there, and the rounding of an angle near 2 pi
+        # alone leaves residuals over 1e-12
+        theta = BlaschkeProduct(np.full(16, 0.99 + 0.0j))
+        clark = clark_points(theta, 1.0)
+        resid = np.abs(theta(clark.points) - 1.0)
+        assert clark.dim == 16 and np.max(resid) > 1e-12 and np.all(resid <= clark_residual_bound(clark.weights))
 
     def test_root_found_twice_is_refused(self, monkeypatch):
         eigvals = np.linalg.eigvals

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from rktlab.numerics import (
     gauss_legendre_panel,
     hermitian_part,
     integrate_circle,
+    map_on_two_cpus,
     null_vector,
     wrap_angle,
 )
@@ -450,3 +453,78 @@ class TestNullVector:
     def test_wrong_row_count(self):
         with pytest.raises(DomainError):
             null_vector(np.array([[1.0, 0.0, 0.0]], dtype=complex))
+
+
+REAL_AFFINITY = os.sched_getaffinity
+
+
+def checked_map(func, items):
+    """map_on_two_cpus's results and process count.  Whether it returns or
+    raises, no child is left and the affinity set is what it was."""
+    before, out = REAL_AFFINITY(0), []
+    try:
+        return out, map_on_two_cpus(func, items, out.append)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert REAL_AFFINITY(0) == before
+
+
+class TestMapOnTwoCpus:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8])
+    def test_results_in_order(self, n):
+        assert checked_map(lambda x: [x * x], range(n)) == ([[x * x] for x in range(n)], 2 if n >= 2 else 1)
+
+    def test_serial_with_one_cpu_or_another_thread(self, monkeypatch):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert checked_map(lambda x: -x, range(4)) == ([0, -1, -2, -3], 1)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert checked_map(lambda x: -x, range(4)) == ([0, -1, -2, -3], 1)
+
+    def test_each_process_starts_from_the_state_at_the_call(self):
+        seen = []
+        assert checked_map(lambda x: seen.append(x) or len(seen), range(6)) == ([1, 2, 3, 1, 2, 3], 2)
+
+    def test_halves_run_pinned_to_the_first_two_cpus(self, monkeypatch):
+        pair = sorted(REAL_AFFINITY(0))[:2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(pair))
+        assert checked_map(lambda x: REAL_AFFINITY(0), range(4))[0] == [{pair[0]}] * 2 + [{pair[-1]}] * 2
+
+    def test_pinning_is_best_effort(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert checked_map(lambda x: x + 1, range(4)) == ([1, 2, 3, 4], 2)
+
+    def test_a_failing_child_leaves_its_half_to_the_parent(self):
+        parent = os.getpid()
+
+        def only_in_parent(x):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("injected")
+            return 2 * x
+
+        assert checked_map(only_in_parent, range(5)) == ([0, 2, 4, 6, 8], 2)
+
+    @pytest.mark.parametrize("bad", [{1, 3}, {3}, {0}])
+    def test_the_first_error_in_item_order_surfaces(self, bad):
+        # in both halves, in the child's only, and in the parent's only
+        def check(x):
+            if x in bad:
+                raise DomainError(f"item {x} is out of domain")
+            return x
+
+        with pytest.raises(DomainError, match=f"^item {min(bad)} is out of domain$"):
+            checked_map(check, range(4))
