@@ -468,9 +468,15 @@ def run_rkt_hardy(got: dict, quick: bool, seed: int):
         ratios = reverse_embedding_ratios(mu, fam, cfg)
         summary["c1_min_ratio"] = float(min(ratios))
         summary["polynomial_count"] = count
-    exact = [(complex(lam), (1.0 - abs(lam) ** 2) ** -0.5) for lam in (0.5 + 0.0j, 0.6j, 0.9 * np.exp(1.0j), (1.0 - 2.0**-16) + 0.0j)]
-    dev = max(abs(kernel_norm(lam, hardy_config(2.0)) - e) / e for lam, e in exact)
-    checks = [Check("kernel-norm-closed-form", dev <= 1e-8, f"max relative deviation {dev:.3e} at p=2")]
+    checks = []
+    cfg2 = hardy_config(2.0)
+    dev = 0.0
+    for lam in (0.5 + 0.0j, 0.6j, 0.9 * np.exp(1.0j), (1.0 - 2.0**-16) + 0.0j):
+        exact = (1.0 - abs(lam) ** 2) ** -0.5
+        dev = max(dev, abs(kernel_norm(complex(lam), cfg2) - exact) / exact)
+    checks.append(
+        Check("kernel-norm-closed-form", dev <= 1e-8, f"max relative deviation {dev:.3e} at p=2")
+    )
     header = ("re_lambda", "im_lambda", "rkt_value")
     return summary, header, scan.rows, checks
 
@@ -496,12 +502,12 @@ def run_phi_h(got: dict, quick: bool, seed: int):
     sup_grid = DiskGrid.geometric(rings, angs, min_gap=2.0**-12)
     sup_zs = list(sup_grid.points()) + [complex(np.exp(1j * t)) for t in np.linspace(0, TWO_PI, 17)[:-1]]
     off_rec, mid_rec = records[0], records[1]
-    points = [(z_off, off_rec.values), (z_mid, mid_rec.values)] + [(z, ()) for z in sup_zs]
-    todo, found = [z for z, vals in points if len(vals) == 0], []  # off the profile, or z_off at an endpoint of a full-circle arc
-    processes = map_on_two_cpus(lambda z: phi_h_depths(z, arc, hs, cfg), todo, found.append)
-    logger.info("phi_h at %d points (processes: %d)", len(todo), processes)
-    found = iter(found)
-    rows = np.vstack([np.column_stack([np.full(hs.size, z.real), np.full(hs.size, z.imag), hs, vals if len(vals) else next(found)]) for z, vals in points])
+    blocks = []
+    for z, vals in [(z_off, off_rec.values), (z_mid, mid_rec.values)] + [(z, ()) for z in sup_zs]:
+        if len(vals) == 0:  # off the profile, or z_off at an endpoint of a full-circle arc
+            vals = phi_h_depths(z, arc, hs, cfg)
+        blocks.append(np.column_stack([np.full(hs.size, z.real), np.full(hs.size, z.imag), hs, vals]))
+    rows = np.vstack(blocks)
     sup_val = max([0.0] + rows[:, 3].tolist())
     summary = {
         "p": p,
@@ -820,7 +826,11 @@ def main(argv=None) -> int:
         logger.error("numerical precision failure: %s", exc)
         return EXIT_PRECISION
     args.out.mkdir(parents=True, exist_ok=True)
-    summary.update(kind=kind, seed=seed, quick=bool(args.quick), backend=_kernels.ACTIVE_BACKEND, conventions=CONVENTIONS)
+    summary["kind"] = kind
+    summary["seed"] = seed
+    summary["quick"] = bool(args.quick)
+    summary["backend"] = _kernels.ACTIVE_BACKEND
+    summary["conventions"] = CONVENTIONS
     summary["checks"] = [c.as_dict() for c in checks]
     csv_path = args.out / f"{kind}.csv"
     start = time.perf_counter()

@@ -449,10 +449,15 @@ def phi_h_limit_profile(arc: Arc, hs: Sequence[float], zs: Sequence[complex], cf
             records.append(PhiHRecord(z, kind, np.array([]), None, None))
             continue
         vals = phi_h_depths(z, arc, hs, cfg)
-        if kind == "off_arc":  # the fitted exponent, inf unless every value is positive
-            exponent = float(np.polyfit(np.log(hs), np.log(vals), 1)[0]) if np.all(vals > 0.0) else math.inf
-            records.append(PhiHRecord(z, kind, vals, exponent, None))
+        exponent = None
+        bracket = None
+        if kind == "off_arc":
+            if np.all(vals > 0.0):
+                exponent = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
+            else:
+                exponent = math.inf
         else:
-            records.append(PhiHRecord(z, kind, vals, None, (float(vals.min()), float(vals.max()))))
+            bracket = (float(vals.min()), float(vals.max()))
+        records.append(PhiHRecord(z, kind, vals, exponent, bracket))
     return records
 

@@ -133,10 +133,9 @@ class ClarkSystem:
 
 
 def clark_residual_bound(speed):
-    """max(1e-12, 2 ulps of 2*pi times the phase speed |Theta'|) at Clark points.  Rounding a
-    polished angle (half an ulp of 2*pi) and the points e^(it) where Theta is evaluated before
-    and after the Newton step (0.36 ulp each) move Theta by |Theta'| times 1.2 ulps of 2*pi;
-    16 zeros at 0.99 (|Theta'| up to 3,184) need 0.43 ulp."""
+    """max(1e-12, 2 ulps of 2*pi times the phase speed |Theta'|) at Clark points: rounding a polished
+    angle (half an ulp of 2*pi) and the points e^(it) where Theta is evaluated before and after the
+    Newton step (0.36 ulp each) move Theta by |Theta'| times 1.2 ulps; 16 zeros at 0.99 need 0.43."""
     return np.maximum(1e-12, 2.0 * math.ulp(TWO_PI) * np.asarray(speed, dtype=float))
 
 

@@ -304,18 +304,19 @@ def null_vector(rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pin(cpus) -> None:
-    with contextlib.suppress(OSError):  # best effort: the affinity stays as it was
-        os.sched_setaffinity(0, cpus)
+def _pin(cpus: list, i=None) -> None:  # to cpus[i], or back to all of the affinity set cpus
+    if len(cpus) == 2:  # a larger set stays unpinned, so the kernel can spread concurrent runs
+        with contextlib.suppress(OSError):  # best effort: the affinity stays as it was
+            os.sched_setaffinity(0, cpus if i is None else {cpus[i]})
 
 
 def map_on_two_cpus(func: Callable, items: Sequence, sink: Callable) -> int:
     """sink(func(x)) for each x of items, in order; returns how many processes ran func.
     With two CPUs or more in the affinity set, one thread and two items or more, a forked child
-    pinned to the second CPU pickles func of the second half into an unlinked temporary
-    file while the parent, pinned to the first, runs the first half, then reaps the child
-    and reads its results.  Each process starts from func's state at the call.  If the
-    child fails, the parent runs its half too: every value and error is the serial one."""
+    (pinned to the second of two CPUs) pickles func of the second half into an unlinked temporary
+    file while the parent (pinned to the first) runs the first half, then reaps the child,
+    restores its affinity and reads the child's results.  Each process starts from func's state
+    at the call.  A failed child's half is run by the parent: every value and error is serial."""
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else []
     if len(cpus) < 2 or len(items) < 2 or threading.active_count() > 1:
         for x in items:
@@ -326,7 +327,7 @@ def map_on_two_cpus(func: Callable, items: Sequence, sink: Callable) -> int:
         pid = os.fork()
         if pid == 0:  # the child leaves only through os._exit: 0 once its half is flushed
             try:
-                _pin({cpus[1]})
+                _pin(cpus, 1)
                 for x in items[mid:]:
                     pickle.dump(func(x), tmp, pickle.HIGHEST_PROTOCOL)
                 tmp.flush()
@@ -334,7 +335,7 @@ def map_on_two_cpus(func: Callable, items: Sequence, sink: Callable) -> int:
             finally:
                 os._exit(1)
         try:
-            _pin({cpus[0]})
+            _pin(cpus, 0)
             for x in items[:mid]:
                 sink(func(x))
         finally:

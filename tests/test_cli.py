@@ -301,21 +301,19 @@ class TestDeterminism:
             outs.append((out / f"{kind}.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("name,split", [("rkt_hardy.json", "C2 scan"), ("phi_h.json", "phi_h")])
-    def test_two_cpus_write_the_one_cpu_bytes(self, tmp_path, monkeypatch, caplog, name, split):
-        before, outs = os.sched_getaffinity(0), []
+    def test_two_cpus_write_the_one_cpu_bytes(self, tmp_path, affinity, caplog):
+        outs = []
         for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            affinity.cpus = cpus
             out = tmp_path / str(len(cpus))
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="rktlab"):
-                assert run(["run", "--config", str(ROOT / "configs" / name), "--out", str(out)]) == EXIT_OK
-            assert re.search(rf"{split} at \d+ .*\(processes: {len(cpus)}\)", caplog.text)
+                assert run(["run", "--config", str(ROOT / "configs" / "rkt_hardy.json"), "--out", str(out)]) == EXIT_OK
+            assert re.search(rf"C2 scan at 1281 kernel points \(processes: {len(cpus)}\)", caplog.text)
             outs.append([(out / f).read_bytes() for f in sorted(os.listdir(out))])
-        monkeypatch.undo()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert os.sched_getaffinity(0) == before and outs[0] == outs[1]
+        assert affinity.cpus == {0, 1} and affinity.pins == [{0}, {0, 1}] and outs[0] == outs[1]
 
 
 def one_join_csv(path: Path, header, rows) -> None:
@@ -349,15 +347,9 @@ B = CSV_BLOCK_ROWS
 WRITER_SIZES = [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 8 * B + 1]
 
 
-def two_cpus(monkeypatch):
-    """Let the writer split a table whatever this machine's affinity."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
 class TestCsvWriter:
     @pytest.mark.parametrize("n", WRITER_SIZES)
-    def test_same_bytes_as_one_join(self, tmp_path, monkeypatch, n):
-        two_cpus(monkeypatch)
+    def test_same_bytes_as_one_join(self, tmp_path, affinity, n):
         rng = np.random.default_rng(n)
         table = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
         table[:1] = table[-1:] = [-0.0, float("nan"), -float("inf"), 5e-324]  # in both halves of a split table
@@ -369,25 +361,23 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("name", list(repeated_value_tables(0)))
     @pytest.mark.parametrize("n", WRITER_SIZES)
-    def test_repeated_values_same_bytes_as_one_join(self, tmp_path, monkeypatch, n, name):
+    def test_repeated_values_same_bytes_as_one_join(self, tmp_path, affinity, n, name):
         # the child's first block decides afresh whether a column repeats
-        two_cpus(monkeypatch)
         header, rows = repeated_value_tables(n)[name]
         _write_csv(tmp_path / "blocks.csv", header, rows)
         one_join_csv(tmp_path / "one.csv", header, rows.tolist())
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
-    def test_one_cpu_writes_the_same_bytes_serially(self, tmp_path, monkeypatch):
+    def test_one_cpu_writes_the_same_bytes_serially(self, tmp_path, affinity):
         header, rows = repeated_value_tables(8 * B + 1)["pw-shaped"]
-        two_cpus(monkeypatch)
         assert _write_csv(tmp_path / "two.csv", header, rows) == 2
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        affinity.cpus = {0}
         assert _write_csv(tmp_path / "one.csv", header, rows) == 1
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
     # the child case's id dates from when a failing child raised OSError
     @pytest.mark.parametrize("failing", ["child", "parent"], ids=["child-OSError", "parent-ZeroDivisionError"])
-    def test_a_failing_half_raises_and_the_child_is_reaped(self, tmp_path, monkeypatch, failing):
+    def test_a_failing_half_raises_and_the_child_is_reaped(self, tmp_path, monkeypatch, affinity, failing):
         # a failing child leaves its half to the parent, which writes the one-process bytes
         from rktlab import cli
 
@@ -398,7 +388,6 @@ class TestCsvWriter:
                 raise ZeroDivisionError("injected")
             return format_column(col, repeats)
 
-        two_cpus(monkeypatch)
         monkeypatch.setattr(cli, "_format_column", format_or_fail)
         if failing == "child":
             assert _write_csv(tmp_path / "t.csv", ("x",), np.zeros((2 * B, 1))) == 2
@@ -410,12 +399,12 @@ class TestCsvWriter:
             os.waitpid(-1, os.WNOHANG)
         assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
 
-    def test_memory_bounded_on_the_cap_grid(self, tmp_path, monkeypatch):
+    def test_memory_bounded_on_the_cap_grid(self, tmp_path, affinity):
         # the table of a theorem2 run on its largest grid, 128 x 2,048 points and
         # the origin.  Taking tolist and joining the whole table peaked at 122 MiB
         # of Python objects; one block of rows at a time holds under 2 MiB
         table = np.random.default_rng(0).uniform(-1.0, 1.0, (128 * 2048 + 1, 4))
-        two_cpus(monkeypatch)  # the parent's half and the copy of the child's
+        # on the fake two CPUs, the parent's half and the child's read back
         tracemalloc.start()
         try:
             _write_csv(tmp_path / "t.csv", ("re_z", "im_z", "phi", "norm_mu_sq"), table)
@@ -424,13 +413,12 @@ class TestCsvWriter:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-    def test_memory_bounded_with_a_tiled_axis(self, tmp_path, monkeypatch):
+    def test_memory_bounded_with_a_tiled_axis(self, tmp_path, affinity):
         # a pw-counterexample table on its largest scan grid, 512 x 512 points,
         # whose grid axes take the writer's one-repr-per-value path
         axis = np.linspace(0.0, 4.0, 512)
         low = np.random.default_rng(0).uniform(0.0, 1.0, 512 * 512)
         table = np.column_stack([np.tile(axis, 512), np.repeat(axis, 512), low, low + 1e-3])
-        two_cpus(monkeypatch)
         tracemalloc.start()
         try:
             _write_csv(tmp_path / "t.csv", ("re_lambda", "im_lambda", "rkt_sum_low", "rkt_sum_high"), table)

@@ -382,17 +382,16 @@ class TestRktBatches:
             assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes, scan.shared_nodes) == (74, nodes, 92_320)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    def test_two_cpus_give_the_one_cpu_scan(self, monkeypatch, p):
+    def test_two_cpus_give_the_one_cpu_scan(self, affinity, p):
         # 321 points, past the 256 from which the rays go in two halves
         cfg, mu, grid = hardy_config(p), mixed_measure(), DiskGrid.dyadic(5, 64)
-        before, scans = os.sched_getaffinity(0), []
+        scans = []
         for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            affinity.cpus = cpus
             scans.append(rkt_infimum_scan(mu, cfg, grid))
-        monkeypatch.undo()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert os.sched_getaffinity(0) == before
+        assert affinity.cpus == {0, 1} and affinity.pins == [{0}, {0, 1}]
         one, two = scans
         assert (one.processes, two.processes) == (1, 2) and two.rows.tobytes() == one.rows.tobytes()
         assert two._replace(rows=None, processes=1) == one._replace(rows=None)
@@ -447,13 +446,13 @@ class TestRktBatches:
         lams = [complex(re, im) for re, im in scan.rows[:, :2]]
         assert scan.rows[:, 2].tolist() == [reference_rkt(mu, lam, cfg) for lam in lams]
 
-    def test_work_counts(self, monkeypatch):
+    def test_work_counts(self, monkeypatch, affinity):
         # the shipped C2 scan bisects one tree per ray, 100 angle floats: the origin's,
         # the 64 grid angles and 35 more where atan2 rounds differently on some rings;
         # calls take whole rays of at most 256 points, and 13,179 distinct panels
         # serve 107,514 rule panels; the C1 family builds the breakpoint rule once.
         # One CPU keeps every call in this process, where the counters see it
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        affinity.cpus = {0}
         doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json").read_text())
         cfg, mu = hardy_config(doc["p"]), normalized_arclength()
         levels, angles = doc["grid"]["levels"], doc["grid"]["angles"]

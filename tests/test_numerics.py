@@ -455,31 +455,25 @@ class TestNullVector:
             null_vector(np.array([[1.0, 0.0, 0.0]], dtype=complex))
 
 
-REAL_AFFINITY = os.sched_getaffinity
-
-
 def checked_map(func, items):
-    """map_on_two_cpus's results and process count.  Whether it returns or
-    raises, no child is left and the affinity set is what it was."""
-    before, out = REAL_AFFINITY(0), []
+    """map_on_two_cpus's results and process count.  Whether it returns or raises,
+    no child is left and the affinity set, faked or real, is what it was."""
+    before, out = os.sched_getaffinity(0), []
     try:
         return out, map_on_two_cpus(func, items, out.append)
     finally:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert REAL_AFFINITY(0) == before
+        assert os.sched_getaffinity(0) == before
 
 
+@pytest.mark.usefixtures("affinity")
 class TestMapOnTwoCpus:
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 8])
     def test_results_in_order(self, n):
         assert checked_map(lambda x: [x * x], range(n)) == ([[x * x] for x in range(n)], 2 if n >= 2 else 1)
 
-    def test_serial_with_one_cpu_or_another_thread(self, monkeypatch):
+    def test_serial_with_one_cpu_or_another_thread(self, affinity):
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
@@ -489,17 +483,23 @@ class TestMapOnTwoCpus:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        affinity.cpus = {0}
         assert checked_map(lambda x: -x, range(4)) == ([0, -1, -2, -3], 1)
+        assert affinity.pins == []
 
     def test_each_process_starts_from_the_state_at_the_call(self):
         seen = []
         assert checked_map(lambda x: seen.append(x) or len(seen), range(6)) == ([1, 2, 3, 1, 2, 3], 2)
 
-    def test_halves_run_pinned_to_the_first_two_cpus(self, monkeypatch):
-        pair = sorted(REAL_AFFINITY(0))[:2]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(pair))
-        assert checked_map(lambda x: REAL_AFFINITY(0), range(4))[0] == [{pair[0]}] * 2 + [{pair[-1]}] * 2
+    def test_halves_run_pinned_to_the_two_cpus(self, affinity):
+        affinity.cpus = {2, 5}
+        assert checked_map(lambda x: os.sched_getaffinity(0), range(4)) == ([{2}, {2}, {5}, {5}], 2)
+        assert affinity.pins == [{2}, {2, 5}]  # the parent's: its half, then the set restored
+
+    def test_a_larger_set_splits_unpinned(self, affinity):
+        affinity.cpus = {0, 1, 2, 3}
+        assert checked_map(lambda x: os.sched_getaffinity(0), range(4)) == ([{0, 1, 2, 3}] * 4, 2)
+        assert affinity.pins == []
 
     def test_pinning_is_best_effort(self, monkeypatch):
         def refuse(pid, cpus):
@@ -528,3 +528,17 @@ class TestMapOnTwoCpus:
 
         with pytest.raises(DomainError, match=f"^item {min(bad)} is out of domain$"):
             checked_map(check, range(4))
+
+
+def test_map_on_two_cpus_pins_this_process_for_real():
+    # the first two CPUs of this process's own affinity set, narrowed to them and restored after
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("the affinity set has one CPU")
+    pair = sorted(cpus)[:2]
+    os.sched_setaffinity(0, pair)
+    try:
+        assert checked_map(lambda x: os.sched_getaffinity(0), range(4)) == ([{pair[0]}] * 2 + [{pair[1]}] * 2, 2)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert os.sched_getaffinity(0) == cpus
