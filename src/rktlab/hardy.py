@@ -31,7 +31,6 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -65,15 +64,15 @@ NODES_PER_PANEL = 16
 BATCH_NODES = 2**14
 
 
-@dataclass(frozen=True)
 class HardyConfig:
     """Exponent of one H^p session."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not 1.0 < self.p < math.inf:
-            raise DomainError(f"p must lie in (1, inf), got {self.p}")
+    def __init__(self, p: float):
+        if not 1.0 < p < math.inf:
+            raise DomainError(f"p must lie in (1, inf), got {p}")
+        self.p = p
 
 
 def hardy_config(p: float) -> HardyConfig:

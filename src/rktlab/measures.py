@@ -20,7 +20,6 @@ annular-sector areas), so scans are exact up to float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,27 +30,23 @@ from .numerics import TWO_PI, _wrap_angles as _wrap, ensure_point, wrap_angle
 _BOUNDARY_ATOM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class Arc:
     """Boundary arc given by center angle and length; wraps modulo 2*pi."""
 
-    center: float
-    length: float
+    __slots__ = ("center", "length")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.length)):
+    def __init__(self, center: float, length: float):
+        if not (math.isfinite(center) and math.isfinite(length)):
             raise DomainError("arc parameters must be finite")
-        if not 0.0 < self.length <= TWO_PI + 1e-12:
-            raise DomainError(f"arc length must lie in (0, 2*pi], got {self.length}")
-        object.__setattr__(self, "center", wrap_angle(self.center))
-        object.__setattr__(self, "length", min(float(self.length), TWO_PI))
+        if not 0.0 < length <= TWO_PI + 1e-12:
+            raise DomainError(f"arc length must lie in (0, 2*pi], got {length}")
+        self.center, self.length = wrap_angle(center), min(float(length), TWO_PI)
 
     @property
     def start(self) -> float:
         return wrap_angle(self.center - 0.5 * self.length)
 
 
-@dataclass(frozen=True)
 class BoundaryDensity:
     """Piecewise-constant density with respect to arclength d(theta).
 
@@ -59,20 +54,18 @@ class BoundaryDensity:
     wrapping around to breakpoints[0] + 2*pi.
     """
 
-    breakpoints: np.ndarray
-    values: np.ndarray
+    __slots__ = ("breakpoints", "values")
 
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, breakpoints, values):
+        bp = np.asarray(breakpoints, dtype=float)
+        v = np.asarray(values, dtype=float)
         if bp.ndim != 1 or bp.size == 0 or v.shape != bp.shape:
             raise DomainError("breakpoints and values must be matching 1-d arrays")
         if not np.all((bp >= 0.0) & (bp < TWO_PI)) or np.any(np.diff(bp) <= 0.0):  # NaN fails too
             raise DomainError("breakpoints must be strictly increasing within [0, 2*pi)")
         if np.any(v < 0.0) or not np.all(np.isfinite(v)):
             raise DomainError("density values must be finite and nonnegative")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", v)
+        self.breakpoints, self.values = bp, v
 
     @classmethod
     def zero(cls) -> "BoundaryDensity":
@@ -120,20 +113,17 @@ class BoundaryDensity:
         return float(np.min(self.values))
 
 
-@dataclass(frozen=True)
 class AreaDensity:
     """Piecewise-constant density with respect to area measure dA on a polar
     partition: cells [radial_breaks[i], radial_breaks[i+1]] x
     [angular_breaks[j], angular_breaks[j+1]]."""
 
-    radial_breaks: np.ndarray
-    angular_breaks: np.ndarray
-    values: np.ndarray
+    __slots__ = ("radial_breaks", "angular_breaks", "values")
 
-    def __post_init__(self):
-        rb = np.asarray(self.radial_breaks, dtype=float)
-        ab = np.asarray(self.angular_breaks, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, radial_breaks, angular_breaks, values):
+        rb = np.asarray(radial_breaks, dtype=float)
+        ab = np.asarray(angular_breaks, dtype=float)
+        v = np.asarray(values, dtype=float)
         if rb.ndim != 1 or rb.size < 2 or not np.all(np.diff(rb) > 0):
             raise DomainError("radial_breaks must be increasing with >= 2 entries")
         if rb[0] < 0.0 or rb[-1] > 1.0 + 1e-12:
@@ -146,9 +136,7 @@ class AreaDensity:
             raise DomainError("values must have shape (radial cells, angular cells)")
         if np.any(v < 0.0) or not np.all(np.isfinite(v)):
             raise DomainError("density values must be finite and nonnegative")
-        object.__setattr__(self, "radial_breaks", rb)
-        object.__setattr__(self, "angular_breaks", ab)
-        object.__setattr__(self, "values", v)
+        self.radial_breaks, self.angular_breaks, self.values = rb, ab, v
 
     @classmethod
     def constant(cls, value: float) -> "AreaDensity":
@@ -178,17 +166,14 @@ class AreaDensity:
         return total
 
 
-@dataclass(frozen=True)
 class Measure:
-    """Positive finite Borel measure on the closed unit disk."""
+    """Positive finite Borel measure on the closed unit disk; the boundary density defaults to zero."""
 
-    atoms: tuple = ()
-    boundary: BoundaryDensity = field(default_factory=BoundaryDensity.zero)
-    area: AreaDensity | None = None
+    __slots__ = ("atoms", "boundary", "area")
 
-    def __post_init__(self):
+    def __init__(self, atoms=(), boundary: BoundaryDensity | None = None, area: AreaDensity | None = None):
         checked = []
-        for z, mass in self.atoms:
+        for z, mass in atoms:
             z = ensure_point(z)
             mass = float(mass)
             if mass <= 0.0 or not math.isfinite(mass):
@@ -196,7 +181,8 @@ class Measure:
             if abs(z) > 1.0 + 1e-12:
                 raise DomainError(f"atom at {z} lies outside the closed disk")
             checked.append((z, mass))
-        object.__setattr__(self, "atoms", tuple(checked))
+        self.atoms, self.area = tuple(checked), area
+        self.boundary = BoundaryDensity.zero() if boundary is None else boundary
 
     def has_boundary_atoms(self) -> bool:
         """Whether an atom sits on the circle: singular mass, which never raises ``boundary.min_value()``."""

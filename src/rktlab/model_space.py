@@ -13,7 +13,6 @@ basis-independent and cross-checked against closed kernel formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -23,24 +22,21 @@ from .errors import DomainError, PrecisionError
 from .numerics import TWO_PI, DiskGrid, eigen_hermitian, null_vector, wrap_angle
 
 
-@dataclass(frozen=True)
 class BlaschkeProduct:
     """Theta(z) = front * prod (z - a_j) / (1 - conj(a_j) z), |a_j| < 1."""
 
-    zeros: np.ndarray
-    front: complex = 1.0 + 0.0j
+    __slots__ = ("zeros", "front")
 
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.zeros, dtype=np.complex128))
+    def __init__(self, zeros, front: complex = 1.0 + 0.0j):
+        a = np.atleast_1d(np.asarray(zeros, dtype=np.complex128))
         if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
             raise DomainError("zeros must be a finite nonempty 1-d array")
         if np.any(np.abs(a) >= 1.0 - 1e-9):
             raise DomainError("zeros must lie strictly inside the disk")
-        front = complex(self.front)
+        front = complex(front)
         if abs(abs(front) - 1.0) > 1e-12:
             raise DomainError("front constant must be unimodular")
-        object.__setattr__(self, "zeros", a)
-        object.__setattr__(self, "front", front)
+        self.zeros, self.front = a, front
 
     @property
     def degree(self) -> int:
@@ -69,8 +65,7 @@ def kernel_value(theta: BlaschkeProduct, lam: complex, z) -> np.ndarray:
     return (1.0 - tl * theta(z)) / (1.0 - np.conj(lam) * z)
 
 
-@dataclass(frozen=True)
-class ModelSpaceBasis:
+class ModelSpaceBasis(NamedTuple):
     """Takenaka-Malmquist orthonormal basis e_0..e_{N-1} of K_Theta."""
 
     theta: BlaschkeProduct
@@ -114,8 +109,7 @@ class ModelSpaceBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClarkSystem:
+class ClarkSystem(NamedTuple):
     """Solutions of Theta = alpha on the circle with their kernel weights."""
 
     theta: BlaschkeProduct
@@ -191,8 +185,7 @@ def clark_kernel_coords(basis: ModelSpaceBasis, points: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbedSystem:
+class PerturbedSystem(NamedTuple):
     """Clark system with the first point deleted and the next one nudged.
 
     xi_1 = exp(i(arg zeta_1 + epsilon)); xi_n = zeta_n for n >= 2.  The

@@ -14,7 +14,6 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -53,11 +52,35 @@ def _wrap_angles(t: np.ndarray) -> np.ndarray:
     return np.where(t == TWO_PI, 0.0, t)
 
 
+def _legval(x, c):
+    """numpy's ``legval``: sum c_k P_k(x) by Clenshaw's recurrence, in its float operations."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
+    """numpy's ``polynomial.legendre.leggauss(n)`` bit for bit, with its float operations in order
+    but without importing numpy.polynomial: the eigenvalues of P_n's symmetric companion matrix,
+    one Newton step, and the weights 1 / (P_{n-1} P_n') symmetrised and scaled to sum to 2."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * n + [1.0]  # P_n, and P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    df = _legval(x, [(2.0 * k + 1.0) * ((n - 1 - k) % 2 == 0) for k in range(n)])
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -195,7 +218,6 @@ def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleRule) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DiskGrid:
     """Polar scan grid: rings accumulating geometrically at the boundary.
 
@@ -203,12 +225,11 @@ class DiskGrid:
     angular breakpoints of piecewise measures.
     """
 
-    radii: np.ndarray
-    angles_per_ring: np.ndarray
+    __slots__ = ("radii", "angles_per_ring")
 
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        m = np.asarray(self.angles_per_ring, dtype=int)
+    def __init__(self, radii, angles_per_ring):
+        r = np.asarray(radii, dtype=float)
+        m = np.asarray(angles_per_ring, dtype=int)
         if r.ndim != 1 or r.size == 0 or m.shape != r.shape:
             raise DomainError("radii and angles_per_ring must be matching 1-d arrays")
         if np.any(np.diff(r) <= 0.0):
@@ -217,8 +238,7 @@ class DiskGrid:
             raise DomainError(f"radii must lie in (0, {RADIAL_CAP}]")
         if np.any(m < 1):
             raise DomainError("angles_per_ring must be positive")
-        object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "angles_per_ring", m)
+        self.radii, self.angles_per_ring = r, m
 
     @classmethod
     def dyadic(cls, levels: int, angles_per_ring: int = 64) -> "DiskGrid":

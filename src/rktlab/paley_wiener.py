@@ -16,7 +16,6 @@ which gives the partial sums in O(grid) and checks the tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -27,21 +26,19 @@ from .errors import DomainError, PrecisionError
 from .numerics import eigen_hermitian, ensure_point
 
 
-@dataclass(frozen=True)
 class SamplingSequence:
     """Finite symmetric truncation of a separated real sampling set."""
 
-    points: np.ndarray
-    n_max: int
+    __slots__ = ("points", "n_max")
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points, n_max: int):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size == 0 or not np.all(np.isfinite(pts)):
             raise DomainError("points must be a finite 1-d array")
         pts = np.sort(pts)
         if pts.size > 1 and np.min(np.diff(pts)) <= 0.0:
             raise DomainError("points must be distinct")
-        object.__setattr__(self, "points", pts)
+        self.points, self.n_max = pts, n_max
 
     @classmethod
     def kadets(cls, n_max: int) -> "SamplingSequence":

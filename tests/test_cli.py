@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import logging
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -646,19 +648,17 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
     def test_quick_run_loads_no_numpy_random(self, tmp_path, config):
-        # random draws come from the standard library's random module, and only
-        # the kinds that build a Gauss rule load numpy.polynomial for it
+        # random draws come from the standard library's random module, Gauss rules are
+        # built without numpy.polynomial, and no class of rktlab is a dataclass
         code = (
-            "import sys; from rktlab.cli import main; code = main(sys.argv[1:]); "
-            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules)"
+            "import sys; from rktlab.cli import main; dataclasses_loaded = 'dataclasses' in sys.modules; "
+            "code = main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules, 'numpy.polynomial' in sys.modules, dataclasses_loaded)"
         )
         argv = ["run", "--config", str(config), "--out", str(tmp_path / "o"), "--quick"]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True, text=True)
-        code, random_loaded, polynomial_loaded = done.stdout.split()
-        assert (code, random_loaded) == (str(EXIT_OK), "False")
-        if json.loads(config.read_text())["kind"] in ("windows", "pw-counterexample", "theorem2"):
-            assert polynomial_loaded == "False"
+        assert done.stdout.split() == [str(EXIT_OK), "False", "False", "False"]
 
     @pytest.mark.parametrize("config", SHIPPED, ids=lambda p: p.stem)
     def test_full_run_matches_the_benchmark_reference(self, tmp_path, config):
@@ -695,6 +695,32 @@ class TestBlasThreads:
             subprocess.run([sys.executable, "-m", "rktlab", *argv], env=self.env(threads), check=True, capture_output=True)
             csvs.append((out / f"{kind}.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+
+class TestStartUp:
+    def test_main_freezes_the_start_up_heap_and_still_collects(self, tmp_path):
+        gc.unfreeze()
+        assert run(["run", "--config", str(ROOT / "configs" / "windows.json"), "--out", str(tmp_path / "o"), "--quick"]) == EXIT_OK
+        assert gc.get_freeze_count() > 0 and gc.isenabled()
+
+        class Node:
+            pass
+
+        a, b = Node(), Node()
+        a.other, b.other = b, a
+        gone = weakref.ref(a)
+        del a, b
+        gc.collect()
+        assert gone() is None
+
+    def test_debug_log_reports_start_up_cpu_time_only(self, tmp_path, caplog):
+        out = tmp_path / "o"
+        with caplog.at_level(logging.DEBUG, logger="rktlab"):
+            assert run(["run", "--config", str(ROOT / "configs" / "windows.json"), "--out", str(out), "--quick"]) == EXIT_OK
+        found = re.search(r"CPU time before main \(start-up\): (\d+\.\d{3}) s", caplog.text)
+        assert found and float(found.group(1)) > 0.0
+        # the log only: no output file names CPU time or start-up
+        assert not [f for f in out.iterdir() if re.search("cpu|start", f.read_text(), re.IGNORECASE)]
 
 
 class TestReport:

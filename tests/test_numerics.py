@@ -13,6 +13,7 @@ from rktlab.numerics import (
     RADIAL_CAP,
     TWO_PI,
     DiskGrid,
+    _leggauss,
     circle_panels,
     circle_quadrature,
     eigen_hermitian,
@@ -177,6 +178,12 @@ class TestWrapAngle:
 
 
 class TestRuleBuildersBitIdentical:
+    def test_leggauss_matches_numpy(self):
+        for n in range(1, 129):
+            x, w = _leggauss(n)
+            ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+            assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), n
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_circle_quadrature_matches_reference(self, data):
