@@ -124,7 +124,7 @@ class GeneratingWitness(NamedTuple):
     extrapolation_spread: float
 
 
-#: Pair indices k whose factors one block of _pair_products multiplies.
+#: Pair indices k of one parity whose factors one block of _pair_products multiplies.
 PRODUCT_BLOCK_PAIRS = 16
 
 
@@ -132,23 +132,33 @@ def _pair_products(xs, n):
     """The symmetric products prod (1 - x/x_k)(1 - x/x_{-k}) over k <= n//2
     and over k <= n.
 
-    Multiplying factor-by-factor keeps the zero at x = x_k exact.  A block's
-    row 0 holds the running product and the factors of x_k, x_{-k}, x_{k+1}, ...
-    follow; reducing it row by row multiplies in the order of a loop over k."""
-    pts = _kernels.kadets_points(n)
-    order = np.column_stack([pts[n:], pts[n - 1 :: -1]]).ravel()[:, None]  # x_1, x_-1, x_2, x_-2, ...
-    block = np.empty((2 * PRODUCT_BLOCK_PAIRS + 1, xs.size))
-    prod = np.ones_like(xs)
-    for lo, hi in ((0, n // 2), (n // 2, n)):
-        for k in range(lo, hi, PRODUCT_BLOCK_PAIRS):
-            rows = block[: 2 * (min(k + PRODUCT_BLOCK_PAIRS, hi) - k) + 1]
-            rows[0] = prod
-            np.divide(xs, order[2 * k : 2 * k + len(rows) - 1], out=rows[1:])
-            np.subtract(1.0, rows[1:], out=rows[1:])
-            prod = np.multiply.reduce(rows, axis=0)
-        if lo == 0:
-            half = prod
-    return half, prod
+    A pair's factor is (k^2 - (x - s_k)^2) / m_k with s_k = 1/8 (k even),
+    -1/8 (k odd) and m_k = k^2 - 1/64, so each parity is one running product
+    in y = (x - s_k)^2, taken once per distinct y, and the two multiply at the
+    end.  x - s_k is exactly +-k at x_{+-k}, so the zeros are exact, and at
+    x = 0 the numerator is m_k, so dividing by m_k (not multiplying by 1/m_k)
+    gives exactly 1.  A block's row 0 holds the running product and the factors
+    of k, k + 2, ... follow; reducing it row by row multiplies in the order of
+    a loop over k."""
+    half = full = 1.0
+    for s, k0 in ((0.125, 2), (-0.125, 1)):
+        y, inv = np.unique((xs - s) ** 2, return_inverse=True)
+        k2 = np.arange(k0, n + 1, 2, dtype=float)[:, None] ** 2
+        mid = (n // 2 - k0) // 2 + 1  # the k of this parity up to n//2
+        block = np.empty((PRODUCT_BLOCK_PAIRS + 1, y.size))
+        prod = np.ones_like(y)
+        for lo, hi in ((0, mid), (mid, len(k2))):
+            for i in range(lo, hi, PRODUCT_BLOCK_PAIRS):
+                ks = k2[i : min(i + PRODUCT_BLOCK_PAIRS, hi)]
+                rows = block[: len(ks) + 1]
+                rows[0] = prod
+                np.subtract(ks, y, out=rows[1:])
+                np.divide(rows[1:], ks - 0.015625, out=rows[1:])
+                prod = np.multiply.reduce(rows, axis=0)
+            if lo == 0:
+                half = half * prod[inv]
+        full = full * prod[inv]
+    return half, full
 
 
 @lru_cache(maxsize=8)
@@ -233,7 +243,8 @@ def witness_contrast(seq: SamplingSequence, length: float = 256.0, rate: int = 8
         )
     n = int(round(length * rate))
     xs = (np.arange(n) - n // 2) / float(rate)
-    # one product pass over the grid and the sequence points together
+    # one product pass over the grid and the sequence points together; at rate 8 every
+    # point is a multiple of 1/8, so the points add no distinct (x -+ 1/8)^2 to the grid's
     wit = generating_witness(seq, np.concatenate([xs, seq.points[np.abs(seq.points) <= length / 2.0]]))
     values = wit.values[:n]
     mu_mass = float(np.sum(np.abs(wit.values[n:]) ** 2))

@@ -22,6 +22,29 @@ from rktlab.paley_wiener import (
 )
 
 
+def parity_loop(xs, n):
+    """The pair products as one running product per parity, k by k over every x."""
+    half = full = 1.0
+    for s, k0 in ((0.125, 2), (-0.125, 1)):
+        y, prod = (xs - s) ** 2, np.ones_like(xs)
+        for k in range(k0, n + 1, 2):
+            prod = prod * ((k * k - y) / (k * k - 0.015625))
+            if n // 2 - 2 < k <= n // 2:  # the last k of this parity in the half
+                half = half * prod
+        full = full * prod
+    return half, full
+
+
+def factor_loop(xs, n):
+    """The pair products factor by factor, as they were first written."""
+    prod, pts = np.ones_like(xs), kadets_points(n)
+    for k in range(1, n + 1):
+        prod = prod * (1.0 - xs / pts[n + k - 1]) * (1.0 - xs / pts[n - k])
+        if k == n // 2:
+            half = prod
+    return half, prod
+
+
 class TestKadetsPoints:
     # kadets_points(n) holds x_-n .. x_-1, then x_1 .. x_n
     def test_even(self):
@@ -355,20 +378,48 @@ class TestWitness:
 
     @pytest.mark.parametrize("n", [512, 1025, 4096])  # at 1,025 half stops at k = 512
     def test_blocked_products_equal_the_loop(self, n):
-        def loop(xs, n):  # factor by factor, as the products were first written
-            prod, pts = np.ones_like(xs), kadets_points(n)
-            for k in range(1, n + 1):
-                prod = prod * (1.0 - xs / pts[n + k - 1]) * (1.0 - xs / pts[n - k])
-                if k == n // 2:
-                    half = prod
-            return half, prod
-
         seq = SamplingSequence.kadets(n)
         on_seq = seq.points[np.abs(seq.points) <= 128.0]
         xs = np.concatenate([(np.arange(2048) - 1024) / 8.0, on_seq])
-        for got, want in zip(_pair_products(xs, n), loop(xs, n)):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            assert np.all(got[-on_seq.size :] == 0.0)  # exact zeros at the sequence points
+        got = _pair_products(xs, n)
+        for g, want in zip(got, parity_loop(xs, n)):
+            assert np.array_equal(g.view(np.int64), want.view(np.int64))
+        for g, want in zip(got, factor_loop(xs, n)):
+            nz = want != 0.0
+            assert np.max(np.abs(g - want)[nz] / np.abs(want[nz])) <= 1e-12  # 1.1e-13 at n = 4,096
+            assert np.all(g[-on_seq.size :] == 0.0)  # exact zeros at the sequence points
+
+    def test_rate_ten_grid_equals_the_loop(self):
+        # no two points of a rate-10 grid share (x -+ 1/8)^2, so nothing is deduplicated
+        xs = (np.arange(2560) - 1280) / 10.0
+        assert np.unique((xs - 0.125) ** 2).size == np.unique((xs + 0.125) ** 2).size == xs.size
+        for g, want in zip(_pair_products(xs, 1024), parity_loop(xs, 1024)):
+            assert np.array_equal(g.view(np.int64), want.view(np.int64))
+
+    def test_products_against_mpmath(self):
+        # the products at 40 digits, on and off the rate-8 grid but away from the
+        # zeros, where the rounding of x alone is amplified by 1/|1 - x/x_k|
+        mpmath = pytest.importorskip("mpmath")
+        n = 1024
+        xs = np.array([0.3, -0.7, 1.0, math.pi, 12.345, -57.9, 64.1, 100.0625, 127.99, -128.0, -0.01])
+        got = _pair_products(xs, n)
+        pts = kadets_points(n)
+        with mpmath.workdps(40):
+            for i, x in enumerate(xs):
+                x, prod = mpmath.mpf(float(x)), mpmath.mpf(1)
+                for k in range(1, n + 1):
+                    prod *= (1 - x / mpmath.mpf(pts[n + k - 1])) * (1 - x / mpmath.mpf(pts[n - k]))
+                    if k == n // 2:
+                        half = prod
+                for g, want in zip((got[0][i], got[1][i]), (half, prod)):
+                    assert abs(float((g - want) / want)) <= 1e-13  # 3.9e-14 at most
+
+    def test_largest_witness(self):
+        # the widest grid and finest rate witness_contrast allows at the largest truncation
+        ratio, l2, values, spread = witness_contrast(SamplingSequence.kadets(16384), 512.0, 32)
+        assert ratio == 0.0
+        assert math.isfinite(spread) and 0.0 < spread <= 1e-2
+        assert values.size == 512 * 32 and l2 > 0.1
 
     def test_overflowing_products_refused(self):
         # near |x| = 1000 the partial products pass 1e308 and the values turn NaN
