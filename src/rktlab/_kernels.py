@@ -13,7 +13,10 @@ z = rho*exp(i*theta) the stable form
     |1 - conj(lam)*z|^2 = (1 - R*rho)^2 + 4*R*rho*sin((theta - phi)/2)^2
 
 avoids the cancellation that 1 + R^2*rho^2 - 2*R*rho*cos(...) suffers
-near the boundary.
+near the boundary.  Each kernel builds it in one buffer and finishes it in
+place (``*=``, ``+=``, ``**=``) with the operands of the out-of-place
+expression in their order: addition commutes exactly and ``**=`` takes the
+scalar-power fast paths of ``**``, so every element is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +68,12 @@ def kernel_pow_disk_sum(rhos, thetas, weights, r, phi, p):
     a list of sums, one per kernel radius of the array r, all at the angle phi."""
     s = np.sin(0.5 * (thetas - phi))
     rr = np.multiply.outer(r, rhos)
-    d2 = (1.0 - rr) ** 2 + 4.0 * rr * s * s
-    return [float(np.dot(np.ravel(weights), v)) for v in np.reshape(d2 ** (-0.5 * p), (len(r), -1))]
+    d2 = 4.0 * rr * s
+    d2 *= s
+    d2 += (1.0 - rr) ** 2
+    d2 **= -0.5 * p
+    w = np.ravel(weights)
+    return [float(np.dot(w, v)) for v in np.reshape(d2, (len(r), -1))]
 
 
 def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):
@@ -75,8 +82,10 @@ def phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p):
     radial = wts * (ts * (2.0 - ts)) ** (p - 1.0) * r
     s = np.sin(0.5 * (angs - psi))
     rr = r * rho
-    d2 = (1.0 - rr)[:, None] ** 2 + 4.0 * rr[:, None] * (s * s)[None, :]
-    return radial * (d2 ** (-0.5 * p) @ wangs)
+    d2 = np.multiply.outer(4.0 * rr, s * s)
+    d2 += ((1.0 - rr) ** 2)[:, None]
+    d2 **= -0.5 * p
+    return radial * (d2 @ wangs)
 
 
 def kadets_points(n):

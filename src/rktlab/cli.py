@@ -36,7 +36,7 @@ from .errors import ConfigError, DegenerateSystemError, DomainError, EvaluationE
 from .hardy import (
     DEFAULT_SEED,
     hardy_config,
-    kernel_norm,
+    kernel_norms,
     phi_h,
     phi_h_depths,
     phi_h_limit_profile,
@@ -453,7 +453,7 @@ def run_rkt_hardy(got: dict, quick: bool, seed: int):
     cfg = hardy_config(p)
     grid = DiskGrid.dyadic(levels, angles)
     scan = rkt_infimum_scan(mu, cfg, grid)
-    logger.info("C2 scan at %d kernel points (processes: %d)", len(scan.rows), scan.processes)
+    logger.info("C2 scan at %d kernel points (processes: %d), %d disk nodes", len(scan.rows), scan.processes, scan.disk_nodes)
     summary = {
         "p": p,
         "c2_estimate": scan.value,
@@ -462,6 +462,7 @@ def run_rkt_hardy(got: dict, quick: bool, seed: int):
         "scan_rule_builds": scan.rule_builds,
         "scan_nodes": scan.nodes,
         "scan_shared_nodes": scan.shared_nodes,
+        "scan_disk_nodes": scan.disk_nodes,
     }
     if poly_spec is not None:
         count = min(poly_spec["count"], 50) if quick else poly_spec["count"]
@@ -470,11 +471,11 @@ def run_rkt_hardy(got: dict, quick: bool, seed: int):
         summary["c1_min_ratio"] = float(min(ratios))
         summary["polynomial_count"] = count
     checks = []
-    cfg2 = hardy_config(2.0)
+    lams = (0.5 + 0.0j, 0.6j, 0.9 * np.exp(1.0j), (1.0 - 2.0**-16) + 0.0j)
     dev = 0.0
-    for lam in (0.5 + 0.0j, 0.6j, 0.9 * np.exp(1.0j), (1.0 - 2.0**-16) + 0.0j):
+    for lam, norm in zip(lams, kernel_norms(lams, hardy_config(2.0))):
         exact = (1.0 - abs(lam) ** 2) ** -0.5
-        dev = max(dev, abs(kernel_norm(complex(lam), cfg2) - exact) / exact)
+        dev = max(dev, abs(norm - exact) / exact)
     checks.append(
         Check("kernel-norm-closed-form", dev <= 1e-8, f"max relative deviation {dev:.3e} at p=2")
     )

@@ -18,7 +18,7 @@ panels are mapped and take their sines once; ``_kernels.kernel_pow_circle_sum``
 sums blocks of whole rules on gathered copies, and the atoms and cells of a
 ray's points go in array passes; from 256 points, the rays' two halves go to the two
 processes of ``numerics.map_on_two_cpus``.  ``rkt_functional`` is that path on one
-point, and ``kernel_norm`` its circle sum on the zero measure.  A polynomial family is
+point, and ``kernel_norms`` its circle sums on the zero measure.  A polynomial family is
 evaluated on a measure's nodes built once, and its ||f||_p^p and boundary
 integral come from one circle rule through the breakpoints, as the kernels' do.
 A phi_h depth sequence takes one kernel matrix per z on the union of its
@@ -105,17 +105,23 @@ def _abs_pow_sums(zs: np.ndarray, weights: Sequence[np.ndarray], coeffs: np.ndar
     return sums
 
 
+def kernel_norms(lams, cfg: HardyConfig) -> list[float]:
+    """||k_lam||_p by quadrature at each point, from one ``_circle_sums`` call;
+    for p = 2 these match (1-|lam|^2)^(-1/2)."""
+    pts = _kernel_points(lams)
+    for r in pts[:, 0].tolist():
+        if 1.0 - r < (1.0 - RADIAL_CAP) * (1.0 - 1e-9):
+            warnings.warn(
+                f"1-|lam|={1.0 - r:.3e} is beyond the grid cap {1.0 - RADIAL_CAP:.3e}; "
+                "the quadrature is reported at reduced confidence",
+                PrecisionWarning,
+            )
+    return [(x / TWO_PI) ** (1.0 / cfg.p) for x in _circle_sums(Measure(), pts, cfg.p)[0].tolist()]
+
+
 def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
-    """||k_lam||_p by quadrature; for p = 2 this matches (1-|lam|^2)^(-1/2)."""
-    pts = _kernel_points([lam])
-    r = float(pts[0, 0])
-    if 1.0 - r < (1.0 - RADIAL_CAP) * (1.0 - 1e-9):
-        warnings.warn(
-            f"1-|lam|={1.0 - r:.3e} is beyond the grid cap {1.0 - RADIAL_CAP:.3e}; "
-            "the quadrature is reported at reduced confidence",
-            PrecisionWarning,
-        )
-    return (float(_circle_sums(Measure(), pts, cfg.p)[0][0]) / TWO_PI) ** (1.0 / cfg.p)
+    """``kernel_norms`` at one point."""
+    return kernel_norms([lam], cfg)[0]
 
 
 def _nearest_on_arc(angle: float, lo: float, hi: float) -> float:
@@ -211,18 +217,21 @@ def _spans(offsets, size: int):
     return zip(ends, ends[1:])
 
 
-def _disk_sums(pts: np.ndarray, keys: list, rule, p: float) -> np.ndarray:
-    """``kernel_pow_disk_sum`` at each kernel point over the disk nodes (rhos, thetas,
-    weights) = rule(i) of the first point i of its run of equal keys (an angle and
-    what the nodes depend on): a run is one call, in parts of at most BATCH_NODES values."""
-    sums = []
+def _disk_sums(out: np.ndarray, factor: float, pts: np.ndarray, keys: list, rule, p: float) -> int:
+    """Adds factor times ``kernel_pow_disk_sum`` at each kernel point into out, over the
+    disk nodes (rhos, thetas, weights) = rule(i) of the first point i of its run of equal
+    keys (an angle and what the nodes depend on): a run is one call, in parts of at most
+    BATCH_NODES values.  Returns the number of nodes evaluated, over all the points."""
+    sums, nodes = [], 0
     for _, run in itertools.groupby(keys):
         i, n = len(sums), len(list(run))
         rhos, thetas, weights = rule(i)
+        nodes += n * weights.size
         step = max(1, BATCH_NODES // weights.size)
         for k in range(i, i + n, step):
             sums += _kernels.kernel_pow_disk_sum(rhos, thetas, weights, pts[k : min(k + step, i + n), 0], pts[i, 1], p)
-    return np.array(sums)
+    out += factor * np.array(sums)
+    return nodes
 
 
 def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
@@ -250,10 +259,10 @@ def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below
 def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
     """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``), its trees,
-    circle nodes, distinct panels' nodes and processes.  A ray's points (one angle float) share
-    a tree; ``_circle_sums`` takes whole rays of at most BATCH_NODES // BASE_PANELS = size points,
-    in blocks of whole rules of at most BATCH_NODES nodes.  From size points, ``map_on_two_cpus``
-    takes the rays in two halves of nearly equal point count."""
+    circle nodes, distinct panels' nodes, disk nodes and processes.  A ray's points (one angle
+    float) share a tree; ``_circle_sums`` takes whole rays of at most BATCH_NODES // BASE_PANELS =
+    size points, in blocks of whole rules of at most BATCH_NODES nodes.  From size points,
+    ``map_on_two_cpus`` takes the rays in two halves of nearly equal point count."""
     p, size = cfg.p, BATCH_NODES // BASE_PANELS
     order = np.lexsort((pts[:, 1],))  # ray by ray
     ray_offsets = np.append(np.flatnonzero(np.diff(pts[order, 1], prepend=np.nan)), len(pts))
@@ -267,18 +276,17 @@ def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
             norm, num, n, m = _circle_sums(mu, rays, p)
             # the measure's parts as the integral sums them: atoms + boundary (= 0 + atoms + boundary),
             # then each cell on its product rule, whose rules a ray's points share past the first rings
-            if mu.atoms:
-                num += _disk_sums(rays, rays[:, 1].tolist(), lambda i: (np.abs(zs), np.angle(zs), masses), p)
+            disk = _disk_sums(num, 1.0, rays, rays[:, 1].tolist(), lambda i: (np.abs(zs), np.angle(zs), masses), p) if mu.atoms else 0
             for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
                 keys = [(phi, *_cell_attracts(r0, r1, a0, a1, phi, scale)) for phi, scale in rays[:, 1:3].tolist()]
-                num += val * _disk_sums(rays, keys, lambda i: _cell_axes(r0, r1, a0, a1, *rays[i, 1:3].tolist()), p)
-            out.append((norm, num, n, m))
+                disk += _disk_sums(num, val, rays, keys, lambda i: _cell_axes(r0, r1, a0, a1, *rays[i, 1:3].tolist()), p)
+            out.append((norm, num, n, m, disk))
         return out
 
     trees, parts = len(ray_offsets) - 1, []
     half = int(np.argmin(np.abs(ray_offsets - 0.5 * len(pts))))  # the ray boundary nearest the middle point
     processes = map_on_two_cpus(chunks, [(0, half), (half, trees)] if len(pts) >= size and 0 < half < trees else [(0, trees)], parts.extend)
-    norm_parts, num_parts, node_counts, shared_counts = zip(*parts)
+    norm_parts, num_parts, node_counts, shared_counts, disk_counts = zip(*parts)
     norms, nums = np.empty(len(pts)), np.empty(len(pts))
     norms[order], nums[order] = np.concatenate(norm_parts), np.concatenate(num_parts)
     norms /= TWO_PI
@@ -288,7 +296,7 @@ def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
         if not math.isfinite(norm):
             raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
         raise EvaluationError(f"the measure integral of |k_lam|^p overflows at |lam| = {r!r}, p = {p!r} (||k_lam||_p^p = {norm!r})")
-    return nums / norms, trees, sum(node_counts), sum(shared_counts), processes
+    return nums / norms, trees, sum(node_counts), sum(shared_counts), sum(disk_counts), processes
 
 
 def rkt_functional(mu: Measure, lam: complex, cfg: HardyConfig) -> float:
@@ -304,6 +312,7 @@ class RktScan(NamedTuple):
     rule_builds: int  # bisection trees, one per ray
     nodes: int  # circle nodes evaluated
     shared_nodes: int  # circle nodes mapped, and sines taken, once for a ray
+    disk_nodes: int  # atom and area-cell nodes evaluated
     processes: int  # 1, or 2 when ``map_on_two_cpus`` split the rays (logged, never in summary.json)
 
 
@@ -311,9 +320,9 @@ def rkt_infimum_scan(mu: Measure, cfg: HardyConfig, grid: DiskGrid) -> RktScan:
     """Minimum of the kernel functional over the origin and the grid;
     estimates the best uniform lower constant over all kernel points."""
     lams = np.concatenate([[0.0 + 0.0j], grid.points()])
-    vals, trees, nodes, shared, processes = _rkt_points(mu, _kernel_points(lams), cfg)
+    vals, *counts = _rkt_points(mu, _kernel_points(lams), cfg)
     i = int(np.argmin(vals))  # the first minimum, as a strict-< loop finds it
-    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), trees, nodes, shared, processes)
+    return RktScan(float(vals[i]), complex(lams[i]), np.column_stack([lams.real, lams.imag, vals]), *counts)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan integral raises EvaluationError below

@@ -233,12 +233,14 @@ class TestRunners:
 
     def test_rkt_hardy_work_counts(self, tmp_path):
         # the shipped scan: one bisection tree per ray, the nodes of all 1,281
-        # circle rules, and the nodes of their 13,179 distinct panels
+        # circle rules, and the nodes of their 13,179 distinct panels; normalized
+        # arclength has no atoms or area cells, so no disk nodes
         cfg = Path(__file__).resolve().parents[1] / "configs" / "rkt_hardy.json"
         out = tmp_path / "o"
         assert run(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert (summary["scan_rule_builds"], summary["scan_nodes"], summary["scan_shared_nodes"]) == (100, 1_720_224, 210_864)
+        counts = ("scan_rule_builds", "scan_nodes", "scan_shared_nodes", "scan_disk_nodes")
+        assert tuple(summary[key] for key in counts) == (100, 1_720_224, 210_864, 0)
 
     def test_phi_h(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", PHIH_DOC)
@@ -312,6 +314,7 @@ class TestDeterminism:
             with caplog.at_level(logging.INFO, logger="rktlab"):
                 assert run(["run", "--config", str(ROOT / "configs" / "rkt_hardy.json"), "--out", str(out)]) == EXIT_OK
             assert re.search(rf"C2 scan at 1281 kernel points \(processes: {len(cpus)}\)", caplog.text)
+            assert f"kernel points (processes: {len(cpus)}), 0 disk nodes" in caplog.text
             outs.append([(out / f).read_bytes() for f in sorted(os.listdir(out))])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import os
@@ -11,8 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rktlab import hardy
-from rktlab._kernels import kernel_pow_disk_sum
+from rktlab import _kernels, hardy
+from rktlab.cli import main
 from rktlab.errors import DomainError, EvaluationError, PrecisionWarning
 from rktlab.hardy import (
     BASE_PANELS,
@@ -23,6 +24,7 @@ from rktlab.hardy import (
     classify_against_arc,
     hardy_config,
     kernel_norm,
+    kernel_norms,
     phi_h,
     phi_h_depths,
     phi_h_limit_profile,
@@ -43,7 +45,7 @@ from rktlab.measures import (
     normalized_arclength,
     upper_half_arclength,
 )
-from rktlab.numerics import TWO_PI, DiskGrid, circle_panels, circle_quadrature, gauss_legendre_panel
+from rktlab.numerics import RADIAL_CAP, TWO_PI, DiskGrid, circle_panels, circle_quadrature, gauss_legendre_panel
 
 P_SWEEP = [1.5, 2.0, 3.0, 4.0]
 
@@ -72,6 +74,43 @@ def circle_kernel_sum(thetas, weights, r, phi, p):
     return float(np.dot(weights, d2 ** (-0.5 * p)))
 
 
+def disk_kernel_sum(rhos, thetas, weights, r, phi, p):
+    """weights @ |k_lam|^p over the disk nodes (rhos, thetas), one sum per radius of r at the
+    angle phi: the out-of-place expression, a fresh array per operation."""
+    s = np.sin(0.5 * (thetas - phi))
+    rr = np.multiply.outer(r, rhos)
+    d2 = (1.0 - rr) ** 2 + 4.0 * rr * s * s
+    return [float(np.dot(np.ravel(weights), v)) for v in np.reshape(d2 ** (-0.5 * p), (len(r), -1))]
+
+
+def phi_h_kernel_sum(ts, wts, angs, wangs, rho, psi, p):
+    """The phi_h integrand at each radial node, integrated over the angles, out of place."""
+    r = 1.0 - ts
+    radial = wts * (ts * (2.0 - ts)) ** (p - 1.0) * r
+    s = np.sin(0.5 * (angs - psi))
+    rr = r * rho
+    d2 = (1.0 - rr)[:, None] ** 2 + 4.0 * rr[:, None] * (s * s)[None, :]
+    return radial * (d2 ** (-0.5 * p) @ wangs)
+
+
+def reference_cell_rule(r0, r1, a0, a1, phi, scale):
+    """Flat nodes (rhos, thetas, weights) of the polar cell's product rule, graded radially
+    toward r1 and angularly toward the arc point nearest phi, 8 nodes per panel."""
+    r_edges = _graded_edges(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),))
+    a_edges = _graded_edges(a0, a1, ((_nearest_on_arc(phi, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),))
+    rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], 8)
+    ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], 8)
+    return np.repeat(rs, ts.size), np.tile(ts, rs.size), np.repeat(wr * rs, ts.size) * np.tile(wt, rs.size)
+
+
+def reference_disk_nodes(mu, lam):
+    """The atom and area-cell nodes at which rkt_functional evaluates |k_lam|^p."""
+    scale = max(0.5 * (1.0 - abs(lam)), 2.0**-24)
+    cells = mu.area.cells() if mu.area is not None else ()
+    phi = math.atan2(lam.imag, lam.real)
+    return len(mu.atoms) + sum(reference_cell_rule(r0, r1, a0, a1, phi, scale)[2].size for r0, r1, a0, a1, _ in cells)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below, as in _rkt_points
 def reference_rkt(mu, lam, cfg):
     """rkt_functional one point at a time: a circle rule and a circle kernel of its
@@ -82,16 +121,11 @@ def reference_rkt(mu, lam, cfg):
     num = 0.0
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
-        num += kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, [r], phi, p)[0]
+        num += disk_kernel_sum(np.abs(zs), np.angle(zs), masses, [r], phi, p)[0]
     if mu.boundary.total() > 0.0:
         num += circle_kernel_sum(rule.nodes, rule.weights * mu.boundary.value_at(rule.nodes), r, phi, p)
     for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
-        r_edges = _graded_edges(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),))
-        a_edges = _graded_edges(a0, a1, ((_nearest_on_arc(phi, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),))
-        rs, wr = gauss_legendre_panel(r_edges[:-1], r_edges[1:], 8)
-        ts, wt = gauss_legendre_panel(a_edges[:-1], a_edges[1:], 8)
-        wts = np.repeat(wr * rs, ts.size) * np.tile(wt, rs.size)
-        num += val * kernel_pow_disk_sum(np.repeat(rs, ts.size), np.tile(ts, rs.size), wts, [r], phi, p)[0]
+        num += val * disk_kernel_sum(*reference_cell_rule(r0, r1, a0, a1, phi, scale), [r], phi, p)[0]
     norm = circle_kernel_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI
     if not (math.isfinite(num) and math.isfinite(norm)):
         raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
@@ -254,6 +288,27 @@ class TestKernelNorm:
         # would leave an empty panel
         assert kernel_norm(0.5 - 1e-17j, hardy_config(2.0)) == pytest.approx(0.75**-0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("p", P_SWEEP)
+    def test_norms_equal_the_point_by_point_loop(self, p):
+        # one circle-sum call for every point: two points share a ray (angle 0), one sits
+        # just below the real axis; each norm is that of a rule and kernel of its own
+        cfg = hardy_config(p)
+        lams = [0j, 0.5 + 0j, 0.6j, complex(0.9 * np.exp(1.0j)), 1.0 - 2.0**-16 + 0j, 0.5 - 1e-17j, -0.3 - 0.2j]
+        want = []
+        for lam in lams:
+            r, phi = abs(lam), math.atan2(lam.imag, lam.real)
+            rule = circle_quadrature((), [(phi, max(0.5 * (1.0 - r), 2.0**-24))], BASE_PANELS, NODES_PER_PANEL)
+            want.append((circle_kernel_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI) ** (1.0 / p))
+        assert kernel_norms(lams, cfg) == want == [kernel_norm(lam, cfg) for lam in lams]
+
+    def test_norms_warn_once_per_point_beyond_the_cap(self):
+        lams = [0.5, 1.0 - 2.0**-22, 0.3j, -(1.0 - 2.0**-24), RADIAL_CAP]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kernel_norms(lams, hardy_config(2.0))
+        assert [w.category for w in caught] == [PrecisionWarning, PrecisionWarning]
+        assert [str(w.message).split(" ")[0] for w in caught] == [f"1-|lam|={2.0**-22:.3e}", f"1-|lam|={2.0**-24:.3e}"]
+
 
 class TestRktFunctional:
     def test_normalized_arclength_p2(self):
@@ -379,10 +434,12 @@ class TestRktBatches:
             circle_quadrature(mu.boundary.breakpoints, [(math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - abs(lam)), 2.0**-24))], BASE_PANELS, NODES_PER_PANEL).nodes.size
             for lam in lams
         )
+        disk_nodes = sum(reference_disk_nodes(mu, lam) for lam in lams)
         for batch in (hardy.BATCH_NODES, 600):
             monkeypatch.setattr(hardy, "BATCH_NODES", batch)
             scan = rkt_infimum_scan(mu, cfg, grid)
             assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes, scan.shared_nodes) == (74, nodes, 92_320)
+            assert scan.disk_nodes == disk_nodes
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_two_cpus_give_the_one_cpu_scan(self, affinity, p):
@@ -466,10 +523,51 @@ class TestRktBatches:
         monkeypatch.setattr(hardy, "circle_quadrature", lambda *a, **k: rules.append(1) or quadrature(*a, **k))
         scan = rkt_infimum_scan(mu, cfg, DiskGrid.dyadic(levels, angles))
         assert len(sets) == 6 and max(sets) <= 256 and sum(sets) == 1281 and not rules
-        assert (scan.rule_builds, scan.nodes, scan.shared_nodes) == (100, 107_514 * NODES_PER_PANEL, 13_179 * NODES_PER_PANEL)
+        assert (scan.rule_builds, scan.nodes, scan.shared_nodes, scan.disk_nodes) == (100, 107_514 * NODES_PER_PANEL, 13_179 * NODES_PER_PANEL, 0)
         family = random_polynomials(doc["polynomials"]["count"], doc["polynomials"]["max_degree"])
         reverse_embedding_ratios(mu, family, cfg)
         assert len(rules) == 1
+
+
+class TestKernelsBitIdentical:
+    # the disk and phi_h kernels build d2 in one buffer and finish it in place;
+    # each sum must equal the out-of-place expression's bit for bit
+    RADII = np.array([0.0, 0.3, 0.9, 0.999, 1.0 - 2.0**-14, RADIAL_CAP])
+
+    @pytest.mark.parametrize("p", P_SWEEP)
+    def test_disk_kernel_on_cell_grids(self, p):
+        for r0, r1, a0, a1 in ((0.0, 0.55, 0.0, 2.2), (0.55, 1.0, 2.2, TWO_PI), (0.5, 1.0, 0.0, TWO_PI)):
+            for phi, scale in itertools.product((0.0, 1.0, 3.0, -0.3), (0.25, 2.0**-21)):
+                rhos, thetas, weights = _cell_axes(r0, r1, a0, a1, phi, scale)  # a column of radii by a row of angles
+                assert rhos.shape[1] == 1 and thetas.ndim == 1
+                for r in (self.RADII, self.RADII[-1:]):
+                    got = _kernels.kernel_pow_disk_sum(rhos, thetas, weights, r, phi, p)
+                    assert np.array_equal(got, disk_kernel_sum(rhos, thetas, weights, r, phi, p))
+
+    @pytest.mark.parametrize("p", P_SWEEP)
+    def test_disk_kernel_on_atoms(self, p):
+        rng = np.random.default_rng(7)
+        zs = np.concatenate([[0j], 0.999 * np.sqrt(rng.uniform(0.0, 1.0, 40)) * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))])
+        masses = rng.uniform(0.01, 1.0, zs.size)
+        for phi in (0.0, 2.5, -1.0):
+            got = _kernels.kernel_pow_disk_sum(np.abs(zs), np.angle(zs), masses, self.RADII, phi, p)
+            assert np.array_equal(got, disk_kernel_sum(np.abs(zs), np.angle(zs), masses, self.RADII, phi, p))
+
+    @pytest.mark.parametrize("p", P_SWEEP)
+    def test_phi_h_kernel(self, p):
+        ts, wts, _ = _depth_rule((2.0**-3, 2.0**-10), 8)
+        for rho, psi in itertools.product((0.0, 0.5, 1.0 - 2.0**-14, RADIAL_CAP, 1.0), (0.0, 1.0, -2.0)):
+            angs, wangs = hardy._graded_rule(0.0, 2.0, _peak_attractors(psi, 0.0, 2.0, max(0.25 * (1.0 - rho), 2.0**-26)), 8)
+            got = _kernels.phi_h_window_sum(ts, wts, angs, wangs, rho, psi, p)
+            assert np.array_equal(got, phi_h_kernel_sum(ts, wts, angs, wangs, rho, psi, p))
+
+    def test_phi_h_kernel_on_the_shipped_config(self, tmp_path, monkeypatch):
+        calls, kernel = [], _kernels.phi_h_window_sum
+        monkeypatch.setattr(_kernels, "phi_h_window_sum", lambda *args: calls.append(args) or kernel(*args))
+        assert main(["run", "--config", str(Path(__file__).resolve().parents[1] / "configs" / "phi_h.json"), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 163
+        for args in calls:
+            assert np.array_equal(kernel(*args), phi_h_kernel_sum(*args))
 
 
 class TestReverseEmbedding:
