@@ -150,10 +150,9 @@ def pw_rkt_grid(points, res, ims):
 
 
 def jacobi_eigh(h):
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix.
+    """Eigenvalues (ascending) of a Hermitian matrix: LAPACK's ``np.linalg.eigvalsh``.
 
-    A thin wrapper over LAPACK's ``np.linalg.eigh``.  The name is kept
-    because the benchmark's per-layer metrics are keyed on it
-    (``kernels.jacobi_eigh.*``).
+    The name is kept because the benchmark's per-layer metrics are keyed on
+    it (``kernels.jacobi_eigh.*``).
     """
-    return np.linalg.eigh(h)
+    return np.linalg.eigvalsh(h)

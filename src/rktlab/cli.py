@@ -273,20 +273,21 @@ def report_file(text: str) -> str:
 
 #: Each experiment kind's fields besides "kind" and the optional "seed" (an
 #: integer in [0, 2^64 - 1]): name -> (required, checker).  The caps bound a
-#: run's time and memory; the README's config table lists them.
+#: run's time and memory; the README's config table lists them.  The times
+#: below are whole cold runs on 2 CPUs with one BLAS thread.
 SCHEMAS = {
     "windows": {
-        # at every cap (256 atoms, 256 breakpoints, 64 x 64 cells, depth 16) a run takes about 34 s
+        # at every cap (256 atoms, 256 breakpoints, 64 x 64 cells, depth 16) a run takes about 0.8 s
         "measure": (True, partial(_measure_spec, max_cells=4096)),
         "max_depth": (True, _in_range(1, 16)),
         "refine_arc": (False, _arc_spec),
         "refine_depths": (False, _list_of(_number)),
     },
     "rkt-hardy": {
-        # each area cell adds about 2 s at the largest grid and family
+        # each area cell adds about 0.2 s at the largest grid and family
         "measure": (True, partial(_measure_spec, max_cells=16)),
         "p": (True, _exponent),
-        # the largest grid and family with the largest measure run in about 14 s and 49 MiB
+        # the largest grid and family with the largest measure run in about 4.4 s and 59 MiB
         "grid": (False, {"levels": (True, _in_range(1, 20)), "angles": (True, _in_range(1, 512))}),
         "polynomials": (False, {"count": (True, _in_range(1, 1000)), "max_degree": (True, _in_range(0, 256))}),
     },
@@ -298,7 +299,7 @@ SCHEMAS = {
         "sup_grid": (False, {"rings": (True, _in_range(1, 32)), "angles": (True, _in_range(1, 256))}),
     },
     "pw-counterexample": {
-        # at every cap together (8 Gram solves of size 2,049) a run takes about 20 s and 248 MiB
+        # at every cap together (8 Gram solves of size 2,049) a run takes about 7.4 s and 206 MiB
         "truncation": (True, _in_range(1, 16384)),
         "scan": (False, {"re": (True, _list_of(_number, 2, 2)), "im": (True, _list_of(_number, 2, 2)),
                          "resolution": (True, _list_of(_in_range(64, 512), 2, 2))}),

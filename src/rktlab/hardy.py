@@ -119,11 +119,6 @@ def kernel_norms(lams, cfg: HardyConfig) -> list[float]:
     return [(x / TWO_PI) ** (1.0 / cfg.p) for x in _circle_sums(Measure(), pts, cfg.p)[0].tolist()]
 
 
-def kernel_norm(lam: complex, cfg: HardyConfig) -> float:
-    """``kernel_norms`` at one point."""
-    return kernel_norms([lam], cfg)[0]
-
-
 def _nearest_on_arc(angle: float, lo: float, hi: float) -> float:
     """The point of the arc [lo, hi] nearest the angle (lifted into [lo, hi])."""
     off = wrap_angle(angle - lo)

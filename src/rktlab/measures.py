@@ -13,8 +13,8 @@ A measure is the sum of three parts, each stored exactly:
   * a piecewise-constant density with respect to area measure dA on a
     polar partition of the open disk.
 
-Window masses are computed in closed form (piecewise integrals and
-annular-sector areas), so scans are exact up to float rounding.
+Window masses are sums of nonnegative closed-form pieces (arc integrals of
+step functions, atoms), so each is accurate to a few roundings of itself.
 """
 
 from __future__ import annotations
@@ -86,24 +86,6 @@ class BoundaryDensity:
         idx = np.clip(idx, 0, self.values.size - 1)
         return self.values[idx]
 
-    def integrals(self, starts: np.ndarray, length: float) -> np.ndarray:
-        """Exact integrals of the density over the arcs [start, start+length],
-        0 < length <= 2*pi."""
-        edges = self._extended()
-        v = self.values
-        # head[j] integrates the pieces below piece j
-        head = np.array([float(np.dot(np.diff(edges[: j + 1]), v[:j])) if j > 0 else 0.0 for j in range(v.size)])
-
-        def cumulative(x):  # integral from breakpoints[0] to x in [bp0, bp0 + 2*pi]
-            j = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, v.size - 1)
-            return head[j] + v[j] * (x - edges[j])
-
-        bp0 = float(self.breakpoints[0])
-        a = _wrap(starts - bp0) + bp0
-        b = a + length
-        cum_a = cumulative(a)
-        return np.where(b > bp0 + TWO_PI, self.total() - cum_a + cumulative(b - TWO_PI), cumulative(b) - cum_a)
-
     def total(self) -> float:
         edges = self._extended()
         return float(np.dot(np.diff(edges), self.values))
@@ -151,19 +133,37 @@ class AreaDensity:
 
     def sector_masses(self, r_lo: np.ndarray, starts: np.ndarray, length: float) -> np.ndarray:
         """Exact masses of {r_lo <= |z| <= 1, arg z in [start, start+length]}
-        (r_lo and starts of one shape)."""
-        total = np.zeros(starts.shape)
-        for c_rlo, c_rhi, c_alo, c_ahi, val in self.cells():
-            lo = np.maximum(r_lo, c_rlo)
-            hi = min(1.0, c_rhi)
-            # overlap of each arc with the fixed interval [c_alo, c_ahi]
-            w = c_ahi - c_alo
-            d0 = _wrap(starts - c_alo)
-            ang = np.maximum(0.0, np.minimum(d0 + length, w) - d0)
-            d1 = d0 - TWO_PI
-            ang += np.maximum(0.0, np.minimum(d1 + length, w) - np.maximum(d1, 0.0))
-            np.add(total, val * 0.5 * (hi * hi - lo * lo) * ang, out=total, where=(hi > lo) & (ang > 0.0))
+        (r_lo and starts of one shape): per depth, the arc integrals of one
+        angular row, closed by a zero gap up to angular_breaks[0] + 2*pi."""
+        rb, ab = self.radial_breaks, self.angular_breaks
+        edges = np.minimum(np.append(ab, ab[0] + TWO_PI), ab[0] + TWO_PI)
+        total = np.empty(starts.shape)
+        hi = np.minimum(1.0, rb[1:])
+        for d in np.unique(r_lo).tolist():
+            lo = np.maximum(d, rb[:-1])
+            ring = 0.5 * np.maximum(hi - lo, 0.0) * (hi + lo)  # (hi^2 - lo^2)/2, factored: no cancellation
+            at = r_lo == d
+            total[at] = _arc_integrals(edges, np.append(ring @ self.values, 0.0), starts[at], length)
         return total
+
+
+def _arc_integrals(edges, values, starts, length: float) -> np.ndarray:
+    """Integrals over the arcs [start, start+length], 0 < length <= 2*pi, of the
+    nonnegative step function equal to values[i] on [edges[i], edges[i+1]),
+    edges[-1] = edges[0] + 2*pi: end pieces taken directly, whole pieces summed
+    over two turns by ``np.add.reduceat``.  No term is negative, so nothing
+    cancels, and an arc's value depends only on its own start."""
+    e0 = float(edges[0])
+    e2, v2 = np.concatenate([edges[:-1], edges + TWO_PI]), np.tile(values, 2)
+    a = _wrap(starts - e0) + e0
+    b = a + length
+    i = np.searchsorted(e2, a, side="right") - 1
+    j = np.minimum(np.searchsorted(e2, b, side="right") - 1, v2.size - 1)
+    # the whole pieces i+1..j-1 by one reduceat over the (i+1, j) pairs; the sums between
+    # pairs, discarded, stay short when the arcs come in order of start, as a scan's do
+    whole = np.add.reduceat(np.append(v2 * np.diff(e2), 0.0), np.column_stack([i + 1, j]).ravel())[::2]
+    ends = v2[i] * (e2[i + 1] - a) + np.where(j > i + 1, whole, 0.0) + v2[j] * (b - e2[j])
+    return np.where(i == j, v2[i] * (b - a), ends)
 
 
 class Measure:
@@ -205,7 +205,7 @@ def window_masses(mu: Measure, centers, length: float, depths) -> np.ndarray:
     centers = _wrap(centers)
     starts = _wrap(centers - 0.5 * length)
     r_lo = 1.0 - depths
-    total = mu.boundary.integrals(starts, length)
+    total = _arc_integrals(mu.boundary._extended(), mu.boundary.values, starts, length)
     for z, mass in mu.atoms:
         az = abs(z)
         if az == 0.0:

@@ -334,7 +334,7 @@ def riesz_bounds(sys: PerturbedSystem) -> RieszBounds:
     """Extreme eigenvalues of the Gram of {K_zeta0} union {K_xi_n}:
     the frame window (1-eta, 1+eta) of the perturbed system."""
     c = np.vstack([sys.zeta0_coords()[None, :], sys.xi_coords()])
-    evals, _ = eigen_hermitian(c @ c.conj().T)
+    evals = eigen_hermitian(c @ c.conj().T)
     eta = float(max(abs(1.0 - evals[0]), abs(evals[-1] - 1.0)))
     return RieszBounds(1.0 - eta, 1.0 + eta, eta)
 

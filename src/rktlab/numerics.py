@@ -276,12 +276,11 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def eigen_hermitian(m: np.ndarray):
-    """Eigen-decomposition of a Hermitian matrix (LAPACK ``eigh``).
+    """Eigenvalues, ascending, of a Hermitian matrix (LAPACK ``eigvalsh``).
 
     The input is checked for shape, finite entries and Hermitian symmetry
     to 1e-12 relative, then symmetrized.  A real matrix is solved in real
-    arithmetic, a complex one in complex.  Returns (eigenvalues ascending,
-    eigenvector columns).
+    arithmetic, a complex one in complex.
     """
     a = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:

@@ -1,7 +1,7 @@
 """The sinc-kernel counterexample machinery on the line.
 
 The sampling set consists of the perturbed integers x_n = n + 1/8 (n even),
-x_n = n - 1/8 (n odd), n != 0, with the point at the origin deleted.  The
+x_n = n - 1/8 (n odd), n != 0: the point x_0 = 1/8 is deleted.  The
 discrete measure sum_n delta_{x_n} keeps every normalized sinc kernel mass
 bounded below, yet annihilates the (band-limited, square-integrable)
 generating function divided by z, so kernel-only lower bounds do not extend
@@ -294,12 +294,14 @@ def carleson_sanity(seq: SamplingSequence) -> CarlesonSanity:
 
 def gram_min_eigenvalue(seq: SamplingSequence, truncation: int) -> float:
     """Smallest eigenvalue of the Gram matrix of normalized kernels at the
-    points with |x_n| <= truncation and at the deleted origin.
+    points with |x_n| <= truncation and at 0.0, adjoined in place of the
+    deleted point x_0 = 1/8: both completions are Riesz bases (Kadets' 1/4
+    theorem), but only the 1/8 one has the closed-form minimum 1 - sin(pi/8).
 
     Diagnostic only: bounded away from zero when the completed system is a
     Riesz basis.  The sinc Gram is real symmetric and is solved as such.
     """
     pts = np.sort(np.concatenate([seq.points[np.abs(seq.points) <= truncation], [0.0]]))
     gram = np.sinc(pts[:, None] - pts[None, :])
-    evals, _ = eigen_hermitian(gram)
+    evals = eigen_hermitian(gram)
     return float(evals[0])

@@ -99,7 +99,7 @@ def capped_measure(atoms=256, breakpoints=256, cells=(2, 4)):
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
-        "doc,cells", [(WINDOWS_DOC, (64, 64)), (dict(RKT_DOC, grid={"levels": 2, "angles": 4}), (4, 4))], ids=["windows", "rkt-hardy"]
+        "doc,cells", [(dict(WINDOWS_DOC, max_depth=16), (64, 64)), (dict(RKT_DOC, grid={"levels": 2, "angles": 4}), (4, 4))], ids=["windows", "rkt-hardy"]
     )
     def test_measure_at_every_cap_runs(self, tmp_path, doc, cells):
         cfg = write_config(tmp_path, "c.json", dict(doc, measure=capped_measure(cells=cells)))
@@ -203,6 +203,23 @@ class TestRunners:
         assert summary["c3_estimate"] == pytest.approx(1.0, abs=1e-12)
         assert (out / "windows.csv").exists()
         assert all(c["passed"] for c in summary["checks"])
+
+    @pytest.mark.parametrize(
+        "boundary,depth",
+        [
+            ({"breakpoints": [0.269, 1.0, 1.69, 2.44, 3.74, 4.88, 4.9, 4.95, 5.17, 5.78, 6.02],
+              "values": [0.133, 546.0, 8.37, 371000.0, 4.07e-05, 0.0243, 2.7e-06, 0.868, 0.00125, 116.0, 2230.0]}, 12),
+            ({"breakpoints": [0.0, 2.0], "values": [1e6, 0.5]}, 16),
+        ],
+        ids=["three-digit", "two-pieces"],
+    )
+    def test_windows_small_piece_beside_large(self, tmp_path, boundary, depth):
+        # a window on the small piece keeps its mass: the scan ratio dominates the boundary minimum
+        doc = dict(WINDOWS_DOC, measure={"boundary_density": boundary}, max_depth=depth)
+        out = tmp_path / "o"
+        assert run(["run", "--config", write_config(tmp_path, "w.json", doc), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["c3_estimate"] == pytest.approx(min(boundary["values"]), rel=1e-12)
 
     def test_rkt_hardy(self, tmp_path):
         cfg = write_config(tmp_path, "r.json", RKT_DOC)

@@ -23,7 +23,6 @@ from rktlab.hardy import (
     _panel_density,
     classify_against_arc,
     hardy_config,
-    kernel_norm,
     kernel_norms,
     phi_h,
     phi_h_depths,
@@ -248,17 +247,17 @@ class TestHpNorm:
 class TestKernelNorm:
     def test_origin(self):
         for p in P_SWEEP:
-            assert kernel_norm(0.0, hardy_config(p)) == pytest.approx(1.0, abs=1e-12)
+            assert kernel_norms([0.0], hardy_config(p))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_p2_closed_form(self):
         cfg = hardy_config(2.0)
-        assert kernel_norm(0.8, cfg) == pytest.approx((1.0 - 0.64) ** -0.5, rel=1e-12)
+        assert kernel_norms([0.8], cfg)[0] == pytest.approx((1.0 - 0.64) ** -0.5, rel=1e-12)
         for j in range(2, 21):
             lam = (1.0 - 2.0**-j) * np.exp(0.43j)
             exact = (1.0 - abs(lam) ** 2) ** -0.5
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PrecisionWarning)
-                assert kernel_norm(complex(lam), cfg) == pytest.approx(exact, rel=1e-9)
+                assert kernel_norms([complex(lam)], cfg)[0] == pytest.approx(exact, rel=1e-9)
 
     def test_p4_closed_form(self):
         # ||k||_4^4 = sum (n+1)^2 x^n = (1+x)/(1-x)^3 with x = |lam|^2
@@ -267,7 +266,7 @@ class TestKernelNorm:
             lam = 1.0 - 2.0**-j
             x = lam * lam
             exact = ((1.0 + x) / (1.0 - x) ** 3) ** 0.25
-            assert kernel_norm(lam, cfg) == pytest.approx(exact, rel=1e-9)
+            assert kernel_norms([lam], cfg)[0] == pytest.approx(exact, rel=1e-9)
 
     def test_p4_growth_bracket(self):
         # ||k||_4 / (1-|lam|)^(-1/p') stays in a fixed bracket, p' = 4/3
@@ -275,18 +274,18 @@ class TestKernelNorm:
         ratios = []
         for j in range(4, 13):
             lam = 1.0 - 2.0**-j
-            ratios.append(kernel_norm(lam, cfg) * (1.0 - lam) ** 0.75)
+            ratios.append(kernel_norms([lam], cfg)[0] * (1.0 - lam) ** 0.75)
         assert 0.70 <= min(ratios) and max(ratios) <= 1.001
 
     def test_warning_beyond_cap(self):
         cfg = hardy_config(2.0)
         with pytest.warns(PrecisionWarning):
-            kernel_norm(1.0 - 2.0**-22, cfg)
+            kernel_norms([1.0 - 2.0**-22], cfg)
 
     def test_point_just_below_real_axis(self):
         # its peak angle -2e-17 wraps to 0, not to an edge at 2*pi that
         # would leave an empty panel
-        assert kernel_norm(0.5 - 1e-17j, hardy_config(2.0)) == pytest.approx(0.75**-0.5, rel=1e-12)
+        assert kernel_norms([0.5 - 1e-17j], hardy_config(2.0))[0] == pytest.approx(0.75**-0.5, rel=1e-12)
 
     @pytest.mark.parametrize("p", P_SWEEP)
     def test_norms_equal_the_point_by_point_loop(self, p):
@@ -299,7 +298,7 @@ class TestKernelNorm:
             r, phi = abs(lam), math.atan2(lam.imag, lam.real)
             rule = circle_quadrature((), [(phi, max(0.5 * (1.0 - r), 2.0**-24))], BASE_PANELS, NODES_PER_PANEL)
             want.append((circle_kernel_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI) ** (1.0 / p))
-        assert kernel_norms(lams, cfg) == want == [kernel_norm(lam, cfg) for lam in lams]
+        assert kernel_norms(lams, cfg) == want == [kernel_norms([lam], cfg)[0] for lam in lams]
 
     def test_norms_warn_once_per_point_beyond_the_cap(self):
         lams = [0.5, 1.0 - 2.0**-22, 0.3j, -(1.0 - 2.0**-24), RADIAL_CAP]
@@ -374,7 +373,7 @@ class TestRktFunctional:
         mu = Measure(atoms=tuple((complex(z), m) for z, m in zip(zs, rng.uniform(0.1, 2.0, len(zs)))))
         for lam in (0j, 0.5 - 0.2j, 0.999 * np.exp(2.5j)):
             lam = complex(lam)
-            want = kernel_loop(mu, lam, p) / kernel_norm(lam, cfg) ** p
+            want = kernel_loop(mu, lam, p) / kernel_norms([lam], cfg)[0] ** p
             assert rkt_functional(mu, lam, cfg) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("mu", [normalized_arclength(), Measure(atoms=((0.5 + 0j, 1.0),))], ids=["inf-inf", "finite-inf"])
@@ -411,7 +410,7 @@ class TestRktScan:
         cfg, mu = hardy_config(2.0), mixed_measure()
         with pytest.raises(DomainError):
             if entry == "kernel_norm":
-                kernel_norm(complex(lam), cfg)
+                kernel_norms([complex(lam)], cfg)
             elif entry == "rkt_functional":
                 rkt_functional(mu, complex(lam), cfg)
             else:

@@ -488,6 +488,6 @@ class TestGramCrossCheck:
         # copy of 2Z are orthonormal, and the Gram of every finite section has
         # extremes 1 -+ sin(pi/8), the Riesz bounds of the whole set
         x = np.sort(np.append(kadets_points(n), 0.125))
-        evals, _ = eigen_hermitian(np.sinc(x[:, None] - x[None, :]))
+        evals = eigen_hermitian(np.sinc(x[:, None] - x[None, :]))
         s = math.sin(math.pi / 8)
         assert abs(evals[0] - (1.0 - s)) <= 5e-14 and abs(evals[-1] - (1.0 + s)) <= 5e-14
