@@ -15,9 +15,10 @@ is a 2-d array with one polynomial per row.
 The scans batch their work with bit-identical values: the kernel points of
 a ray (one angle float) share one ``circle_panels`` tree, whose distinct
 panels are mapped and take their sines once; ``_kernels.kernel_pow_circle_sum``
-sums blocks of whole rules on gathered copies, and the atoms and cells of a
-ray's points go in array passes; from 256 points, the rays' two halves go to the two
-processes of ``numerics.map_on_two_cpus``.  ``rkt_functional`` is that path on one
+sums blocks of whole rules on gathered copies, and the atoms and each area
+cell's product rule, built once per ray, go in array passes over a ray's points;
+from 256 points, the rays' two halves go to the two processes of
+``numerics.map_on_two_cpus``.  ``rkt_functional`` is that path on one
 point, and ``kernel_norms`` its circle sums on the zero measure.  A polynomial family is
 evaluated on a measure's nodes built once, and its ||f||_p^p and boundary
 integral come from one circle rule through the breakpoints, as the kernels' do.
@@ -141,18 +142,15 @@ def _peak_attractors(angle: float, lo: float, hi: float, finest: float) -> tuple
     return ((near, finest), *((e, max(finest, 0.5 * out)) for e, out in ends if out < abs(e - near)))
 
 
-def _cell_attracts(r0, r1, a0, a1, peak_angle, scale):
-    """The ``_graded_rule`` attractors of the polar cell [r0,r1] x [a0,a1]: radially
-    toward the outer edge, angularly toward peak_angle."""
-    return ((r1, max(scale, (r1 - r0) / 32.0)),), ((_nearest_on_arc(peak_angle, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),)
-
-
 def _cell_axes(r0, r1, a0, a1, peak_angle, scale, nodes=8):
     """The product of the radial and angular Gauss-Legendre rules of the polar cell
-    [r0,r1] x [a0,a1], graded as ``_cell_attracts`` says: a column of radii, a row
-    of angles and their weights (dA = r dr dtheta)."""
-    radial, angular = _cell_attracts(r0, r1, a0, a1, peak_angle, scale)
-    (rs, wr), (ts, wt) = _graded_rule(r0, r1, radial, nodes), _graded_rule(a0, a1, angular, nodes)
+    [r0,r1] x [a0,a1], graded radially toward the outer edge and angularly toward
+    peak_angle: a column of radii, a row of angles and their weights (dA = r dr dtheta).
+    Each axis's finest panel is the larger of scale and the cell's own cap, (r1 - r0)/32
+    radially and min(a1 - a0, pi/16) angularly; scale is 0 in the C2 scan, so a ray's
+    points share one rule, and (r1 - r0)/8 for C1."""
+    rs, wr = _graded_rule(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),), nodes)
+    ts, wt = _graded_rule(a0, a1, ((_nearest_on_arc(peak_angle, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),), nodes)
     return rs[:, None], ts, (wr * rs)[:, None] * wt
 
 
@@ -212,19 +210,19 @@ def _spans(offsets, size: int):
     return zip(ends, ends[1:])
 
 
-def _disk_sums(out: np.ndarray, factor: float, pts: np.ndarray, keys: list, rule, p: float) -> int:
+def _disk_sums(out: np.ndarray, factor: float, pts: np.ndarray, rule, p: float) -> int:
     """Adds factor times ``kernel_pow_disk_sum`` at each kernel point into out, over the
-    disk nodes (rhos, thetas, weights) = rule(i) of the first point i of its run of equal
-    keys (an angle and what the nodes depend on): a run is one call, in parts of at most
-    BATCH_NODES values.  Returns the number of nodes evaluated, over all the points."""
+    disk nodes (rhos, thetas, weights) = rule(phi) of its run of equal angles phi in
+    pts[:, 1] (a ray): a run is one call, in parts of at most BATCH_NODES values.
+    Returns the number of nodes evaluated, over all the points."""
     sums, nodes = [], 0
-    for _, run in itertools.groupby(keys):
+    for phi, run in itertools.groupby(pts[:, 1].tolist()):
         i, n = len(sums), len(list(run))
-        rhos, thetas, weights = rule(i)
+        rhos, thetas, weights = rule(phi)
         nodes += n * weights.size
         step = max(1, BATCH_NODES // weights.size)
         for k in range(i, i + n, step):
-            sums += _kernels.kernel_pow_disk_sum(rhos, thetas, weights, pts[k : min(k + step, i + n), 0], pts[i, 1], p)
+            sums += _kernels.kernel_pow_disk_sum(rhos, thetas, weights, pts[k : min(k + step, i + n), 0], phi, p)
     out += factor * np.array(sums)
     return nodes
 
@@ -270,11 +268,10 @@ def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
             rays = pts[order[ray_offsets[span[0] + u] : ray_offsets[span[0] + v]]]
             norm, num, n, m = _circle_sums(mu, rays, p)
             # the measure's parts as the integral sums them: atoms + boundary (= 0 + atoms + boundary),
-            # then each cell on its product rule, whose rules a ray's points share past the first rings
-            disk = _disk_sums(num, 1.0, rays, rays[:, 1].tolist(), lambda i: (np.abs(zs), np.angle(zs), masses), p) if mu.atoms else 0
+            # then each cell on the product rule of each ray
+            disk = _disk_sums(num, 1.0, rays, lambda phi: (np.abs(zs), np.angle(zs), masses), p) if mu.atoms else 0
             for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
-                keys = [(phi, *_cell_attracts(r0, r1, a0, a1, phi, scale)) for phi, scale in rays[:, 1:3].tolist()]
-                disk += _disk_sums(num, val, rays, keys, lambda i: _cell_axes(r0, r1, a0, a1, *rays[i, 1:3].tolist()), p)
+                disk += _disk_sums(num, val, rays, lambda phi: _cell_axes(r0, r1, a0, a1, phi, 0.0), p)
             out.append((norm, num, n, m, disk))
         return out
 

@@ -27,6 +27,10 @@ SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 _spec = importlib.util.spec_from_file_location("perfbench_gate", ROOT / "perfbench" / "gate.py")
 gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
+# and the benchmark's seeded configs, from theirs
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def write_config(tmp_path: Path, name: str, doc) -> str:
@@ -688,6 +692,29 @@ class TestShippedConfigs:
         if csv_path is not None:
             problems += gate.compare_to_reference(gate.load_reference(config.stem), summary, csv_path)
         assert not problems, problems
+
+    # (c2_estimate, c1_min_ratio) of the benchmark's generated hardy-quadrature configs,
+    # the only benchmark inputs with atoms and area cells, which no reference gates
+    GENERATED_HARDY = {
+        0: (0.26473199494502425, 0.575814053430153),
+        1: (0.4092213232277773, 0.8321463839719787),
+        2: (0.14343575127908756, 0.4101147095110076),
+        3: (0.17519094058215842, 0.8656706122397773),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GENERATED_HARDY))
+    def test_generated_hardy_config(self, tmp_path, affinity, seed):
+        # checks pass, the estimates hold, and one CPU and two write the same CSV bytes
+        config = write_config(tmp_path, "gen.json", workloads.generated_config("hardy-quadrature", seed))
+        outs = []
+        for cpus in ({0}, {0, 1}):
+            affinity.cpus = cpus
+            out = tmp_path / str(len(cpus))
+            problems, summary, csv_path = gate.check_run(out, run(["run", "--config", config, "--out", str(out)]))
+            assert not problems, problems
+            assert (summary["c2_estimate"], summary["c1_min_ratio"]) == pytest.approx(self.GENERATED_HARDY[seed], rel=1e-12)
+            outs.append(csv_path.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestBlasThreads:

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rktlab import _kernels, hardy
 from rktlab.cli import main
@@ -104,10 +106,9 @@ def reference_cell_rule(r0, r1, a0, a1, phi, scale):
 
 def reference_disk_nodes(mu, lam):
     """The atom and area-cell nodes at which rkt_functional evaluates |k_lam|^p."""
-    scale = max(0.5 * (1.0 - abs(lam)), 2.0**-24)
     cells = mu.area.cells() if mu.area is not None else ()
     phi = math.atan2(lam.imag, lam.real)
-    return len(mu.atoms) + sum(reference_cell_rule(r0, r1, a0, a1, phi, scale)[2].size for r0, r1, a0, a1, _ in cells)
+    return len(mu.atoms) + sum(reference_cell_rule(r0, r1, a0, a1, phi, 0.0)[2].size for r0, r1, a0, a1, _ in cells)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum raises EvaluationError below, as in _rkt_points
@@ -124,7 +125,7 @@ def reference_rkt(mu, lam, cfg):
     if mu.boundary.total() > 0.0:
         num += circle_kernel_sum(rule.nodes, rule.weights * mu.boundary.value_at(rule.nodes), r, phi, p)
     for r0, r1, a0, a1, val in mu.area.cells() if mu.area is not None else ():
-        num += val * disk_kernel_sum(*reference_cell_rule(r0, r1, a0, a1, phi, scale), [r], phi, p)[0]
+        num += val * disk_kernel_sum(*reference_cell_rule(r0, r1, a0, a1, phi, 0.0), [r], phi, p)[0]
     norm = circle_kernel_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI
     if not (math.isfinite(num) and math.isfinite(norm)):
         raise EvaluationError(f"|k_lam|^p overflows at |lam| = {r!r}, p = {p!r}")
@@ -526,6 +527,46 @@ class TestRktBatches:
         family = random_polynomials(doc["polynomials"]["count"], doc["polynomials"]["max_degree"])
         reverse_embedding_ratios(mu, family, cfg)
         assert len(rules) == 1
+
+    def test_one_cell_rule_per_ray(self, monkeypatch, affinity):
+        # each of the 4 cells of mixed_measure builds one product rule per ray, 74
+        # angle floats on this grid, at both block sizes; one CPU keeps every call
+        # in this process, where the counter sees it
+        affinity.cpus = {0}
+        grid = DiskGrid(np.array([0.3, 0.75, 0.97, 1.0 - 2.0**-14]), np.array([7, 1, 64, 7]))
+        calls, axes = [], hardy._cell_axes
+        monkeypatch.setattr(hardy, "_cell_axes", lambda *args: calls.append(args) or axes(*args))
+        for batch in (hardy.BATCH_NODES, 600):
+            monkeypatch.setattr(hardy, "BATCH_NODES", batch)
+            calls.clear()
+            rkt_infimum_scan(mixed_measure(), hardy_config(4.0), grid)
+            assert len(calls) == 4 * 74 and len(set(calls)) == 4 * 74
+
+
+@given(
+    r0=st.floats(0.0, 1.0),
+    r1=st.floats(0.0, 1.0),
+    a0=st.floats(0.0, TWO_PI),
+    length=st.floats(1e-9, TWO_PI),
+    phi=st.floats(-math.pi, math.pi),
+    scale=st.floats(2.0**-24, 1.0),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ray_cell_rule_refines_the_point_rule(r0, r1, a0, length, phi, scale):
+    # the scan's cell rule (scale 0) against the rule of a kernel point whose peak
+    # scale was the floor, max(scale, cap) on each axis: every edge of the old rule
+    # is an edge of the new one, on both axes
+    assume(r0 < r1)
+    a1 = a0 + length
+    asked = []
+    with pytest.MonkeyPatch.context() as mp:
+        graded = hardy._graded_rule
+        mp.setattr(hardy, "_graded_rule", lambda lo, hi, attracts, nodes: asked.append((lo, hi, attracts)) or graded(lo, hi, attracts, nodes))
+        _cell_axes(r0, r1, a0, a1, phi, 0.0)
+    radial, angular = (set(_graded_edges(*args).tolist()) for args in asked)
+    old_radial = _graded_edges(r0, r1, ((r1, max(scale, (r1 - r0) / 32.0)),))
+    old_angular = _graded_edges(a0, a1, ((_nearest_on_arc(phi, a0, a1), max(scale, min(a1 - a0, math.pi / 16))),))
+    assert set(old_radial.tolist()) <= radial and set(old_angular.tolist()) <= angular
 
 
 class TestKernelsBitIdentical:
