@@ -1,13 +1,15 @@
 """rktlab: numerical testbed for reverse embedding inequalities.
 
-Subpackages by subject:
+Modules by subject:
 
-  numerics      circle quadrature, disk grids, Hermitian eigenproblems
+  numerics      the one circle rule, disk grids, Hermitian eigenproblems
   measures      measures on the closed disk and Carleson-window statistics
   hardy         H^p kernels, norms, embedding testers, window averages
   paley_wiener  the sinc-kernel counterexample on the line
   model_space   finite Blaschke model spaces and perturbed Clark systems
   cli           batch experiment runner and report generator
+  _kernels      the vectorized kernel sums behind the scans
+  errors        the exception and warning types
 """
 
 import os

@@ -46,20 +46,18 @@ def pw_norm_factor(im: float) -> float:
 
 
 def kernel_pow_circle_sum(sines, weights, dens_weights, r, counts, p):
-    """Sums of |k_lam|^p against weights and dens_weights (None: zeros) for a block of whole
-    circle rules, one per radius r: rule k takes the next counts[k] rows of the weights and of
+    """Sums of |k_lam|^p against weights and dens_weights for a block of whole circle rules,
+    one per radius r: rule k takes the next counts[k] rows of the weights and of
     sines = sin((theta - phi)/2).  (1 - r)^2 is a Python power; numpy's can differ in the last bit."""
     kern = np.repeat([4.0 * x for x in r.tolist()], counts)[:, None] * sines
     kern *= sines
     kern += np.repeat([(1.0 - x) ** 2 for x in r.tolist()], counts)[:, None]
     kern **= -0.5 * p
-    kern, w, stops = kern.ravel(), weights.ravel(), (np.cumsum(counts) * sines.shape[1]).tolist()
-    dw = None if dens_weights is None else dens_weights.ravel()
-    norms, nums = np.empty(len(stops)), np.zeros(len(stops))
+    kern, w, dw, stops = kern.ravel(), weights.ravel(), dens_weights.ravel(), (np.cumsum(counts) * sines.shape[1]).tolist()
+    norms, nums = np.empty(len(stops)), np.empty(len(stops))
     for k, a, b in zip(range(len(stops)), [0, *stops], stops):
         norms[k] = np.dot(w[a:b], kern[a:b])
-        if dw is not None:
-            nums[k] = np.dot(dw[a:b], kern[a:b])
+        nums[k] = np.dot(dw[a:b], kern[a:b])
     return norms, nums
 
 

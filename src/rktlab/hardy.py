@@ -41,6 +41,8 @@ from . import _kernels
 from .errors import DomainError, EvaluationError, PrecisionWarning
 from .measures import Arc, BoundaryDensity, Measure
 from .numerics import (
+    BASE_PANELS,
+    NODES_PER_PANEL,
     RADIAL_CAP,
     TWO_PI,
     DiskGrid,
@@ -56,10 +58,6 @@ DEFAULT_SEED = 0xC0FFEE
 
 #: Window depths below this are outside the supported resolution.
 MIN_WINDOW_DEPTH = 2.0**-16
-
-#: Panels and Gauss nodes per panel of every H^p circle rule.
-BASE_PANELS = 64
-NODES_PER_PANEL = 16
 
 #: Circle nodes per block of whole rules in a scan, and values per Vandermonde block.
 BATCH_NODES = 2**14
@@ -231,11 +229,9 @@ def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
     """2 pi ||k_lam||_p^p and the boundary integral of |k_lam|^p at the kernel points
     of whole rays, the nodes of their rules and those of their distinct panels, at
     which nodes, weights, density and sin((theta - phi)/2) are taken once."""
-    boundary = mu.boundary.total() > 0.0
-    lo, hi, index, offsets = circle_panels(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3], BASE_PANELS)
+    lo, hi, index, offsets = circle_panels(mu.boundary.breakpoints, pts[:, 1:2], pts[:, 2:3])
     x, weights = (a.reshape(-1, NODES_PER_PANEL) for a in gauss_legendre_panel(lo, hi, NODES_PER_PANEL))
-    if boundary:
-        dens_weights = weights * _panel_density(mu.boundary, x.ravel()).reshape(x.shape)
+    dens_weights = weights * _panel_density(mu.boundary, x.ravel()).reshape(x.shape)
     counts, phi = np.diff(offsets), np.empty(lo.size)
     phi[index] = np.repeat(pts[:, 1], counts)
     x -= phi[:, None]  # sin((theta - phi)/2), in place of the nodes
@@ -243,9 +239,7 @@ def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
     norms, nums = np.empty(len(pts)), np.empty(len(pts))
     for i, j in _spans(offsets, BATCH_NODES // NODES_PER_PANEL):
         idx = index[offsets[i] : offsets[j]]  # gathered copies of a block of whole rules
-        norms[i:j], nums[i:j] = _kernels.kernel_pow_circle_sum(
-            s[idx], weights[idx], dens_weights[idx] if boundary else None, pts[i:j, 0], counts[i:j], p
-        )
+        norms[i:j], nums[i:j] = _kernels.kernel_pow_circle_sum(s[idx], weights[idx], dens_weights[idx], pts[i:j, 0], counts[i:j], p)
     return norms, nums, int(offsets[-1]) * NODES_PER_PANEL, s.size
 
 
@@ -253,8 +247,8 @@ def _circle_sums(mu: Measure, pts: np.ndarray, p: float):
 def _rkt_points(mu: Measure, pts: np.ndarray, cfg: HardyConfig):
     """``rkt_functional`` at the kernel points ``pts`` (rows of ``_kernel_points``), its trees,
     circle nodes, distinct panels' nodes, disk nodes and processes.  A ray's points (one angle
-    float) share a tree; ``_circle_sums`` takes whole rays of at most BATCH_NODES // BASE_PANELS =
-    size points, in blocks of whole rules of at most BATCH_NODES nodes.  From size points,
+    float) share a tree; ``_circle_sums`` takes whole rays of at most BATCH_NODES // numerics.BASE_PANELS
+    = size points, in blocks of whole rules of at most BATCH_NODES nodes.  From size points,
     ``map_on_two_cpus`` takes the rays in two halves of nearly equal point count."""
     p, size = cfg.p, BATCH_NODES // BASE_PANELS
     order = np.lexsort((pts[:, 1],))  # ray by ray
@@ -328,12 +322,10 @@ def reverse_embedding_ratios(mu: Measure, fs, cfg: HardyConfig) -> list[float]:
     if coeffs.ndim != 2 or not np.all(np.isfinite(coeffs)):
         raise DomainError("coefficients must be finite rows of one 2-d array")
     coeffs = coeffs.T.copy()  # a column per function
-    rule = circle_quadrature(breakpoints=mu.boundary.breakpoints, base_panels=BASE_PANELS, nodes_per_panel=NODES_PER_PANEL)
-    density = [rule.weights * _panel_density(mu.boundary, rule.nodes)] if mu.boundary.total() > 0.0 else []
-    norms, *boundary = _abs_pow_sums(np.exp(1j * rule.nodes), [rule.weights, *density], coeffs, p)
+    rule = circle_quadrature(mu.boundary.breakpoints)
+    norms, nums = _abs_pow_sums(np.exp(1j * rule.nodes), [rule.weights, rule.weights * _panel_density(mu.boundary, rule.nodes)], coeffs, p)
     norms /= TWO_PI  # ||f||_p^p
     # the parts as the integral sums them: boundary + atoms (= 0 + atoms + boundary), then each cell
-    nums = boundary[0] if boundary else np.zeros(coeffs.shape[1])
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
         nums += _abs_pow_sums(zs, [masses], coeffs, p)[0]

@@ -23,20 +23,17 @@ from .numerics import TWO_PI, DiskGrid, eigen_hermitian, null_vector, wrap_angle
 
 
 class BlaschkeProduct:
-    """Theta(z) = front * prod (z - a_j) / (1 - conj(a_j) z), |a_j| < 1."""
+    """Theta(z) = prod (z - a_j) / (1 - conj(a_j) z), |a_j| < 1."""
 
-    __slots__ = ("zeros", "front")
+    __slots__ = ("zeros",)
 
-    def __init__(self, zeros, front: complex = 1.0 + 0.0j):
+    def __init__(self, zeros):
         a = np.atleast_1d(np.asarray(zeros, dtype=np.complex128))
         if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
             raise DomainError("zeros must be a finite nonempty 1-d array")
         if np.any(np.abs(a) >= 1.0 - 1e-9):
             raise DomainError("zeros must lie strictly inside the disk")
-        front = complex(front)
-        if abs(abs(front) - 1.0) > 1e-12:
-            raise DomainError("front constant must be unimodular")
-        self.zeros, self.front = a, front
+        self.zeros = a
 
     @property
     def degree(self) -> int:
@@ -46,7 +43,7 @@ class BlaschkeProduct:
         z = np.asarray(z, dtype=np.complex128)
         zz = z[..., None]
         factors = (zz - self.zeros) / (1.0 - np.conj(self.zeros) * zz)
-        out = self.front * np.prod(factors, axis=-1)
+        out = np.prod(factors, axis=-1)
         return out if out.shape else complex(out)
 
     def boundary_derivative_abs(self, zeta):
@@ -89,7 +86,7 @@ class ModelSpaceBasis(NamedTuple):
         return scale * blaschke / denom
 
     def shift_matrix(self) -> np.ndarray:
-        """(N+1) x N matrix of z e_k in the basis e_0..e_{N-1}, B_N = Theta/front
+        """(N+1) x N matrix of z e_k in the basis e_0..e_{N-1}, B_N = Theta
         of K_{z Theta}: with c_k = sqrt(1-|a_k|^2) and B_k = prod_{j<k} b_j,
         z e_k = a_k e_k + c_k B_{k+1} and B_i = c_i e_i - conj(a_i) B_{i+1}."""
         a = self.theta.zeros
@@ -136,7 +133,7 @@ def clark_residual_bound(speed):
 def clark_points(theta: BlaschkeProduct, alpha: complex) -> ClarkSystem:
     """All N boundary solutions of Theta(zeta) = alpha; weights |Theta'|.
 
-    They are the roots of the degree-N polynomial front*P - alpha*P~
+    They are the roots of the degree-N polynomial P - alpha*P~
     (P = prod (z - a_j), P~ = prod (1 - conj(a_j) z)) and the eigenvalues of
     the Clark unitary U f = S_Theta f + <z f, Theta> k_0 / conj(alpha -
     Theta(0)), since z k_zeta = zeta k_zeta - zeta k_0 + zeta conj(alpha -
@@ -150,8 +147,7 @@ def clark_points(theta: BlaschkeProduct, alpha: complex) -> ClarkSystem:
     basis = ModelSpaceBasis(theta)
     shift = basis.shift_matrix()
     k0 = np.conj(basis.eval_matrix(np.array([0j]))[0])
-    defect = np.conj(theta.front) * shift[-1]  # <z e_k, Theta>
-    u = shift[:-1] + np.outer(k0, defect) / np.conj(alpha - theta(0.0))
+    u = shift[:-1] + np.outer(k0, shift[-1]) / np.conj(alpha - theta(0.0))  # shift[-1] = <z e_k, Theta>
     # polish in [0, 2*pi): wrapping afterwards would add the rounding of 2*pi
     t = np.array([wrap_angle(x) for x in np.angle(np.linalg.eigvals(u))])
     z = np.exp(1j * t)

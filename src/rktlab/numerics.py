@@ -110,12 +110,16 @@ class CircleRule(NamedTuple):
 #: Panels are never bisected below this width.
 MIN_PANEL_WIDTH = 2.0**-26
 
+#: Base panels and Gauss nodes per panel of every circle rule.
+BASE_PANELS = 64
+NODES_PER_PANEL = 16
 
-def circle_panels(breakpoints, angles, scales, base_panels=16):
+
+def circle_panels(breakpoints, angles, scales):
     """The panels of one circle rule per row of the (rules x peaks) arrays
-    ``angles`` and ``scales``, all through the shared ``breakpoints`` (angles
-    the panels must not cross).  Each rule's panels are graded dyadically
-    toward its peaks until the local panel width is at most max(scale,
+    ``angles`` and ``scales``, all through the BASE_PANELS equal base panels and the
+    shared ``breakpoints`` (angles the panels must not cross).  Each rule's panels
+    are graded dyadically toward its peaks until the local panel width is at most max(scale,
     distance-to-peak, MIN_PANEL_WIDTH), with the float operations of a
     depth-first bisection of that rule alone.  One-peak rules whose angles are
     the same float share one tree: the split test is monotone in the scale, so
@@ -123,20 +127,18 @@ def circle_panels(breakpoints, angles, scales, base_panels=16):
     All trees are bisected level by level.  Returns the distinct panels' left
     and right edges, tree by tree, and the rules' panels: rule k has panels
     index[offsets[k]:offsets[k + 1]], in order along it."""
-    if base_panels < 1:
-        raise DomainError("base_panels >= 1 required")
     angles = np.asarray(angles, dtype=float)
     scales = np.maximum(np.asarray(scales, dtype=float), MIN_PANEL_WIDTH)
     rules, peaks = angles.shape
     starts = order = np.arange(rules)
-    base_width = TWO_PI / base_panels
+    base_width = TWO_PI / BASE_PANELS
     if peaks == 1:  # rules sorted by angle, then scale; a tree per angle float
         order = np.lexsort((scales[:, 0], angles[:, 0]))
         new = np.diff(angles[order, 0], prepend=np.nan) != 0.0
         starts = np.flatnonzero(new)  # the first rule of each tree, in this order
         keys = (np.cumsum(new) - 1) + 1j * (np.minimum(base_width, scales[order, 0]) * (1.0 + 1e-12))  # nondecreasing
     angles, scales = _wrap_angles(angles[order[starts]]), scales[order[starts]]
-    shared = np.concatenate([np.arange(base_panels) * TWO_PI / base_panels, _wrap_angles(np.asarray(breakpoints, dtype=float))])
+    shared = np.concatenate([np.arange(BASE_PANELS) * TWO_PI / BASE_PANELS, _wrap_angles(np.asarray(breakpoints, dtype=float))])
     edges = np.sort(np.concatenate([np.broadcast_to(shared, (starts.size, shared.size)), angles], axis=1), axis=1)
     gap = np.diff(edges, axis=1)
     keep = np.concatenate([np.ones((starts.size, 1), dtype=bool), gap > 1e-14], axis=1)
@@ -185,25 +187,26 @@ def circle_panels(breakpoints, angles, scales, base_panels=16):
     return lo, hi, index, np.concatenate([[0], np.cumsum(np.bincount(rule, minlength=rules))])
 
 
-def circle_quadrature(breakpoints=(), peaks=(), base_panels=16, nodes_per_panel=12) -> CircleRule:
+def circle_quadrature(breakpoints=(), peaks=(), nodes_per_panel=NODES_PER_PANEL) -> CircleRule:
     """Gauss-Legendre on the panels of one ``circle_panels`` rule; peaks are (angle, scale) pairs."""
     if nodes_per_panel < 2:
         raise DomainError("nodes_per_panel >= 2 required")
     peaks = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
-    lo, hi, _, _ = circle_panels(breakpoints, peaks[..., 0], peaks[..., 1], base_panels)
+    lo, hi, _, _ = circle_panels(breakpoints, peaks[..., 0], peaks[..., 1])
     return CircleRule(*gauss_legendre_panel(lo, hi, nodes_per_panel))
 
 
 def integrate_circle(f: Callable[[np.ndarray], np.ndarray], quad: CircleRule) -> float:
     """Integrate f(theta) over [0, 2*pi) with the given rule.
 
-    Raises EvaluationError naming the offending node if f is non-finite
-    anywhere on the rule.
+    Raises DomainError if f's values do not have the nodes' shape, and
+    EvaluationError naming the offending node if f is non-finite anywhere
+    on the rule.
     """
     vals = f(quad.nodes)
     vals = np.asarray(vals, dtype=float)
     if vals.shape != quad.nodes.shape:
-        vals = np.array([float(f(t)) for t in quad.nodes])
+        raise DomainError(f"integrand values have shape {vals.shape}, the nodes {quad.nodes.shape}")
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))

@@ -18,8 +18,6 @@ from rktlab import _kernels, hardy
 from rktlab.cli import main
 from rktlab.errors import DomainError, EvaluationError, PrecisionWarning
 from rktlab.hardy import (
-    BASE_PANELS,
-    NODES_PER_PANEL,
     _cell_axes,
     _depth_rule,
     _panel_density,
@@ -46,7 +44,16 @@ from rktlab.measures import (
     normalized_arclength,
     upper_half_arclength,
 )
-from rktlab.numerics import RADIAL_CAP, TWO_PI, DiskGrid, circle_panels, circle_quadrature, gauss_legendre_panel
+from rktlab.numerics import (
+    BASE_PANELS,
+    NODES_PER_PANEL,
+    RADIAL_CAP,
+    TWO_PI,
+    DiskGrid,
+    circle_panels,
+    circle_quadrature,
+    gauss_legendre_panel,
+)
 
 P_SWEEP = [1.5, 2.0, 3.0, 4.0]
 
@@ -117,7 +124,7 @@ def reference_rkt(mu, lam, cfg):
     own, through the breakpoints, flat polar-cell nodes and one kernel sum per part of mu."""
     r, phi, p = abs(lam), math.atan2(lam.imag, lam.real), cfg.p
     scale = max(0.5 * (1.0 - r), 2.0**-24)
-    rule = circle_quadrature(mu.boundary.breakpoints, [(phi, scale)], BASE_PANELS, NODES_PER_PANEL)
+    rule = circle_quadrature(mu.boundary.breakpoints, [(phi, scale)])
     num = 0.0
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
@@ -143,9 +150,17 @@ def mixed_measure():
     )
 
 
+#: Measures without boundary density, whose circle sums add zero density weights.
+BOUNDARY_FREE = {
+    "atoms": Measure(atoms=((0j, 0.3), (0.6 - 0.2j, 0.5), (-0.9j, 0.1))),
+    "one-cell": Measure(area=AreaDensity(np.array([0.4, 0.9]), np.array([1.0, 2.5]), np.array([[0.7]]))),
+    "zero": Measure(),
+}
+
+
 def hp_norm(coeffs, cfg):
     """||f||_p of the polynomial with ascending coefficients coeffs, on a uniform circle rule of its own."""
-    rule = circle_quadrature((), (), BASE_PANELS, NODES_PER_PANEL)
+    rule = circle_quadrature()
     vals = np.abs(np.polyval(np.asarray(coeffs, dtype=complex)[::-1], np.exp(1j * rule.nodes))) ** cfg.p
     return (float(np.dot(rule.weights, vals)) / TWO_PI) ** (1.0 / cfg.p)
 
@@ -154,7 +169,7 @@ def reference_ratios(mu, fs, cfg):
     """The family's reverse-embedding ratios one polynomial at a time, each
     node set evaluated by Horner's rule (np.polyval) without the zero
     high-order coefficients; the norm on the boundary part's rule through the breakpoints."""
-    p, quad = cfg.p, circle_quadrature(mu.boundary.breakpoints, (), BASE_PANELS, NODES_PER_PANEL)
+    p, quad = cfg.p, circle_quadrature(mu.boundary.breakpoints)
     parts = []
     if mu.atoms:
         zs, masses = (np.array(part) for part in zip(*mu.atoms))
@@ -297,7 +312,7 @@ class TestKernelNorm:
         want = []
         for lam in lams:
             r, phi = abs(lam), math.atan2(lam.imag, lam.real)
-            rule = circle_quadrature((), [(phi, max(0.5 * (1.0 - r), 2.0**-24))], BASE_PANELS, NODES_PER_PANEL)
+            rule = circle_quadrature((), [(phi, max(0.5 * (1.0 - r), 2.0**-24))])
             want.append((circle_kernel_sum(rule.nodes, rule.weights, r, phi, p) / TWO_PI) ** (1.0 / p))
         assert kernel_norms(lams, cfg) == want == [kernel_norms([lam], cfg)[0] for lam in lams]
 
@@ -431,7 +446,7 @@ class TestRktBatches:
         want = [reference_rkt(mu, lam, cfg) for lam in lams]
         assert [rkt_functional(mu, lam, cfg) for lam in lams] == want
         nodes = sum(
-            circle_quadrature(mu.boundary.breakpoints, [(math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - abs(lam)), 2.0**-24))], BASE_PANELS, NODES_PER_PANEL).nodes.size
+            circle_quadrature(mu.boundary.breakpoints, [(math.atan2(lam.imag, lam.real), max(0.5 * (1.0 - abs(lam)), 2.0**-24))]).nodes.size
             for lam in lams
         )
         disk_nodes = sum(reference_disk_nodes(mu, lam) for lam in lams)
@@ -440,6 +455,14 @@ class TestRktBatches:
             scan = rkt_infimum_scan(mu, cfg, grid)
             assert scan.rows[:, 2].tolist() == want and (scan.rule_builds, scan.nodes, scan.shared_nodes) == (74, nodes, 92_320)
             assert scan.disk_nodes == disk_nodes
+
+    @pytest.mark.parametrize("name", BOUNDARY_FREE)
+    def test_boundary_free_scan_bit_identical_to_point_by_point(self, name):
+        cfg, mu, grid = hardy_config(3.0), BOUNDARY_FREE[name], DiskGrid(np.array([0.3, 0.97]), np.array([7, 16]))
+        lams = [0j, *grid.points()]
+        want = [reference_rkt(mu, lam, cfg) for lam in lams]
+        assert [rkt_functional(mu, lam, cfg) for lam in lams] == want
+        assert rkt_infimum_scan(mu, cfg, grid).rows[:, 2].tolist() == want
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_two_cpus_give_the_one_cpu_scan(self, affinity, p):
@@ -484,7 +507,7 @@ class TestRktBatches:
         rng = np.random.default_rng(len(bp))
         angles = np.concatenate([bp, np.add(bp, 1e-12), np.subtract(bp, 1e-9), [0.0, -1e-17, TWO_PI - 1e-12], rng.uniform(0.0, TWO_PI, 8)])
         scales = np.geomspace(2.0**-30, 0.5, angles.size)
-        lo, hi, _, _ = circle_panels(density.breakpoints, angles[:, None], scales[:, None], BASE_PANELS)
+        lo, hi, _, _ = circle_panels(density.breakpoints, angles[:, None], scales[:, None])
         nodes = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0]
         assert np.array_equal(_panel_density(density, nodes), density.value_at(nodes))
 
@@ -492,7 +515,7 @@ class TestRktBatches:
         # a breakpoint one ulp below 2*pi leaves the panel [2*pi - ulp, 2*pi]; its later
         # nodes round to 2*pi, where a lookup per node wraps to the first piece
         density = BoundaryDensity(np.array([0.0, 1.0, TWO_PI - 1e-15]), np.array([1.0, 2.0, 3.0]))
-        lo, hi, _, _ = circle_panels(density.breakpoints, np.zeros((1, 0)), np.zeros((1, 0)), BASE_PANELS)
+        lo, hi, _, _ = circle_panels(density.breakpoints, np.zeros((1, 0)), np.zeros((1, 0)))
         nodes = gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0]
         assert lo[-1] == np.nextafter(TWO_PI, 0.0)
         assert 1.0 in density.value_at(nodes[-NODES_PER_PANEL:])
@@ -662,6 +685,12 @@ class TestReverseEmbedding:
         mu, cfg = mixed_measure(), hardy_config(p)
         family = random_polynomials(40, 32, seed=int(10 * p))
         assert reverse_embedding_ratios(mu, family, cfg) == pytest.approx(reference_ratios(mu, family, cfg), rel=1e-13)
+
+    @pytest.mark.parametrize("name", BOUNDARY_FREE)
+    def test_boundary_free_family_against_polyval_loop(self, name):
+        mu, cfg = BOUNDARY_FREE[name], hardy_config(3.0)
+        family = random_polynomials(40, 32, seed=5)
+        assert reverse_embedding_ratios(mu, family, cfg) == pytest.approx(reference_ratios(mu, family, cfg), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("batch", [hardy.BATCH_NODES, 600])
     def test_mixed_degrees_across_blocks(self, monkeypatch, batch):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from rktlab.errors import DegenerateSystemError, DomainError, EvaluationError
 from rktlab.hardy import _graded_edges
 from rktlab.numerics import (
+    BASE_PANELS,
+    NODES_PER_PANEL,
     RADIAL_CAP,
     TWO_PI,
     DiskGrid,
@@ -41,8 +43,8 @@ def _reference_panels(edges, n):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _reference_circle_rule(breakpoints, peaks, base_panels, nodes_per_panel, min_width=2.0**-26):
-    edges = {wrap_angle(k * TWO_PI / base_panels) for k in range(base_panels)}
+def _reference_circle_rule(breakpoints, peaks, nodes_per_panel, min_width=2.0**-26):
+    edges = {wrap_angle(k * TWO_PI / BASE_PANELS) for k in range(BASE_PANELS)}
     edges.update(wrap_angle(b) for b in breakpoints)
     peak_list = [(wrap_angle(a), max(float(s), min_width)) for a, s in peaks]
     edges.update(a for a, _ in peak_list)
@@ -61,7 +63,7 @@ def _reference_circle_rule(breakpoints, peaks, base_panels, nodes_per_panel, min
         return min(off - width, TWO_PI - off)
 
     def allowed(lo, hi):
-        cap = TWO_PI / base_panels
+        cap = TWO_PI / BASE_PANELS
         for angle, scale in peak_list:
             cap = min(cap, max(scale, peak_dist(lo, hi, angle), min_width))
         return cap
@@ -122,10 +124,10 @@ class TestCircleQuadrature:
         q = circle_quadrature()
         f = lambda t: np.exp(np.cos(t)) * np.sin(3 * t) ** 2
         v1 = integrate_circle(f, q)
-        q2 = circle_quadrature(nodes_per_panel=24)  # twice the default, same panel edges
+        q2 = circle_quadrature(nodes_per_panel=2 * NODES_PER_PANEL)  # twice the default, same panel edges
         lo, hi, _, _ = circle_panels((), np.zeros((1, 0)), np.zeros((1, 0)))
-        assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, 12)[0])
-        assert np.array_equal(q2.nodes, gauss_legendre_panel(lo, hi, 24)[0])
+        assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0])
+        assert np.array_equal(q2.nodes, gauss_legendre_panel(lo, hi, 2 * NODES_PER_PANEL)[0])
         v2 = integrate_circle(f, q2)
         assert abs(v1 - v2) <= 1e-10 * abs(v2)
 
@@ -134,7 +136,7 @@ class TestCircleQuadrature:
         lo, hi, _, _ = circle_panels([1.0, 2.5], np.zeros((1, 0)), np.zeros((1, 0)))
         assert np.any(np.isclose(lo, 1.0))
         assert np.any(np.isclose(lo, 2.5))
-        assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, 12)[0])
+        assert np.array_equal(q.nodes, gauss_legendre_panel(lo, hi, NODES_PER_PANEL)[0])
 
     def test_tiny_negative_breakpoint(self):
         q = circle_quadrature(breakpoints=[-1e-17])
@@ -145,10 +147,14 @@ class TestCircleQuadrature:
         q = circle_quadrature(peaks=[(0.3, 1e-6)])
         assert np.all(q.weights > 0.0)
 
-    @pytest.mark.parametrize("args", [dict(nodes_per_panel=1), dict(base_panels=0)])
-    def test_rejects_too_few_nodes_or_panels(self, args):
+    def test_rejects_too_few_nodes(self):
         with pytest.raises(DomainError):
-            circle_quadrature(**args)
+            circle_quadrature(nodes_per_panel=1)
+
+    @pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: np.ones(3), lambda t: np.ones((t.size, 2))])
+    def test_integrand_not_shaped_like_the_nodes(self, f):
+        with pytest.raises(DomainError, match="shape"):
+            integrate_circle(f, circle_quadrature())
 
     def test_non_finite_integrand_names_node(self):
         q = circle_quadrature()
@@ -187,18 +193,17 @@ class TestRuleBuildersBitIdentical:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_circle_quadrature_matches_reference(self, data):
-        base_panels = data.draw(st.sampled_from([1, 16, 64]))
         nodes_per_panel = data.draw(st.sampled_from([2, 12, 16]))
         peaks = data.draw(st.lists(st.tuples(_angles, _scales), max_size=3))
         # breakpoints anywhere, on a base edge, or within 1e-14 of one
         near_edge = st.builds(
-            lambda k, eps: k * TWO_PI / base_panels + eps,
-            st.integers(0, base_panels),
+            lambda k, eps: k * TWO_PI / BASE_PANELS + eps,
+            st.integers(0, BASE_PANELS),
             st.sampled_from([0.0, 1e-14, -1e-14, 5e-15, -5e-15]),
         )
         breakpoints = data.draw(st.lists(st.one_of(_angles, near_edge), max_size=4))
-        edges, nodes, weights = _reference_circle_rule(breakpoints, peaks, base_panels, nodes_per_panel)
-        args = dict(breakpoints=breakpoints, peaks=peaks, base_panels=base_panels, nodes_per_panel=nodes_per_panel)
+        edges, nodes, weights = _reference_circle_rule(breakpoints, peaks, nodes_per_panel)
+        args = dict(breakpoints=breakpoints, peaks=peaks, nodes_per_panel=nodes_per_panel)
         if not np.all(weights > 0.0):
             # an empty panel is refused by the positive-weight check
             with pytest.raises(DomainError):
@@ -206,7 +211,7 @@ class TestRuleBuildersBitIdentical:
             return
         rule = circle_quadrature(**args)
         pk = np.asarray(peaks, dtype=float).reshape(1, -1, 2)
-        lo, hi, _, _ = circle_panels(breakpoints, pk[..., 0], pk[..., 1], base_panels)
+        lo, hi, _, _ = circle_panels(breakpoints, pk[..., 0], pk[..., 1])
         assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:]) and edges[-1] == TWO_PI
         assert np.array_equal(rule.nodes, nodes)
         assert np.array_equal(rule.weights, weights)
@@ -214,7 +219,6 @@ class TestRuleBuildersBitIdentical:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_circle_panels_match_reference_rule_by_rule(self, data):
-        base_panels = data.draw(st.sampled_from([1, 16, 64]))
         nodes_per_panel = data.draw(st.sampled_from([2, 12, 16]))
         rules = data.draw(st.integers(1, 40))
         peaks = data.draw(st.integers(0, 3))
@@ -222,19 +226,19 @@ class TestRuleBuildersBitIdentical:
         angles = data.draw(st.lists(_angles, min_size=rules * peaks, max_size=rules * peaks))
         scales = data.draw(st.lists(st.one_of(_scales, st.floats(2.0**-40, 2.0**-26)), min_size=rules * peaks, max_size=rules * peaks))
         near_edge = st.builds(
-            lambda k, eps: k * TWO_PI / base_panels + eps,
-            st.integers(0, base_panels),
+            lambda k, eps: k * TWO_PI / BASE_PANELS + eps,
+            st.integers(0, BASE_PANELS),
             st.sampled_from([0.0, 1e-14, -1e-14, 5e-15, -5e-15]),
         )
         breakpoints = data.draw(st.lists(st.one_of(_angles, near_edge), max_size=4))
         angles = np.reshape(angles, (rules, peaks))
         scales = np.reshape(scales, (rules, peaks))
         refs = [
-            _reference_circle_rule(breakpoints, list(zip(a, s)), base_panels, nodes_per_panel)
+            _reference_circle_rule(breakpoints, list(zip(a, s)), nodes_per_panel)
             for a, s in zip(angles.tolist(), scales.tolist())
         ]
         assume(all(np.all(ref[2] > 0.0) for ref in refs))  # an empty panel is refused
-        lo, hi, index, offsets = circle_panels(breakpoints, angles, scales, base_panels)
+        lo, hi, index, offsets = circle_panels(breakpoints, angles, scales)
         got_nodes, got_weights = gauss_legendre_panel(lo, hi, nodes_per_panel)  # all panels mapped at once
         assert offsets.size == rules + 1
         for k, (edges, nodes, weights) in enumerate(refs):
@@ -249,9 +253,9 @@ class TestRuleBuildersBitIdentical:
         # 1.5e-14 from the kept edge and stays (though within 1e-14 of 1)
         breakpoints = [1.0 - 1e-14, 1.0, 1.0 + 5e-15]
         angles, scales = np.array([[0.3], [1.0], [4.0]]), np.full((3, 1), 0.01)
-        lo, hi, index, offsets = circle_panels(breakpoints, angles, scales, 16)
+        lo, hi, index, offsets = circle_panels(breakpoints, angles, scales)
         for k in range(3):
-            edges, nodes, weights = _reference_circle_rule(breakpoints, [(angles[k, 0], 0.01)], 16, 12)
+            edges, nodes, weights = _reference_circle_rule(breakpoints, [(angles[k, 0], 0.01)], 12)
             assert np.any(edges == 1.0 + 5e-15) and not np.any(edges == 1.0)
             panels = index[offsets[k] : offsets[k + 1]]
             got_nodes, got_weights = gauss_legendre_panel(lo[panels], hi[panels], 12)
@@ -274,13 +278,13 @@ class TestRuleBuildersBitIdentical:
         assert np.array_equal(weights, ref_weights)
 
 
-def _assert_rules_as_built_alone(breakpoints, angles, scales, base_panels=64):
+def _assert_rules_as_built_alone(breakpoints, angles, scales):
     """Every rule of one circle_panels call has the panels of a call on it alone."""
-    lo, hi, index, offsets = circle_panels(breakpoints, angles, scales, base_panels)
+    lo, hi, index, offsets = circle_panels(breakpoints, angles, scales)
     assert offsets.size == len(angles) + 1 and np.unique(index).size == lo.size
     for k in range(len(angles)):
         panels = index[offsets[k] : offsets[k + 1]]
-        alone_lo, alone_hi, alone_index, _ = circle_panels(breakpoints, angles[k : k + 1], scales[k : k + 1], base_panels)
+        alone_lo, alone_hi, alone_index, _ = circle_panels(breakpoints, angles[k : k + 1], scales[k : k + 1])
         assert np.array_equal(alone_index, np.arange(alone_lo.size))
         assert np.array_equal(lo[panels], alone_lo) and np.array_equal(hi[panels], alone_hi)
     return lo.size
@@ -294,13 +298,13 @@ class TestSharedTrees:
         # scales 2^-1 ... 2^-24, given in a shuffled order, share the panels of the finest rule's tree
         scales = np.random.default_rng(3).permutation(self.SCALES)[:, None]
         shared = _assert_rules_as_built_alone([0.5, 4.0], np.full((24, 1), 1.234), scales)
-        finest = circle_panels([0.5, 4.0], [[1.234]], [[2.0**-24]], 64)[0].size
+        finest = circle_panels([0.5, 4.0], [[1.234]], [[2.0**-24]])[0].size
         assert finest < shared < 2 * finest
 
     @pytest.mark.parametrize("offset", [0.0, 5e-15, -5e-15, 1e-14, -1e-14])
     def test_breakpoint_at_or_beside_the_angle(self, offset):
         # within 1e-14 the edges collapse one by one against the last kept edge
-        angle = 2.0 * TWO_PI / 64 + 0.3
+        angle = 2.0 * TWO_PI / BASE_PANELS + 0.3
         _assert_rules_as_built_alone([angle + offset, angle - 1e-14, 5.0], np.full((24, 1), angle), self.SCALES[:, None])
 
     def test_angles_equal_only_after_wrapping(self):
@@ -313,7 +317,7 @@ class TestSharedTrees:
         # a call of two-peak rules, one of them with both peaks at one angle
         angles = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 3.0], [3.0, 1.0]])
         scales = np.array([[1e-4, 1e-4], [1e-6, 1e-6], [1e-4, 1e-6], [1e-5, 1e-3]])
-        _assert_rules_as_built_alone([2.0], angles, scales, 16)
+        _assert_rules_as_built_alone([2.0], angles, scales)
 
 
 class TestDiskGrid:
